@@ -96,19 +96,3 @@ def check_gradients(
         worst = max(worst, leaf_worst)
     return worst, per_leaf
 
-
-def gradcheck(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-4,
-    max_coords: int | None = None,
-    seed: int = 0,
-    floor: float | None = None,
-) -> float:
-    """Max relative error between tape gradient of ``f`` at ``x`` and central
-    finite differences, checked coordinate-wise."""
-    x.requires_grad = True
-    worst, _ = check_gradients(
-        lambda: f(x), {"x": x}, h=h, max_coords=max_coords, seed=seed, floor=floor
-    )
-    return worst

@@ -351,7 +351,7 @@ class RegistrationModel:
         if not isinstance(t, Tensor):
             t = Tensor(t, dtype=self.dtype)
         if t.ndim == 3:
-            t = Tensor(t.data[None], requires_grad=t.requires_grad)
+            t = Volume(values=t).values
         if t.ndim != 4 or t.shape[0] != 1:
             raise ShapeError(f"{what} must be a [1,D,H,W] volume, got {t.shape}")
         if t.dtype != self.dtype:

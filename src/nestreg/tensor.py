@@ -80,8 +80,9 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def astype(self, bits: int) -> "Tensor":
-        """Precision cast (non-differentiable; for IO and fixtures)."""
-        return Tensor(self.data.astype(DTYPES[bits]), requires_grad=self.requires_grad)
+        """Precision cast; on a tape the gradient is cast back to this dtype."""
+        dtype = self.data.dtype
+        return make_op(self.data.astype(DTYPES[bits]), (self,), lambda g: (g.astype(dtype),))
 
     def check_finite(self, what: str = "tensor") -> "Tensor":
         if not np.all(np.isfinite(self.data)):

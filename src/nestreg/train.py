@@ -15,7 +15,6 @@ import io
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .losses import composite_loss
 from .metrics import ssim
 from .model import ModelConfig, RegistrationModel, build_model
 from .tensor import GradTape
+from .volio import atomic_write_bytes
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,6 @@ class TrainingCurve:
 class Checkpoint:
     config: ModelConfig
     params: dict
-    opt_state: dict
     epoch: int
     rng_state: dict
 
@@ -106,7 +105,6 @@ def _snapshot(model: RegistrationModel, rng, epoch: int) -> Checkpoint:
     return Checkpoint(
         config=model.config,
         params=model.state(),
-        opt_state={},
         epoch=epoch,
         rng_state=copy.deepcopy(rng.bit_generator.state),
     )
@@ -118,7 +116,6 @@ def train(
     val_pairs,
     out_dir=None,
     resume: Checkpoint | None = None,
-    progress: bool = False,
 ) -> TrainResult:
     """Run model.config.epochs of SGD. Returns the curve plus best-val-SSIM
     and last checkpoints; with ``out_dir`` also writes checkpoint_best.npz,
@@ -189,11 +186,10 @@ def train(
         if not all(map(np.isfinite, (row.train_loss, row.val_loss, row.train_ssim, row.val_ssim))):
             raise NumericError(f"non-finite training statistics at epoch {epoch + 1}: {row}")
         curve.append(row)
-        if progress:
-            log.info(
-                "epoch %d: train_loss=%.6f val_loss=%.6f train_ssim=%.4f val_ssim=%.4f",
-                row.epoch, row.train_loss, row.val_loss, row.train_ssim, row.val_ssim,
-            )
+        log.info(
+            "epoch %d: train_loss=%.6f val_loss=%.6f train_ssim=%.4f val_ssim=%.4f",
+            row.epoch, row.train_loss, row.val_loss, row.train_ssim, row.val_ssim,
+        )
         if row.val_ssim > best_ssim:
             best_ssim = row.val_ssim
             best = _snapshot(model, rng, epoch + 1)
@@ -221,7 +217,7 @@ def write_curve_csv(path, curve: TrainingCurve) -> None:
             f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.train_ssim!r},{r.val_ssim!r}"
         )
     payload = ("\n".join(lines) + "\n").encode()
-    _atomic_write(path, payload)
+    atomic_write_bytes(path, payload)
 
 
 def read_curve_csv(path) -> TrainingCurve:
@@ -245,25 +241,10 @@ def read_curve_csv(path) -> TrainingCurve:
     return curve
 
 
-def _atomic_write(path, payload: bytes) -> None:
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Parameters verbatim (bit-exact) in an npz plus a JSON metadata entry."""
     meta = {
         "config": ckpt.config.to_dict(),
-        "opt_state": ckpt.opt_state,
         "epoch": ckpt.epoch,
         "rng_state": _jsonable(ckpt.rng_state),
     }
@@ -271,7 +252,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **ckpt.params)
-    _atomic_write(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -283,7 +264,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=ModelConfig.from_dict(meta["config"]),
         params=params,
-        opt_state=meta["opt_state"],
         epoch=int(meta["epoch"]),
         rng_state=_unjsonable(meta["rng_state"]),
     )

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import DTYPES, Tensor, make_op
+from .tensor import DTYPES, Tensor, make_op, reshape
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Volume:
         if not isinstance(self.values, Tensor):
             self.values = Tensor(self.values)
         if self.values.ndim == 3:
-            self.values = Tensor(self.values.data[None], requires_grad=self.values.requires_grad)
+            self.values = reshape(self.values, (1,) + self.values.shape)
         if self.values.ndim != 4:
             raise ShapeError(f"Volume expects [C,D,H,W] or [D,H,W], got {self.values.shape}")
 

@@ -1,4 +1,4 @@
-"""Shared fixtures and random parameter factories for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nestreg import AttentionParams, FusionParams, LkaParams, Tensor
+from nestreg.diagnostics import random_block
 
 settings.register_profile(
     "suite",
@@ -22,53 +22,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-def t(rng: np.random.Generator, *shape, scale: float = 1.0) -> Tensor:
-    return Tensor(rng.normal(0.0, scale, size=shape))
-
-
-def make_attention_params(
-    rng: np.random.Generator, dm: int, heads: int, with_tau: bool
-) -> AttentionParams:
-    return AttentionParams(
-        wq=t(rng, dm, dm, scale=0.5),
-        wk=t(rng, dm, dm, scale=0.5),
-        wv=t(rng, dm, dm, scale=0.5),
-        wo=t(rng, dm, dm, scale=0.5),
-        heads=heads,
-        log_tau=t(rng, heads, scale=0.3) if with_tau else None,
-    )
-
-
-def make_fusion_params(rng: np.random.Generator, c: int, kernel: int = 3) -> FusionParams:
-    return FusionParams(
-        g_w=t(rng, c, c, scale=0.4),
-        g_b=t(rng, c, scale=0.2),
-        fe_dw_w=t(rng, c, 1, kernel, kernel, kernel, scale=0.4),
-        fe_dw_b=t(rng, c, scale=0.2),
-        fe_pw_w=t(rng, c, c, 1, 1, 1, scale=0.4),
-        fe_pw_b=t(rng, c, scale=0.2),
-        fe_dwd_w=t(rng, c, 1, kernel, kernel, kernel, scale=0.4),
-        fe_dwd_b=t(rng, c, scale=0.2),
-        fe_red_w=t(rng, c, c, 1, 1, 1, scale=0.4),
-        fe_red_b=t(rng, c, scale=0.2),
-        norm_gamma=Tensor(1.0 + 0.2 * rng.normal(size=c)),
-        norm_beta=t(rng, c, scale=0.2),
-        sel_w=t(rng, c, c, 1, 1, 1, scale=0.4),
-        sel_b=t(rng, c, scale=0.2),
-        inner_w=t(rng, c, c, 1, 1, 1, scale=0.4),
-        inner_b=t(rng, c, scale=0.2),
-        outer_w=t(rng, c, c, 1, 1, 1, scale=0.4),
-        outer_b=t(rng, c, scale=0.2),
-        kernel=kernel,
-    )
-
-
-def make_lka_params(rng: np.random.Generator, c: int) -> LkaParams:
-    return LkaParams(
-        dw_w=t(rng, c, 1, 3, 3, 3, scale=0.3),
-        dw_b=t(rng, c, scale=0.1),
-        dwd_w=t(rng, c, 1, 3, 3, 3, scale=0.3),
-        dwd_b=t(rng, c, scale=0.1),
-        pw_w=t(rng, c, c, 1, 1, 1, scale=0.3),
-        pw_b=t(rng, c, scale=0.1),
-    )
+def block(rng: np.random.Generator, kind: str, width: int, **kwargs):
+    """One block's random float64 parameters (``random_block`` without its registry)."""
+    return random_block(rng, kind, width, **kwargs)[0]

@@ -4,21 +4,17 @@ and encoder depend on."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-from nestreg import (
-    AttentionParams,
-    DualBlockParams,
-    LayerNormParams,
-    MixFfnParams,
-    ShapeError,
-    Tensor,
-)
-from conftest import make_attention_params, t
+from nestreg import ShapeError, Tensor
+from nestreg.diagnostics import random_block
+from conftest import block
 from oracles import (
     channel_attention_ref,
     conv3d_ref,
@@ -31,7 +27,7 @@ from oracles import (
 @pytest.mark.parametrize("n,dm,heads", [(8, 4, 1), (12, 6, 2), (27, 8, 4), (5, 6, 3)])
 def test_efficient_attention_matches_quadratic_oracle(rng, n, dm, heads):
     x = rng.normal(size=(n, dm))
-    p = make_attention_params(rng, dm, heads, with_tau=False)
+    p = block(rng, "attention", dm, heads=heads, with_tau=False)
     got = nr.efficient_attention(Tensor(x), p).data
     want = efficient_attention_ref(x, p.wq.data, p.wk.data, p.wv.data, p.wo.data, heads)
     npt.assert_allclose(got, want, atol=1e-10)
@@ -40,7 +36,7 @@ def test_efficient_attention_matches_quadratic_oracle(rng, n, dm, heads):
 @pytest.mark.parametrize("n,dm,heads", [(8, 4, 1), (12, 6, 2), (27, 8, 4)])
 def test_channel_attention_matches_loop_oracle(rng, n, dm, heads):
     x = rng.normal(size=(n, dm))
-    p = make_attention_params(rng, dm, heads, with_tau=True)
+    p = block(rng, "attention", dm, heads=heads, with_tau=True)
     got = nr.channel_attention(Tensor(x), p).data
     want = channel_attention_ref(
         x, p.wq.data, p.wk.data, p.wv.data, p.wo.data, heads, p.log_tau.data
@@ -55,7 +51,7 @@ def test_efficient_attention_parenthesizations_agree(seed):
     g = np.random.default_rng(seed)
     n, dm, heads = 10, 6, 2
     x = g.normal(size=(n, dm)) * 2.0
-    p = make_attention_params(g, dm, heads, with_tau=False)
+    p = block(g, "attention", dm, heads=heads, with_tau=False)
     fast = nr.efficient_attention(Tensor(x), p).data
 
     dh = dm // heads
@@ -77,7 +73,7 @@ def test_efficient_attention_parenthesizations_agree(seed):
 def test_attention_is_token_permutation_equivariant(rng, kind):
     n, dm, heads = 14, 6, 2
     x = rng.normal(size=(n, dm))
-    p = make_attention_params(rng, dm, heads, with_tau=(kind == "channel"))
+    p = block(rng, "attention", dm, heads=heads, with_tau=(kind == "channel"))
     fn = nr.efficient_attention if kind == "efficient" else nr.channel_attention
     perm = rng.permutation(n)
     base = fn(Tensor(x), p).data
@@ -89,11 +85,10 @@ def test_channel_attention_high_temperature_mixes_uniformly(rng):
     """tau -> inf flattens the channel softmax, so every output channel is the
     plain mean of the value channels (identity wv/wo make that visible)."""
     n, dm = 9, 4
-    eye = Tensor(np.eye(dm))
-    p = AttentionParams(
-        wq=t(rng, dm, dm), wk=t(rng, dm, dm), wv=eye, wo=eye,
-        heads=1, log_tau=Tensor(np.array([30.0])),
-    )
+    p = block(rng, "attention", dm, with_tau=True)
+    p.wv.data = np.eye(dm)
+    p.wo.data = np.eye(dm)
+    p.log_tau.data = np.array([30.0])
     x = rng.normal(size=(n, dm))
     out = nr.channel_attention(Tensor(x), p).data
     npt.assert_allclose(out, np.tile(x.mean(axis=1, keepdims=True), (1, dm)), atol=1e-9)
@@ -101,34 +96,23 @@ def test_channel_attention_high_temperature_mixes_uniformly(rng):
 
 def test_attention_shape_errors(rng):
     x = Tensor(rng.normal(size=(8, 6)))
-    bad_heads = make_attention_params(rng, 6, 4, with_tau=False)  # 6 % 4 != 0
+    bad_heads = block(rng, "attention", 6, heads=4, with_tau=False)  # 6 % 4 != 0
     with pytest.raises(ShapeError):
         nr.efficient_attention(x, bad_heads)
-    wrong_proj = make_attention_params(rng, 4, 2, with_tau=False)
+    wrong_proj = block(rng, "attention", 4, heads=2, with_tau=False)
     with pytest.raises(ShapeError):
         nr.efficient_attention(x, wrong_proj)
-    no_tau = make_attention_params(rng, 6, 2, with_tau=False)
+    no_tau = block(rng, "attention", 6, heads=2, with_tau=False)
     with pytest.raises(ShapeError):
         nr.channel_attention(x, no_tau)
 
 
-def make_ffn(rng, dm, hidden, kernel=3):
-    return MixFfnParams(
-        w1=t(rng, dm, hidden, scale=0.5),
-        b1=t(rng, hidden, scale=0.2),
-        dw_w=t(rng, hidden, 1, kernel, kernel, kernel, scale=0.4),
-        dw_b=t(rng, hidden, scale=0.2),
-        w2=t(rng, hidden, dm, scale=0.5),
-        b2=t(rng, dm, scale=0.2),
-        kernel=kernel,
-    )
-
-
 def test_mix_ffn_matches_manual_composition(rng):
-    dm, hidden, spatial = 4, 6, (2, 3, 2)
+    dm, spatial = 4, (2, 3, 2)
     n = int(np.prod(spatial))
     x = rng.normal(size=(n, dm))
-    p = make_ffn(rng, dm, hidden)
+    p = block(rng, "mix_ffn", dm)
+    hidden = p.w1.shape[1]
     got = nr.mix_ffn(Tensor(x), spatial, p).data
 
     h = x @ p.w1.data + p.b1.data
@@ -140,41 +124,14 @@ def test_mix_ffn_matches_manual_composition(rng):
     npt.assert_allclose(got, want, atol=1e-12)
 
 
-def make_dual_block(rng, dm, heads, zero=False):
-    def z(*shape):
-        return Tensor(np.zeros(shape))
-
-    if zero:
-        attn = AttentionParams(
-            wq=z(dm, dm), wk=z(dm, dm), wv=z(dm, dm), wo=z(dm, dm), heads=heads,
-        )
-        chan = AttentionParams(
-            wq=z(dm, dm), wk=z(dm, dm), wv=z(dm, dm), wo=z(dm, dm), heads=heads,
-            log_tau=z(heads),
-        )
-        ffn = MixFfnParams(
-            w1=z(dm, dm), b1=z(dm), dw_w=z(dm, 1, 3, 3, 3), dw_b=z(dm),
-            w2=z(dm, dm), b2=z(dm),
-        )
-        ffn2 = MixFfnParams(
-            w1=z(dm, dm), b1=z(dm), dw_w=z(dm, 1, 3, 3, 3), dw_b=z(dm),
-            w2=z(dm, dm), b2=z(dm),
-        )
-    else:
-        attn = make_attention_params(rng, dm, heads, with_tau=False)
-        chan = make_attention_params(rng, dm, heads, with_tau=True)
-        ffn = make_ffn(rng, dm, dm)
-        ffn2 = make_ffn(rng, dm, dm)
-    ln = lambda: LayerNormParams(gamma=Tensor(np.ones(dm)), beta=Tensor(np.zeros(dm)))
-    return DualBlockParams(efficient=attn, channel=chan, ln1=ln(), ffn1=ffn, ln2=ln(), ffn2=ffn2)
-
-
 def test_zero_weight_dual_block_is_exact_identity(rng):
     """Every sublayer is residual, so an all-zero block must pass tokens
     through bit-for-bit — the property zero-init of new stages relies on."""
     spatial = (2, 2, 3)
     x = rng.normal(size=(int(np.prod(spatial)), 4))
-    p = make_dual_block(rng, 4, 2, zero=True)
+    p, params = random_block(rng, "dual_block", 4, heads=2)
+    for leaf in params.values():
+        leaf.data[...] = 0.0
     out = nr.dual_attention_block(Tensor(x), spatial, p).data
     npt.assert_array_equal(out, x)
 
@@ -184,7 +141,7 @@ def test_dual_block_matches_manual_sublayer_chain(rng):
     dm, heads = 6, 2
     n = int(np.prod(spatial))
     x = rng.normal(size=(n, dm))
-    p = make_dual_block(rng, dm, heads)
+    p = block(rng, "dual_block", dm, heads=heads)
     got = nr.dual_attention_block(Tensor(x), spatial, p).data
 
     def ffn_ref(tok, fp):
@@ -194,19 +151,18 @@ def test_dual_block_matches_manual_sublayer_chain(rng):
         vol = conv3d_ref(vol, fp.dw_w.data, fp.dw_b.data, padding=1, groups=hidden)
         return gelu_ref(vol).transpose(1, 2, 3, 0).reshape(n, hidden) @ fp.w2.data + fp.b2.data
 
-    ones, zeros = np.ones(dm), np.zeros(dm)
     ea = efficient_attention_ref(
         x, p.efficient.wq.data, p.efficient.wk.data, p.efficient.wv.data,
         p.efficient.wo.data, heads,
     )
     y = ea + x
-    y = y + ffn_ref(layernorm_ref(y, ones, zeros, axis=1), p.ffn1)
+    y = y + ffn_ref(layernorm_ref(y, p.ln1.gamma.data, p.ln1.beta.data, axis=1), p.ffn1)
     ca = channel_attention_ref(
         y, p.channel.wq.data, p.channel.wk.data, p.channel.wv.data,
         p.channel.wo.data, heads, p.channel.log_tau.data,
     )
     z = ca + y
-    want = z + ffn_ref(layernorm_ref(z, ones, zeros, axis=1), p.ffn2)
+    want = z + ffn_ref(layernorm_ref(z, p.ln2.gamma.data, p.ln2.beta.data, axis=1), p.ffn2)
     npt.assert_allclose(got, want, atol=1e-9)
 
 
@@ -214,13 +170,9 @@ def test_disabled_attention_branches_fall_back_to_residual_stream(rng):
     spatial = (2, 2, 2)
     dm = 4
     x = rng.normal(size=(8, dm))
-    p = make_dual_block(rng, dm, 2)
-    ea_only = DualBlockParams(
-        efficient=p.efficient, channel=None, ln1=p.ln1, ffn1=p.ffn1, ln2=p.ln2, ffn2=p.ffn2
-    )
-    ca_only = DualBlockParams(
-        efficient=None, channel=p.channel, ln1=p.ln1, ffn1=p.ffn1, ln2=p.ln2, ffn2=p.ffn2
-    )
+    p = block(rng, "dual_block", dm, heads=2)
+    ea_only = dataclasses.replace(p, channel=None)
+    ca_only = dataclasses.replace(p, efficient=None)
     full = nr.dual_attention_block(Tensor(x), spatial, p).data
     ea_out = nr.dual_attention_block(Tensor(x), spatial, ea_only).data
     ca_out = nr.dual_attention_block(Tensor(x), spatial, ca_only).data

@@ -115,6 +115,37 @@ def test_detach_blocks_gradient_flow(rng):
     npt.assert_allclose(x.grad, x.data, rtol=1e-15)  # only the live factor contributes
 
 
+def _leaf_grad(data, fn):
+    x = Tensor(data, requires_grad=True)
+    with GradTape() as tape:
+        tape.backward(fn(x))
+    return x.grad
+
+
+def test_volume_promotion_astype_and_3d_model_inputs_keep_the_gradient(rng):
+    """Volume's 3-D -> 4-D promotion, astype and a 3-D model input are recorded
+    ops: the leaf passed in gets the gradient, not a hidden copy of it."""
+    data = rng.normal(size=(8, 8, 8))
+    r = Tensor(rng.normal(size=(1, 8, 8, 8)))
+    grad = _leaf_grad(data, lambda x: nr.tsum(nr.Volume(values=x).values * r))
+    npt.assert_array_equal(grad, r.data[0])
+
+    r32 = r.astype(32)
+    grad = _leaf_grad(data[None], lambda x: nr.tsum(x.astype(32) * r32))
+    assert grad.dtype == np.float64
+    npt.assert_array_equal(grad, r32.data)
+
+    cfg = nr.ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
+                         dae_blocks=1, lka_blocks=1, precision=64)
+    model = nr.build_model(cfg, seed=0)
+    head = model.registry["head.w"]
+    head.data = rng.normal(size=head.shape)  # the zero head would zero every input gradient
+    loss = lambda m: nr.tsum(model.forward(m, r).u)
+    grad4 = _leaf_grad(data[None], loss)
+    assert np.abs(grad4).max() > 0
+    npt.assert_array_equal(_leaf_grad(data, loss), grad4[0])
+
+
 def test_constant_inputs_do_not_require_grad_tracking(rng):
     a = Tensor(rng.normal(size=(3,)))
     with GradTape() as tape:

@@ -12,14 +12,14 @@ import pytest
 import nestreg as nr
 from nestreg import ConfigError, ShapeError, Tensor
 from nestreg.decoder import DecoderHeadParams, decoder_forward
-from conftest import make_fusion_params, make_lka_params
+from conftest import block
 from oracles import conv3d_ref, fusion_ref
 
 
 def test_lka_block_matches_manual_composition(rng):
     c = 3
     x = rng.normal(size=(c, 4, 4, 4))
-    p = make_lka_params(rng, c)
+    p = block(rng, "lka", c)
     got = nr.lka_block(Tensor(x), p).data
     a = conv3d_ref(x, p.dw_w.data, p.dw_b.data, padding=1, groups=c)
     a = conv3d_ref(a, p.dwd_w.data, p.dwd_b.data, padding=2, dilation=2, groups=c)
@@ -30,7 +30,7 @@ def test_lka_block_matches_manual_composition(rng):
 def test_lka_block_with_zero_pointwise_is_exact_identity(rng):
     c = 3
     x = rng.normal(size=(c, 4, 4, 4))
-    p = make_lka_params(rng, c)
+    p = block(rng, "lka", c)
     p = dataclasses.replace(
         p, pw_w=Tensor(np.zeros((c, c, 1, 1, 1))), pw_b=Tensor(np.zeros(c))
     )
@@ -41,7 +41,7 @@ def test_feature_extract_delta_kernels_give_identity(rng):
     """Center-delta depthwise kernels and identity pointwise projections make
     the whole extraction chain a no-op."""
     c = 4
-    p = make_fusion_params(rng, c)
+    p = block(rng, "fusion", c)
     delta = np.zeros((c, 1, 3, 3, 3))
     delta[:, 0, 1, 1, 1] = 1.0
     eye = np.eye(c).reshape(c, c, 1, 1, 1)
@@ -61,7 +61,7 @@ def test_global_extract_of_constant_volume_doubles_the_projection(rng):
     """avg and max coincide on a constant input, so the shared projection is
     applied twice: identity weights turn channel value c into 2c."""
     c = 3
-    p = make_fusion_params(rng, c)
+    p = block(rng, "fusion", c)
     p = dataclasses.replace(
         p, g_w=Tensor(np.eye(c)), g_b=Tensor(np.zeros(c))
     )
@@ -79,7 +79,7 @@ def test_nested_attention_fusion_matches_transcription_oracle(rng):
         shape = tuple(rng.integers(2, 4, size=3))
         x1 = rng.normal(size=(c,) + shape)
         x2 = rng.normal(size=(c,) + shape)
-        p = make_fusion_params(rng, c)
+        p = block(rng, "fusion", c)
         got = nr.nested_attention_fusion(Tensor(x1), Tensor(x2), p).data
         npt.assert_allclose(got, fusion_ref(x1, x2, p), atol=1e-9)
 
@@ -88,7 +88,7 @@ def test_fusion_with_zero_decoder_stream_outputs_zero(rng):
     """The final projection re-gates against x1, so a silent decoder stream
     stays silent (given the zero output bias the builder uses)."""
     c = 3
-    p = make_fusion_params(rng, c)
+    p = block(rng, "fusion", c)
     p = dataclasses.replace(p, outer_b=Tensor(np.zeros(c)))
     x2 = rng.normal(size=(c, 3, 3, 3))
     out = nr.nested_attention_fusion(Tensor(np.zeros((c, 3, 3, 3))), Tensor(x2), p).data
@@ -96,7 +96,7 @@ def test_fusion_with_zero_decoder_stream_outputs_zero(rng):
 
 
 def test_fusion_rejects_mismatched_inputs(rng):
-    p = make_fusion_params(rng, 3)
+    p = block(rng, "fusion", 3)
     with pytest.raises(ShapeError):
         nr.nested_attention_fusion(
             Tensor(rng.normal(size=(3, 2, 2, 2))), Tensor(rng.normal(size=(3, 2, 2, 3))), p

@@ -116,7 +116,11 @@ def test_typed_readers_enforce_leading_extent(tmp_path, rng):
 def test_atomic_write_leaves_no_temp_files(tmp_path, rng):
     for i in range(3):
         nr.save_volume(tmp_path / f"v{i}.nmv", rng.normal(size=(3, 3, 3)))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["v0.nmv", "v1.nmv", "v2.nmv"]
+    nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(ModelConfig(), {}, 0, {}))
+    nr.write_curve_csv(tmp_path / "curve.csv", nr.TrainingCurve())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ckpt.npz", "curve.csv", "v0.nmv", "v1.nmv", "v2.nmv"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -362,6 +364,29 @@ def test_checkpoint_roundtrip_preserves_forward_bit_for_bit(tmp_path, rng):
     npt.assert_array_equal(
         rebuilt.forward(mv, fx).u.data, model.forward(mv, fx).u.data
     )
+
+
+def test_checkpoint_with_legacy_opt_state_key_loads_bit_for_bit(tmp_path):
+    """Older checkpoints carry an always-empty "opt_state" in their metadata;
+    they still load, and new checkpoints no longer write the key."""
+    model = nr.build_model(small_cfg(), seed=1)
+    state = np.random.default_rng(0).bit_generator.state
+    path = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(path, nr.Checkpoint(model.config, model.state(), 1, state))
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        params = {k: data[k] for k in data.files if k != "__meta__"}
+    assert "opt_state" not in meta
+
+    legacy = tmp_path / "legacy.npz"
+    meta["opt_state"] = {}
+    np.savez(legacy, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **params)
+    loaded = nr.load_checkpoint(legacy)
+    assert loaded.config == model.config
+    assert loaded.rng_state == state
+    for name, arr in model.state().items():
+        npt.assert_array_equal(loaded.params[name], arr, err_msg=name, strict=True)
 
 
 def test_load_state_rejects_mismatched_checkpoints():
