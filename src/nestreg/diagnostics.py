@@ -20,6 +20,7 @@ from .losses import LossConfig, composite_loss, ncc_loss, smoothness_loss
 from .model import ModelConfig, _Builder, build_model
 from .tensor import (
     Tensor,
+    box_sum,
     conv3d,
     gelu,
     global_pool,
@@ -167,6 +168,13 @@ def _check_upsample(seed, h, max_coords):
     r = _proj(rng, (2, 6, 12, 5))
     fn = lambda: tsum(upsample_trilinear(x, (2, 3, 1)) * r)
     return check_gradients(fn, {"x": x}, h=h)
+
+
+def _check_box_sum(seed, h, max_coords):
+    rng = _rng(seed, 22)
+    x = _leaf(rng, (2, 4, 5, 6))
+    r = _proj(rng, (2, 2, 3, 4))
+    return check_gradients(lambda: tsum(box_sum(x, 3) * r), {"x": x}, h=h)
 
 
 def _check_global_pool(seed, h, max_coords):
@@ -335,6 +343,7 @@ _CHECKS = [
     ("conv3d", _check_conv3d_plain, None),
     ("conv3d_strided_dilated", _check_conv3d_strided, None),
     ("conv3d_grouped", _check_conv3d_grouped, None),
+    ("box_sum", _check_box_sum, None),
     ("upsample_trilinear", _check_upsample, None),
     ("global_pool", _check_global_pool, None),
     ("efficient_attention", _check_efficient_attention, 24),

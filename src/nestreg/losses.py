@@ -9,16 +9,17 @@ so it is insensitive to per-window affine intensity maps — the reason it
 serves as the cross-modality surrogate.  ``eps`` is a variance floor: a
 constant window contributes zero correlation, and identical non-constant
 volumes reach loss 0 only up to the floor.
+
+The five window sums are separable cumulative-sum box sums
+(``tensor.box_sum``), O(N) in the window size and accumulated in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
-from .tensor import Tensor, conv3d, tmean
+from .tensor import Tensor, box_sum, tmean
 from .warp import DeformationField, Volume, warp_trilinear
 
 
@@ -61,17 +62,15 @@ def ncc_loss(fixed: Volume, warped: Volume, cfg: LossConfig | None = None) -> Te
         raise ShapeError(
             f"ncc_loss: extents {f.shape[1:]} smaller than window {k}"
         )
-    dtype = f.dtype
-    if w.dtype != dtype:
-        raise ShapeError(f"ncc_loss: dtype mismatch {dtype.name} vs {w.dtype.name}")
-    kern = Tensor(np.ones((1, 1, k, k, k), dtype=dtype))
+    if w.dtype != f.dtype:
+        raise ShapeError(f"ncc_loss: dtype mismatch {f.dtype.name} vs {w.dtype.name}")
     n = float(k ** 3)
 
-    sf = conv3d(f, kern)
-    sw = conv3d(w, kern)
-    sff = conv3d(f * f, kern)
-    sww = conv3d(w * w, kern)
-    sfw = conv3d(f * w, kern)
+    sf = box_sum(f, k)
+    sw = box_sum(w, k)
+    sff = box_sum(f * f, k)
+    sww = box_sum(w * w, k)
+    sfw = box_sum(f * w, k)
 
     cross = sfw - sf * sw * (1.0 / n)
     var_f = sff - sf * sf * (1.0 / n)

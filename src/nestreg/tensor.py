@@ -653,6 +653,49 @@ def conv3d(
     return make_op(out, inputs, vjp)
 
 
+def _valid_box_sums(x: np.ndarray, k: int) -> np.ndarray:
+    """Valid k-wide window sums over axes 1-3, one axis at a time, in float64.
+
+    Each axis takes a prefix sum and differences it at distance k; a per-axis
+    prefix grows only to extent * value, so the differences cancel far less
+    than those of a 3-D summed-area table would.
+    """
+    def along(ax, sl):
+        key = [slice(None)] * 4
+        key[ax] = sl
+        return tuple(key)
+
+    out = x.astype(np.float64, copy=False)
+    for ax in (1, 2, 3):
+        shape = list(out.shape)
+        shape[ax] += 1
+        c = np.zeros(shape)  # c[i] = sum of the first i planes
+        np.cumsum(out, axis=ax, out=c[along(ax, slice(1, None))])
+        out = c[along(ax, slice(k, None))] - c[along(ax, slice(None, -k))]
+    return out.astype(x.dtype)
+
+
+def box_sum(a: Tensor, k: int) -> Tensor:
+    """Sum of every valid k x k x k window of [C, D, H, W], per channel.
+
+    Equal to ``conv3d`` with a ones kernel applied to each channel alone, in
+    O(N) instead of O(N k^3). Output extent per axis: ext - k + 1. Sums
+    accumulate in float64 and are cast back to the input dtype.
+    """
+    if a.ndim != 4:
+        raise ShapeError(f"box_sum expects [C,D,H,W], got {a.data.shape}")
+    if k < 1:
+        raise ConfigError(f"box_sum window must be >= 1, got {k}")
+    if any(e < k for e in a.data.shape[1:]):
+        raise ShapeError(f"box_sum: extents {a.data.shape[1:]} smaller than window {k}")
+
+    def vjp(g):
+        # The adjoint of a valid box sum is a full one: pad by k-1, sum again.
+        return (_valid_box_sums(np.pad(g, ((0, 0),) + ((k - 1, k - 1),) * 3), k),)
+
+    return make_op(_valid_box_sums(a.data, k), (a,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # Pooling and resampling
 # ---------------------------------------------------------------------------

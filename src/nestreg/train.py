@@ -139,8 +139,10 @@ def train(
             )
 
     curve = TrainingCurve()
-    best: Checkpoint | None = None
-    best_ssim = -np.inf
+    earlier, best = [], None
+    if resume is not None and out_dir is not None:
+        earlier, best = _earlier_run(out_dir, start_epoch)
+    best_ssim = max((r.val_ssim for r in earlier), default=-np.inf)
     for epoch in range(start_epoch, cfg.epochs):
         order = rng.permutation(len(train_pairs))
         losses, ssims = [], []
@@ -201,8 +203,28 @@ def train(
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "checkpoint_best.npz"), result.best)
         save_checkpoint(os.path.join(out_dir, "checkpoint_last.npz"), result.last)
-        write_curve_csv(os.path.join(out_dir, "curve.csv"), curve)
+        write_curve_csv(os.path.join(out_dir, "curve.csv"), TrainingCurve(earlier + curve.rows))
     return result
+
+
+def _earlier_run(out_dir, epoch: int):
+    """Curve rows up to ``epoch`` and the best checkpoint of the run that
+    ``out_dir`` already holds, so a resumed run continues its curve and its
+    best; ``([], None)`` when the directory holds no curve."""
+    curve_path = os.path.join(out_dir, "curve.csv")
+    if not os.path.exists(curve_path):
+        return [], None
+    rows = [r for r in read_curve_csv(curve_path).rows if r.epoch <= epoch]
+    if not rows:
+        return [], None
+    want = max(rows, key=lambda r: r.val_ssim).epoch  # first maximum, as train's strict >
+    best = load_checkpoint(os.path.join(out_dir, "checkpoint_best.npz"))
+    if best.epoch != want:
+        raise ContractError(
+            f"{out_dir}: checkpoint_best.npz is from epoch {best.epoch}, but curve.csv "
+            f"up to the resumed epoch {epoch} has its best val_ssim at epoch {want}"
+        )
+    return rows, best
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,15 @@ def warp_ref(m, u):
 # ---------------------------------------------------------------------------
 
 
+def box_sum_ref(x, k):
+    """Sum of each valid k-cube window, per channel, by explicit window loops."""
+    c = x.shape[0]
+    out = np.zeros((c,) + tuple(e - k + 1 for e in x.shape[1:]))
+    for ch, z, y, xx in product(range(c), *(range(e) for e in out.shape[1:])):
+        out[ch, z, y, xx] = x[ch, z:z + k, y:y + k, xx:xx + k].sum()
+    return out
+
+
 def ncc_ref(f, w, window=5, eps=1e-5):
     """1 - mean of windowed squared NCC; cube sums per valid window position."""
     n = window ** 3

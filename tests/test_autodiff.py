@@ -187,6 +187,7 @@ def test_gradcheck_passes_on_smooth_composite(rng):
         "layernorm",
         "conv3d_strided_dilated",
         "conv3d_grouped",
+        "box_sum",
         "upsample_trilinear",
         "global_pool",
         "warp_trilinear",

@@ -338,6 +338,38 @@ def test_resumed_run_replays_the_straight_through_run():
         npt.assert_array_equal(arr, resumed.state()[name], err_msg=name)
 
 
+def test_resume_into_its_run_directory_keeps_the_earlier_best_and_curve(tmp_path):
+    """A 2-epoch run plus a resume to epoch 4 writes the same curve.csv and
+    checkpoint_best.npz as a straight 4-epoch run, whose best epoch falls in
+    the first two."""
+    tr, va = nr.split_pairs(small_pairs(3, seed=0))
+    straight, split = tmp_path / "straight", tmp_path / "split"
+    nr.train(nr.build_model(small_cfg(epochs=4, seed=0)), tr, va, out_dir=straight)
+    nr.train(nr.build_model(small_cfg(epochs=2, seed=0)), tr, va, out_dir=split)
+    part = nr.load_checkpoint(split / "checkpoint_last.npz")
+    rest = nr.train(nr.build_model(small_cfg(epochs=4, seed=0)), tr, va,
+                    out_dir=split, resume=part)
+
+    assert [r.epoch for r in rest.curve.rows] == [3, 4]
+    assert (split / "curve.csv").read_bytes() == (straight / "curve.csv").read_bytes()
+    want = nr.load_checkpoint(straight / "checkpoint_best.npz")
+    got = nr.load_checkpoint(split / "checkpoint_best.npz")
+    assert got.epoch == want.epoch == rest.best.epoch <= part.epoch
+    for name, arr in want.params.items():
+        npt.assert_array_equal(got.params[name], arr, err_msg=name)
+        npt.assert_array_equal(rest.best.params[name], arr, err_msg=name)
+
+
+def test_resume_into_a_directory_whose_best_disagrees_with_its_curve_is_rejected(tmp_path):
+    tr, va = nr.split_pairs(small_pairs(3, seed=0))
+    first = nr.train(nr.build_model(small_cfg(epochs=2, seed=0)), tr, va, out_dir=tmp_path)
+    assert first.best.epoch == 1
+    nr.save_checkpoint(tmp_path / "checkpoint_best.npz", first.last)
+    with pytest.raises(ContractError, match="checkpoint_best"):
+        nr.train(nr.build_model(small_cfg(epochs=4, seed=0)), tr, va,
+                 out_dir=tmp_path, resume=first.last)
+
+
 def test_resume_past_the_end_is_rejected():
     model = nr.build_model(small_cfg(epochs=2, seed=3))
     tr, va = nr.split_pairs(small_pairs(2))

@@ -10,7 +10,7 @@ from scipy.special import softmax as sp_softmax
 
 import nestreg as nr
 from nestreg import ConfigError, ShapeError, Tensor
-from oracles import conv3d_ref, gelu_ref, layernorm_ref, upsample_trilinear_ref
+from oracles import box_sum_ref, conv3d_ref, gelu_ref, layernorm_ref, upsample_trilinear_ref
 
 
 def test_matmul_matches_numpy(rng):
@@ -169,6 +169,32 @@ def test_conv3d_bad_groups_and_kernel_overrun(rng):
         nr.conv3d(x, Tensor(rng.normal(size=(2, 3, 5, 5, 5))))  # kernel larger than volume
     with pytest.raises(ShapeError):
         nr.conv3d(x, Tensor(rng.normal(size=(2, 2, 3, 3, 3))))  # wrong channels/group
+
+
+@pytest.mark.parametrize("shape,k", [((2, 4, 5, 6), 3), ((1, 9, 7, 8), 5), ((1, 3, 3, 3), 3)])
+def test_box_sum_matches_loop_oracle(rng, shape, k):
+    x = rng.normal(size=shape)
+    npt.assert_allclose(nr.box_sum(Tensor(x), k).data, box_sum_ref(x, k), rtol=1e-6, atol=1e-12)
+
+
+def test_box_sum_float32_within_one_ulp_of_float64_at_full_window(rng):
+    """Float64 accumulation leaves float32 64^3 k9 sums one cast from exact:
+    relative error under float32 epsilon (2^-23)."""
+    x = rng.uniform(size=(1, 64, 64, 64)).astype(np.float32)
+    got = nr.box_sum(Tensor(x), 9).data
+    want = nr.box_sum(Tensor(x.astype(np.float64)), 9).data
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want) / np.abs(want)) < np.finfo(np.float32).eps
+
+
+def test_box_sum_rejects_bad_shapes_and_windows(rng):
+    x = Tensor(rng.normal(size=(1, 4, 5, 6)))
+    with pytest.raises(ShapeError):
+        nr.box_sum(x, 5)
+    with pytest.raises(ShapeError):
+        nr.box_sum(Tensor(rng.normal(size=(4, 5, 6))), 3)
+    with pytest.raises(ConfigError):
+        nr.box_sum(x, 0)
 
 
 def test_global_pool_matches_numpy(rng):
