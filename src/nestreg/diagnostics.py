@@ -162,6 +162,26 @@ def _check_conv3d_grouped(seed, h, max_coords):
     return check_gradients(fn, {"x": x, "w": w}, h=h)
 
 
+def _check_conv3d_depthwise(seed, h, max_coords):
+    rng = _rng(seed, 23)
+    x = _leaf(rng, (3, 4, 5, 4))
+    w = _leaf(rng, (3, 1, 3, 3, 3), 0.3)
+    b = _leaf(rng, (3,))
+    r = _proj(rng, (3, 4, 5, 4))
+    fn = lambda: tsum(conv3d(x, w, b, padding=2, dilation=2, groups=3) * r)
+    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
+
+
+def _check_conv3d_pointwise(seed, h, max_coords):
+    rng = _rng(seed, 24)
+    x = _leaf(rng, (4, 3, 4, 5))
+    w = _leaf(rng, (3, 4, 1, 1, 1), 0.3)
+    b = _leaf(rng, (3,))
+    r = _proj(rng, (3, 3, 4, 5))
+    fn = lambda: tsum(conv3d(x, w, b) * r)
+    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
+
+
 def _check_upsample(seed, h, max_coords):
     rng = _rng(seed, 8)
     x = _leaf(rng, (2, 3, 4, 5))
@@ -343,6 +363,8 @@ _CHECKS = [
     ("conv3d", _check_conv3d_plain, None),
     ("conv3d_strided_dilated", _check_conv3d_strided, None),
     ("conv3d_grouped", _check_conv3d_grouped, None),
+    ("conv3d_depthwise", _check_conv3d_depthwise, None),
+    ("conv3d_pointwise", _check_conv3d_pointwise, None),
     ("box_sum", _check_box_sum, None),
     ("upsample_trilinear", _check_upsample, None),
     ("global_pool", _check_global_pool, None),

@@ -13,6 +13,7 @@ read-only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -561,6 +562,12 @@ def conv3d(
 
     x: [C_in, D, H, W]; weight: [C_out, C_in/groups, kd, kh, kw]; bias: [C_out].
     Output extent per axis: (ext + lo + hi - dilation*(k-1) - 1)//stride + 1.
+
+    Two kinds run on their own kernels: pointwise (1x1x1, stride 1, no
+    padding, one group) is a channel matmul, and depthwise (groups = C_in =
+    C_out, stride 1) is a sum of k^3 shifted slices. Every other conv
+    contracts a sliding-window view; its backward scatters the column
+    gradient back by kernel offset.
     """
     _check_same_dtype(x, weight, "conv3d")
     if x.ndim != 4 or weight.ndim != 5:
@@ -595,59 +602,94 @@ def conv3d(
                 f"cannot fit kernel {kern[ax]} (dilation {dils[ax]})"
             )
         out_ext.append(o)
-    do, ho, wo = out_ext
-
-    xp = np.pad(x.data, ((0, 0),) + pads)
-    win = np.lib.stride_tricks.sliding_window_view(
-        xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(1, 2, 3)
-    )
-    win = win[
-        :,
-        :: strides[0],
-        :: strides[1],
-        :: strides[2],
-        :: dils[0],
-        :: dils[1],
-        :: dils[2],
-    ]
-    # win: [C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
-    vg = win.reshape((groups, cin_g) + win.shape[1:])
-    wg = weight.data.reshape(groups, cout // groups, cin_g, kd, kh, kw)
-    out = np.einsum("goiabc,gizyxabc->gozyx", wg, vg, optimize=True)
-    out = np.ascontiguousarray(out.reshape(cout, do, ho, wo))
+    out_ext = tuple(out_ext)
     if bias is not None:
         _check_same_dtype(x, bias, "conv3d")
         if bias.data.shape != (cout,):
             raise ShapeError(
                 f"conv3d: bias shape {bias.data.shape} != ({cout},)"
             )
+    need_gx = x.requires_grad
+    w = weight.data
+    unit_stride = strides == (1, 1, 1)
+
+    if kern == (1, 1, 1) and unit_stride and groups == 1 and pads == ((0, 0),) * 3:
+        x2 = x.data.reshape(cin, -1)
+        w2 = w.reshape(cout, cin)
+        out = (w2 @ x2).reshape((cout,) + spatial)
+
+        def kernel_vjp(g):
+            g2 = g.reshape(cout, -1)
+            gx = (w2.T @ g2).reshape(x.data.shape) if need_gx else None
+            return gx, (g2 @ x2.T).reshape(w.shape)
+
+    else:
+        xp = np.pad(x.data, ((0, 0),) + pads)
+        # taps[i]: the slice of xp that flat kernel offset i reads for the output.
+        per_axis = [
+            [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
+            for k, d, s, o in zip(kern, dils, strides, out_ext)
+        ]
+        taps = [(slice(None),) + t for t in itertools.product(*per_axis)]
+
+        def unpad(gxp):
+            if gxp is None:
+                return None
+            keep = tuple(slice(lo, lo + ext) for (lo, _hi), ext in zip(pads, spatial))
+            return np.ascontiguousarray(gxp[(slice(None),) + keep])
+
+        if groups == cin == cout and unit_stride:
+            wdw = w.reshape(cout, -1)[:, :, None, None, None]  # [C, k^3, 1, 1, 1]
+            out = np.zeros((cout,) + out_ext, dtype=x.data.dtype)
+            for i, t in enumerate(taps):
+                out += wdw[:, i] * xp[t]
+
+            def kernel_vjp(g):
+                gw = np.empty((cout, len(taps)), dtype=w.dtype)
+                gxp = np.zeros_like(xp) if need_gx else None
+                for i, t in enumerate(taps):
+                    gw[:, i] = (g * xp[t]).sum(axis=(1, 2, 3))
+                    if need_gx:
+                        gxp[t] += g * wdw[:, i]
+                return unpad(gxp), gw.reshape(w.shape)
+
+        else:
+            win = np.lib.stride_tricks.sliding_window_view(
+                xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(1, 2, 3)
+            )
+            win = win[
+                :,
+                :: strides[0],
+                :: strides[1],
+                :: strides[2],
+                :: dils[0],
+                :: dils[1],
+                :: dils[2],
+            ]
+            # win: [C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
+            vg = win.reshape((groups, cin_g) + win.shape[1:])
+            wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
+            out = np.einsum("goiabc,gizyxabc->gozyx", wg, vg, optimize=True)
+            out = np.ascontiguousarray(out.reshape((cout,) + out_ext))
+
+            def kernel_vjp(g):
+                go = g.reshape((groups, cout // groups) + out_ext)
+                gw = np.einsum("gozyx,gizyxabc->goiabc", go, vg, optimize=True)
+                if not need_gx:
+                    return None, gw.reshape(w.shape)
+                gcols = np.einsum("gozyx,goiabc->giabczyx", go, wg, optimize=True)
+                gcols = gcols.reshape((cin, len(taps)) + out_ext)
+                gxp = np.zeros_like(xp)
+                for i, t in enumerate(taps):
+                    gxp[t] += gcols[:, i]
+                return unpad(gxp), gw.reshape(w.shape)
+
+    if bias is not None:
         out += bias.data[:, None, None, None]
 
     def vjp(g):
-        go = g.reshape(groups, cout // groups, do, ho, wo)
-        gw = np.einsum("gozyx,gizyxabc->goiabc", go, vg, optimize=True)
-        gxp = np.zeros_like(xp).reshape((groups, cin_g) + xp.shape[1:])
-        for a in range(kd):
-            z0 = a * dils[0]
-            zs = slice(z0, z0 + strides[0] * (do - 1) + 1, strides[0])
-            for b in range(kh):
-                y0 = b * dils[1]
-                ys = slice(y0, y0 + strides[1] * (ho - 1) + 1, strides[1])
-                for c in range(kw):
-                    x0 = c * dils[2]
-                    xs = slice(x0, x0 + strides[2] * (wo - 1) + 1, strides[2])
-                    gxp[:, :, zs, ys, xs] += np.einsum(
-                        "gozyx,goi->gizyx", go, wg[:, :, :, a, b, c], optimize=True
-                    )
-        gxp = gxp.reshape(xp.shape)
-        unpad = tuple(
-            slice(lo, lo + ext) for (lo, _hi), ext in zip(pads, spatial)
-        )
-        gx = gxp[(slice(None),) + unpad]
-        grads = [np.ascontiguousarray(gx), gw.reshape(weight.data.shape)]
-        if bias is not None:
-            grads.append(g.sum(axis=(1, 2, 3)))
-        return tuple(grads)
+        grads = kernel_vjp(g)
+        return grads if bias is None else grads + (g.sum(axis=(1, 2, 3)),)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, inputs, vjp)
@@ -754,31 +796,29 @@ def upsample_trilinear(a: Tensor, factor) -> Tensor:
     if all(f == 1 for f in factors):
         return make_op(a.data.copy(), (a,), lambda g: (g,))
     dtype = a.data.dtype
-    plans = []
+    mats = []
     cur = a.data
     for ax, f in zip((1, 2, 3), factors):
         if f == 1:
-            plans.append(None)
             continue
-        i0, i1, w = _interp_indices(cur.shape[ax], f, dtype)
+        in_ext = cur.shape[ax]
+        i0, i1, w = _interp_indices(in_ext, f, dtype)
         wshape = [1, 1, 1, 1]
         wshape[ax] = w.size
         wb = w.reshape(wshape)
         cur = np.take(cur, i0, axis=ax) * (1.0 - wb) + np.take(cur, i1, axis=ax) * wb
-        plans.append((ax, i0, i1, wb, cur.shape[ax] // f))
+        # m[i, j] = d out[j] / d in[i]. Each statement writes every column once,
+        # so fancy-index += stays exact where the border clamp makes i0 == i1.
+        m = np.zeros((in_ext, w.size), dtype=dtype)
+        cols = np.arange(w.size)
+        m[i0, cols] += 1.0 - w
+        m[i1, cols] += w
+        mats.append((ax, m))
     out = cur
 
     def vjp(g):
-        for plan in reversed(plans):
-            if plan is None:
-                continue
-            ax, i0, i1, wb, in_ext = plan
-            gm = np.moveaxis(g, ax, 0)
-            wm = np.moveaxis(wb, ax, 0)
-            buf = np.zeros((in_ext,) + gm.shape[1:], dtype=g.dtype)
-            np.add.at(buf, i0, gm * (1.0 - wm))
-            np.add.at(buf, i1, gm * wm)
-            g = np.moveaxis(buf, 0, ax)
-        return (g,)
+        for ax, m in reversed(mats):
+            g = np.moveaxis(np.tensordot(g, m, axes=([ax], [1])), -1, ax)
+        return (np.ascontiguousarray(g),)
 
     return make_op(out, (a,), vjp)

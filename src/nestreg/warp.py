@@ -106,35 +106,35 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
     wz1, wy1, wx1 = frac
     wz0, wy0, wx0 = 1.0 - wz1, 1.0 - wy1, 1.0 - wx1
     wsel = ((wz0, wz1), (wy0, wy1), (wx0, wx1))
+
+    def corner(bz, by, bx):
+        return (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
+
     corners = {}
-    for bz, by, bx in product((0, 1), repeat=3):
-        iz = i1[0] if bz else i0[0]
-        iy = i1[1] if by else i0[1]
-        ix = i1[2] if bx else i0[2]
-        corners[(bz, by, bx)] = data[:, iz, iy, ix]
+    for key in product((0, 1), repeat=3):
+        iz, iy, ix = corner(*key)
+        corners[key] = data[:, iz, iy, ix]
 
     out = np.zeros_like(data)
     for (bz, by, bx), val in corners.items():
         out += val * (wsel[0][bz] * wsel[1][by] * wsel[2][bx])
-
-    flat_idx = {}
-    w_ext = exts[2]
-    hw = exts[1] * exts[2]
-    for key in corners:
-        bz, by, bx = key
-        iz = i1[0] if bz else i0[0]
-        iy = i1[1] if by else i0[1]
-        ix = i1[2] if bx else i0[2]
-        flat_idx[key] = (iz * hw + iy * w_ext + ix).reshape(-1)
+    need_gm = m.requires_grad
 
     def vjp(g):
-        gm = np.zeros((c, data[0].size), dtype=dtype)
-        rows = np.arange(c)[:, None]
-        for key in corners:
-            bz, by, bx = key
-            w = wsel[0][bz] * wsel[1][by] * wsel[2][bx]
-            np.add.at(gm, (rows, flat_idx[key][None, :]), (g * w).reshape(c, -1))
-        gm = gm.reshape(data.shape)
+        gm = None
+        if need_gm:
+            # Scatter g * weight onto the eight corners of every voxel: one
+            # float64 bincount over the flat source indices of all channels.
+            n = data[0].size
+            chan = (np.arange(c) * n)[:, None, None, None]
+            idx, parts = [], []
+            for bz, by, bx in corners:
+                iz, iy, ix = corner(bz, by, bx)
+                idx.append((iz * exts[1] + iy) * exts[2] + ix + chan)
+                parts.append(g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]))
+            gm = np.bincount(
+                np.ravel(idx), weights=np.ravel(parts), minlength=c * n
+            ).astype(dtype).reshape(data.shape)
 
         gu = np.zeros_like(u.data)
         # d(out)/d(pos_z) = sum over (y,x) corners of (m[z1] - m[z0]) * wy * wx, etc.

@@ -30,42 +30,65 @@ def layernorm_ref(x, gamma, beta, axis, eps=1e-5):
     return ((x - mu) / np.sqrt(var + eps)) * gamma.reshape(shape) + beta.reshape(shape)
 
 
-def conv3d_ref(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
-    """Seven nested loops over the convolution sum. x [C,D,H,W], w [O,I,kd,kh,kw]."""
+def _conv_geometry(x, w, stride, padding, dilation):
+    """Padded float64 input, per-axis (stride, dilation) and output extents."""
 
     def triple(v):
         return (v, v, v) if np.isscalar(v) else tuple(v)
 
-    sd, sh, sw = triple(stride)
-    dd, dh, dw = triple(dilation)
     pads = padding
     if np.isscalar(pads):
         pads = ((pads, pads),) * 3
     else:
         pads = tuple((p, p) if np.isscalar(p) else tuple(p) for p in pads)
-    cin = x.shape[0]
-    cout, cin_g, kd, kh, kw = w.shape
+    steps = tuple(zip(triple(stride), triple(dilation)))
     xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0),) + pads)
-    do = (xp.shape[1] - dd * (kd - 1) - 1) // sd + 1
-    ho = (xp.shape[2] - dh * (kh - 1) - 1) // sh + 1
-    wo = (xp.shape[3] - dw * (kw - 1) - 1) // sw + 1
-    out = np.zeros((cout, do, ho, wo))
+    out_ext = tuple(
+        (xp.shape[1 + ax] - d * (w.shape[2 + ax] - 1) - 1) // s + 1
+        for ax, (s, d) in enumerate(steps)
+    )
+    return xp, pads, steps, out_ext
+
+
+def _conv_taps(x, w, groups, steps, out_ext):
+    """Yield (output index, weight index, padded input index) for every term of the sum."""
+    cin = x.shape[0]
+    cout, cin_g = w.shape[:2]
     per_group_out = cout // groups
+    (sd, dd), (sh, dh), (sw, dw) = steps
     for o in range(cout):
         g = o // per_group_out
-        for z, y, xx in product(range(do), range(ho), range(wo)):
-            acc = 0.0
+        for z, y, xx in product(*(range(e) for e in out_ext)):
             for ig in range(cin_g):
                 ci = g * (cin // groups) + ig
-                for a, bb, c in product(range(kd), range(kh), range(kw)):
-                    acc += (
-                        w[o, ig, a, bb, c]
-                        * xp[ci, z * sd + a * dd, y * sh + bb * dh, xx * sw + c * dw]
-                    )
-            out[o, z, y, xx] = acc
-        if b is not None:
-            out[o] += b[o]
+                for a, bb, c in product(*(range(k) for k in w.shape[2:])):
+                    src = (ci, z * sd + a * dd, y * sh + bb * dh, xx * sw + c * dw)
+                    yield (o, z, y, xx), (o, ig, a, bb, c), src
+
+
+def conv3d_ref(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
+    """Seven nested loops over the convolution sum. x [C,D,H,W], w [O,I,kd,kh,kw]."""
+    xp, _pads, steps, out_ext = _conv_geometry(x, w, stride, padding, dilation)
+    out = np.zeros((w.shape[0],) + out_ext)
+    for dst, wi, src in _conv_taps(x, w, groups, steps, out_ext):
+        out[dst] += w[wi] * xp[src]
+    if b is not None:
+        out += np.asarray(b)[:, None, None, None]
     return out
+
+
+def conv3d_vjp_ref(x, w, g, stride=1, padding=0, dilation=1, groups=1):
+    """The conv3d backward by the same loops: each output voxel's gradient
+    scatters g * w into the input it read and g * x into the weight that read
+    it. Returns (gx, gw, gb) for output gradient g."""
+    xp, pads, steps, out_ext = _conv_geometry(x, w, stride, padding, dilation)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    for dst, wi, src in _conv_taps(x, w, groups, steps, out_ext):
+        gxp[src] += g[dst] * w[wi]
+        gw[wi] += g[dst] * xp[src]
+    keep = tuple(slice(lo, lo + ext) for (lo, _hi), ext in zip(pads, x.shape[1:]))
+    return gxp[(slice(None),) + keep], gw, g.sum(axis=(1, 2, 3))
 
 
 def upsample_trilinear_ref(x, factors):

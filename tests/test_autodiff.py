@@ -187,6 +187,8 @@ def test_gradcheck_passes_on_smooth_composite(rng):
         "layernorm",
         "conv3d_strided_dilated",
         "conv3d_grouped",
+        "conv3d_depthwise",
+        "conv3d_pointwise",
         "box_sum",
         "upsample_trilinear",
         "global_pool",
