@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .losses import composite_loss
 from .metrics import ssim
-from .model import ModelConfig, RegistrationModel, build_model
+from .model import ModelConfig, RegistrationModel, _build
+from .model import build_model  # noqa: F401  (perfbench/spans.py times the builder through this name)
 from .tensor import GradTape
 from .volio import atomic_write_bytes
 
@@ -292,7 +293,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> RegistrationModel:
-    model = build_model(ckpt.config)
+    # Zero-filled parameters: load_state overwrites every value, so a random
+    # init would be discarded work.
+    cfg = ckpt.config.validated()
+    model = RegistrationModel(cfg, *_build(cfg, rng=None))
     model.load_state(ckpt.params)
     return model
 

@@ -3,6 +3,10 @@
 Every function here is a literal transcription of the defining equation,
 written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
+
+The last section is the exception: full-volume formulations of metric steps
+that the engine now runs on less data. They are fast enough for 64^3 inputs
+and are compared with ``==``, because the engine's results must not move.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy import ndimage
 from scipy.special import erf, expit, softmax as sp_softmax
 
 
@@ -356,3 +361,30 @@ def sdlogj_ref(u):
     positive = dets > 0
     frac_bad = float(1.0 - positive.mean())
     return float(np.std(np.log(dets[positive]))), frac_bad
+
+
+# ---------------------------------------------------------------------------
+# Full-volume metric formulations (exact references for cropped fast paths)
+# ---------------------------------------------------------------------------
+
+
+def windowed_mean_full_ref(a, kern1d):
+    """Separable windowed mean: filter the whole volume along each axis, then
+    crop the invalid border once at the end."""
+    r = (kern1d.size - 1) // 2
+    out = a
+    for axis in range(3):
+        out = ndimage.correlate1d(out, kern1d, axis=axis, mode="constant")
+    return out[r:-r, r:-r, r:-r] if r else out
+
+
+def hd95_edt_ref(mask_a, mask_b):
+    """HD95 from exact Euclidean distance transforms of the whole volume;
+    surfaces by 6-neighbor erosion with the border counted as background."""
+    six = ndimage.generate_binary_structure(3, 1)
+    surf_a = mask_a & ~ndimage.binary_erosion(mask_a, structure=six, border_value=0)
+    surf_b = mask_b & ~ndimage.binary_erosion(mask_b, structure=six, border_value=0)
+    dist_to_b = ndimage.distance_transform_edt(~surf_b)
+    dist_to_a = ndimage.distance_transform_edt(~surf_a)
+    pooled = np.concatenate([dist_to_b[surf_a], dist_to_a[surf_b]])
+    return float(np.percentile(pooled, 95))

@@ -306,6 +306,23 @@ def test_cli_train_then_register_end_to_end(tmp_path, capsys):
     assert report["metrics"]["ssim"] == payload["ssim"]
 
 
+def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_path, capsys):
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    cfg = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=3)
+    ckpt = tmp_path / "bad.npz"
+    nr.save_checkpoint(ckpt, nr.Checkpoint(config=cfg, params={}, epoch=1, rng_state={}))
+    capsys.readouterr()
+    rc = main([
+        "register", "--checkpoint", str(ckpt),
+        "--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
+        "--out-field", str(tmp_path / "field.nmv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not divisible by heads 3" in err
+    assert not (tmp_path / "field.nmv").exists()
+
+
 def test_cli_train_with_empty_data_dir_is_a_data_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

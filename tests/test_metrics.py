@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-from nestreg import ShapeError, Tensor, UndefinedMetricError, Volume
-from oracles import hd95_ref, sdlogj_ref, ssim_ref, surface_ref
+from nestreg import ShapeError, Tensor, UndefinedMetricError, Volume, metrics
+from oracles import (
+    hd95_edt_ref,
+    hd95_ref,
+    sdlogj_ref,
+    ssim_ref,
+    surface_ref,
+    windowed_mean_full_ref,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +97,13 @@ def test_surface_of_solid_block_is_its_shell():
     assert not surf[2, 2, 2]
 
 
+def _surface_box(a, b):
+    hit = np.argwhere(surface_ref(a) | surface_ref(b))
+    return tuple(int(e) for e in hit.min(axis=0)), tuple(int(e) for e in np.ptp(hit, axis=0) + 1)
+
+
 def test_hd95_matches_all_pairs_oracle(rng):
+    cases = []
     for _ in range(4):
         a = np.zeros((7, 7, 7), dtype=bool)
         b = np.zeros((7, 7, 7), dtype=bool)
@@ -98,7 +111,58 @@ def test_hd95_matches_all_pairs_oracle(rng):
         bz, by, bx = rng.integers(0, 4, size=3)
         a[az:az + 3, ay:ay + 3, ax:ax + 3] = True
         b[bz:bz + 3, by:by + 3, bx:bx + 3] = True
+        cases.append((a, b))
+
+    # Surfaces that touch opposite faces: the box is the whole volume.
+    a = np.zeros((7, 7, 7), dtype=bool)
+    b = np.zeros((7, 7, 7), dtype=bool)
+    a[:, 2:4, 1:5] = True
+    b[3:5, :, :] = True
+    assert _surface_box(a, b) == ((0, 0, 0), (7, 7, 7))
+    cases.append((a, b))
+
+    # A box offset from the origin with anisotropic extents.
+    a = np.zeros((16, 18, 14), dtype=bool)
+    b = np.zeros((16, 18, 14), dtype=bool)
+    a[3:8, 4:10, 5:9] = True
+    b[6:12, 9:16, 6:12] = True
+    assert _surface_box(a, b) == ((3, 4, 5), (9, 12, 7))
+    cases.append((a, b))
+
+    # Two single voxels in opposite corners.
+    a = np.zeros((7, 8, 9), dtype=bool)
+    b = np.zeros((7, 8, 9), dtype=bool)
+    a[0, 0, 0] = True
+    b[-1, -1, -1] = True
+    cases.append((a, b))
+
+    # A mask filling the whole volume against a small interior block.
+    a = np.ones((7, 7, 7), dtype=bool)
+    b = np.zeros((7, 7, 7), dtype=bool)
+    b[2:4, 3:5, 2:5] = True
+    cases.append((a, b))
+
+    for a, b in cases:
         assert nr.hd95(a, b) == hd95_ref(a, b)
+        assert nr.hd95(b, a) == hd95_ref(b, a)
+
+
+@pytest.mark.parametrize("seed, perm, flip", [(1, (0, 1, 2), None), (2, (2, 0, 1), 1)])
+def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch, seed, perm, flip):
+    moving, fixed, _ = nr.synth_pair(64, seed=seed)
+    x, y = (v.values.data[0].transpose(perm) for v in (moving, fixed))
+    if flip is not None:
+        x, y = np.flip(x, flip), np.flip(y, flip)
+    ma, mb = nr.mask_from_volume(x), nr.mask_from_volume(y)
+    assert nr.hd95(ma, mb) == hd95_edt_ref(ma, mb)
+
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    kern = metrics._gaussian_window(7, 1.5)
+    for v in (x, y, x * y):
+        npt.assert_array_equal(metrics._windowed_mean(v, kern), windowed_mean_full_ref(v, kern))
+    got = nr.ssim(x, y)
+    monkeypatch.setattr(metrics, "_windowed_mean", windowed_mean_full_ref)
+    assert nr.ssim(x, y) == got
 
 
 def test_hd95_identity_and_symmetry(rng):
