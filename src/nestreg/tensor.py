@@ -549,6 +549,20 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float
 # ---------------------------------------------------------------------------
 
 
+def _zero_pad(a: np.ndarray, pads) -> np.ndarray:
+    """[C, D, H, W] inside a fresh zeros buffer, (low, high) pads per spatial axis."""
+    shape = tuple(e + lo + hi for e, (lo, hi) in zip(a.shape[1:], pads))
+    out = np.zeros(a.shape[:1] + shape, dtype=a.dtype)
+    out[(slice(None),) + tuple(slice(lo, lo + e) for e, (lo, _hi) in zip(a.shape[1:], pads))] = a
+    return out
+
+
+def _crop(ap: np.ndarray, pads, spatial) -> np.ndarray:
+    """The inverse of ``_zero_pad``: the ``spatial`` interior that starts at the low pads."""
+    keep = tuple(slice(lo, lo + e) for (lo, _hi), e in zip(pads, spatial))
+    return np.ascontiguousarray(ap[(slice(None),) + keep])
+
+
 def conv3d(
     x: Tensor,
     weight: Tensor,
@@ -563,11 +577,24 @@ def conv3d(
     x: [C_in, D, H, W]; weight: [C_out, C_in/groups, kd, kh, kw]; bias: [C_out].
     Output extent per axis: (ext + lo + hi - dilation*(k-1) - 1)//stride + 1.
 
-    Two kinds run on their own kernels: pointwise (1x1x1, stride 1, no
-    padding, one group) is a channel matmul, and depthwise (groups = C_in =
-    C_out, stride 1) is a sum of k^3 shifted slices. Every other conv
-    contracts a sliding-window view; its backward scatters the column
-    gradient back by kernel offset.
+    Two kinds run on their own kernels. Pointwise (1x1x1, stride 1, no
+    padding, one group) is a channel matmul. Depthwise (groups = C_in =
+    C_out, stride 1, any padding and dilation) is a flat shift: x sits in
+    one zeros buffer [C, Pz+1, Py, Px] (the padded extents plus a slack
+    z-plane that keeps the last slice in bounds), viewed flat. There kernel
+    offset (jz, jy, jx) is the shift jz*dz*Py*Px + jy*dy*Px + jx*dx, and its
+    input for every output voxel is one contiguous slice of oz*Py*Px values
+    per channel. Output rows at y >= oy or x >= ox read wrapped-around
+    values and are cropped once at the end. An offset whose window lies
+    wholly in the padding on some axis (max(0, lo - j*d) >= min(o, n + lo -
+    j*d)) would add only zeros and is skipped; its weight gradient is
+    exactly 0. The forward and the input gradient form the same products
+    as a per-offset sum of shifted slices and add them in the same offset
+    order, so they are bit-identical to it; the weight gradient is one dot
+    product per offset and sums in another order.
+
+    Every other conv contracts a sliding-window view; its backward scatters
+    the column gradient back by kernel offset.
     """
     _check_same_dtype(x, weight, "conv3d")
     if x.ndim != 4 or weight.ndim != 5:
@@ -623,66 +650,46 @@ def conv3d(
             gx = (w2.T @ g2).reshape(x.data.shape) if need_gx else None
             return gx, (g2 @ x2.T).reshape(w.shape)
 
+    elif groups == cin == cout and unit_stride:
+        out, kernel_vjp = _depthwise_flat_shift(x.data, w, pads, dils, out_ext, need_gx)
+
     else:
-        xp = np.pad(x.data, ((0, 0),) + pads)
+        xp = _zero_pad(x.data, pads)
         # taps[i]: the slice of xp that flat kernel offset i reads for the output.
         per_axis = [
             [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
             for k, d, s, o in zip(kern, dils, strides, out_ext)
         ]
         taps = [(slice(None),) + t for t in itertools.product(*per_axis)]
+        win = np.lib.stride_tricks.sliding_window_view(
+            xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(1, 2, 3)
+        )
+        win = win[
+            :,
+            :: strides[0],
+            :: strides[1],
+            :: strides[2],
+            :: dils[0],
+            :: dils[1],
+            :: dils[2],
+        ]
+        # win: [C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
+        vg = win.reshape((groups, cin_g) + win.shape[1:])
+        wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
+        out = np.einsum("goiabc,gizyxabc->gozyx", wg, vg, optimize=True)
+        out = np.ascontiguousarray(out.reshape((cout,) + out_ext))
 
-        def unpad(gxp):
-            if gxp is None:
-                return None
-            keep = tuple(slice(lo, lo + ext) for (lo, _hi), ext in zip(pads, spatial))
-            return np.ascontiguousarray(gxp[(slice(None),) + keep])
-
-        if groups == cin == cout and unit_stride:
-            wdw = w.reshape(cout, -1)[:, :, None, None, None]  # [C, k^3, 1, 1, 1]
-            out = np.zeros((cout,) + out_ext, dtype=x.data.dtype)
+        def kernel_vjp(g):
+            go = g.reshape((groups, cout // groups) + out_ext)
+            gw = np.einsum("gozyx,gizyxabc->goiabc", go, vg, optimize=True)
+            if not need_gx:
+                return None, gw.reshape(w.shape)
+            gcols = np.einsum("gozyx,goiabc->giabczyx", go, wg, optimize=True)
+            gcols = gcols.reshape((cin, len(taps)) + out_ext)
+            gxp = np.zeros_like(xp)
             for i, t in enumerate(taps):
-                out += wdw[:, i] * xp[t]
-
-            def kernel_vjp(g):
-                gw = np.empty((cout, len(taps)), dtype=w.dtype)
-                gxp = np.zeros_like(xp) if need_gx else None
-                for i, t in enumerate(taps):
-                    gw[:, i] = (g * xp[t]).sum(axis=(1, 2, 3))
-                    if need_gx:
-                        gxp[t] += g * wdw[:, i]
-                return unpad(gxp), gw.reshape(w.shape)
-
-        else:
-            win = np.lib.stride_tricks.sliding_window_view(
-                xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(1, 2, 3)
-            )
-            win = win[
-                :,
-                :: strides[0],
-                :: strides[1],
-                :: strides[2],
-                :: dils[0],
-                :: dils[1],
-                :: dils[2],
-            ]
-            # win: [C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
-            vg = win.reshape((groups, cin_g) + win.shape[1:])
-            wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
-            out = np.einsum("goiabc,gizyxabc->gozyx", wg, vg, optimize=True)
-            out = np.ascontiguousarray(out.reshape((cout,) + out_ext))
-
-            def kernel_vjp(g):
-                go = g.reshape((groups, cout // groups) + out_ext)
-                gw = np.einsum("gozyx,gizyxabc->goiabc", go, vg, optimize=True)
-                if not need_gx:
-                    return None, gw.reshape(w.shape)
-                gcols = np.einsum("gozyx,goiabc->giabczyx", go, wg, optimize=True)
-                gcols = gcols.reshape((cin, len(taps)) + out_ext)
-                gxp = np.zeros_like(xp)
-                for i, t in enumerate(taps):
-                    gxp[t] += gcols[:, i]
-                return unpad(gxp), gw.reshape(w.shape)
+                gxp[t] += gcols[:, i]
+            return _crop(gxp, pads, spatial), gw.reshape(w.shape)
 
     if bias is not None:
         out += bias.data[:, None, None, None]
@@ -693,6 +700,51 @@ def conv3d(
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, inputs, vjp)
+
+
+def _depthwise_flat_shift(x, w, pads, dils, out_ext, need_gx):
+    """Depthwise stride-1 conv3d of x [C, D, H, W] by w [C, 1, kd, kh, kw] as
+    a flat shift (described in ``conv3d``): returns (output, vjp of (x, w))."""
+    c, spatial, kern = x.shape[0], x.shape[1:], w.shape[2:]
+    (lz, hz), (ly, hy), (lx, hx) = pads
+    xp = _zero_pad(x, ((lz, hz + 1), (ly, hy), (lx, hx)))
+    py, px = xp.shape[2:]
+    xf = xp.reshape(c, -1)
+    oz, oy, ox = out_ext
+    n = oz * py * px
+    wf = w.reshape(c, -1)
+    live = []  # (flat kernel index, flat shift) of the offsets that read some input
+    for i, js in enumerate(itertools.product(*map(range, kern))):
+        if all(
+            max(0, lo - j * d) < min(o, e + lo - j * d)
+            for j, d, (lo, _hi), o, e in zip(js, dils, pads, out_ext, spatial)
+        ):
+            live.append((i, js[0] * dils[0] * py * px + js[1] * dils[1] * px + js[2] * dils[2]))
+
+    acc = np.zeros((c, n), dtype=x.dtype)
+    buf = np.empty_like(acc)
+    for i, off in live:
+        np.multiply(wf[:, i, None], xf[:, off:off + n], out=buf)
+        acc += buf
+    out = np.ascontiguousarray(acc.reshape(c, oz, py, px)[:, :, :oy, :ox])
+
+    def kernel_vjp(g):
+        gf = np.zeros((c, oz, py, px), dtype=g.dtype)
+        gf[:, :, :oy, :ox] = g
+        gf = gf.reshape(c, n)
+        gw = np.zeros_like(wf)
+        for i, off in live:
+            gw[:, i] = np.einsum("cn,cn->c", gf, xf[:, off:off + n])
+        if not need_gx:
+            return None, gw.reshape(w.shape)
+        gxf = np.zeros_like(xf)
+        gbuf = np.empty_like(gf)
+        for i, off in live:
+            np.multiply(gf, wf[:, i, None], out=gbuf)
+            gxf[:, off:off + n] += gbuf
+        return _crop(gxf.reshape(xp.shape), pads, spatial), gw.reshape(w.shape)
+
+    return out, kernel_vjp
 
 
 def _valid_box_sums(x: np.ndarray, k: int) -> np.ndarray:
@@ -733,7 +785,7 @@ def box_sum(a: Tensor, k: int) -> Tensor:
 
     def vjp(g):
         # The adjoint of a valid box sum is a full one: pad by k-1, sum again.
-        return (_valid_box_sums(np.pad(g, ((0, 0),) + ((k - 1, k - 1),) * 3), k),)
+        return (_valid_box_sums(_zero_pad(g, ((k - 1, k - 1),) * 3), k),)
 
     return make_op(_valid_box_sums(a.data, k), (a,), vjp)
 

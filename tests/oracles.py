@@ -4,9 +4,11 @@ Every function here is a literal transcription of the defining equation,
 written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
 
-The last section is the exception: full-volume formulations of metric steps
-that the engine now runs on less data. They are fast enough for 64^3 inputs
+The last two sections are the exception. Full-volume formulations of metric
+steps that the engine now runs on less data are fast enough for 64^3 inputs
 and are compared with ``==``, because the engine's results must not move.
+Earlier formulations of restructured kernels run in the input's dtype, so
+that float32 results can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -388,3 +390,40 @@ def hd95_edt_ref(mask_a, mask_b):
     dist_to_a = ndimage.distance_transform_edt(~surf_a)
     pooled = np.concatenate([dist_to_b[surf_a], dist_to_a[surf_b]])
     return float(np.percentile(pooled, 95))
+
+
+# ---------------------------------------------------------------------------
+# Earlier kernel formulations (exact references for restructured kernels)
+# ---------------------------------------------------------------------------
+
+
+def depthwise_shift_ref(x, w, padding, dilation=1):
+    """Depthwise stride-1 conv3d as a sum of shifted slices of the padded
+    input, one slice per kernel offset in row-major offset order, in the
+    input's dtype: the kernel that the engine's flat shift replaced.
+    x [C,D,H,W], w [C,1,kd,kh,kw]; returns (out, vjp) with vjp(g) -> (gx, gw)."""
+    pads = padding
+    if np.isscalar(pads):
+        pads = ((pads, pads),) * 3
+    dils = (dilation,) * 3 if np.isscalar(dilation) else tuple(dilation)
+    xp = np.pad(x, ((0, 0),) + tuple(pads))
+    kern = w.shape[2:]
+    out_ext = tuple(xp.shape[1 + a] - dils[a] * (kern[a] - 1) for a in range(3))
+    per_axis = [[slice(j * d, j * d + o) for j in range(k)] for k, d, o in zip(kern, dils, out_ext)]
+    taps = [(slice(None),) + t for t in product(*per_axis)]
+    c = x.shape[0]
+    wdw = w.reshape(c, -1)[:, :, None, None, None]
+    out = np.zeros((c,) + out_ext, dtype=x.dtype)
+    for i, t in enumerate(taps):
+        out += wdw[:, i] * xp[t]
+
+    def vjp(g):
+        gw = np.empty((c, len(taps)), dtype=w.dtype)
+        gxp = np.zeros_like(xp)
+        for i, t in enumerate(taps):
+            gw[:, i] = (g * xp[t]).sum(axis=(1, 2, 3))
+            gxp[t] += g * wdw[:, i]
+        keep = tuple(slice(lo, lo + e) for (lo, _hi), e in zip(pads, x.shape[1:]))
+        return gxp[(slice(None),) + keep], gw.reshape(w.shape)
+
+    return out, vjp

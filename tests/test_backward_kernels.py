@@ -10,7 +10,7 @@ import pytest
 
 import nestreg as nr
 from nestreg import GradTape, Tensor
-from oracles import conv3d_vjp_ref
+from oracles import conv3d_vjp_ref, depthwise_shift_ref
 
 # (x shape, w shape, bias?, conv3d keywords), one per conv3d kernel branch.
 CONV_CASES = {
@@ -23,6 +23,18 @@ CONV_CASES = {
     "depthwise_dilated": (
         (3, 5, 5, 6), (3, 1, 3, 3, 3), True,
         dict(padding=((2, 2), (2, 1), (1, 2)), dilation=2, groups=3),
+    ),
+    "depthwise_anisotropic_dilation": (
+        (2, 5, 6, 7), (2, 1, 3, 3, 3), False, dict(padding=(1, 2, 3), dilation=(1, 2, 3), groups=2),
+    ),
+    # Depthwise cases where some kernel offsets read only padding.
+    "depthwise_extent1": ((4, 1, 1, 1), (4, 1, 3, 3, 3), True, dict(padding=1, groups=4)),
+    "depthwise_extent2_dilated": (
+        (3, 2, 2, 2), (3, 1, 3, 3, 3), True, dict(padding=2, dilation=2, groups=3),
+    ),
+    "depthwise_one_sided_padding": (
+        (3, 2, 2, 4), (3, 1, 3, 3, 3), False,
+        dict(padding=((2, 0), (0, 2), (1, 1)), groups=3),
     ),
     "pointwise_bias": ((4, 3, 4, 5), (3, 4, 1, 1, 1), True, {}),
     "pointwise_no_bias": ((4, 3, 4, 5), (3, 4, 1, 1, 1), False, {}),
@@ -58,6 +70,56 @@ def test_conv3d_vjp_matches_loop_oracle(rng, case):
     want = conv3d_vjp_ref(x, w, g, **kw)
     for name, a, e in zip(("gx", "gw", "gb"), got, want):
         npt.assert_allclose(a, e, rtol=1e-6, atol=1e-12, err_msg=name)
+
+
+PADDING_ONLY_CASES = ["depthwise_extent1", "depthwise_extent2_dilated", "depthwise_one_sided_padding"]
+
+
+@pytest.mark.parametrize("case", PADDING_ONLY_CASES)
+def test_depthwise_offsets_that_read_only_padding_get_zero_weight_gradient(rng, case):
+    """Kernel offsets whose window holds no input voxel (found by counting,
+    with all-ones inputs, how many input voxels each offset reads) get a
+    weight gradient of exactly 0 from both the loop oracle and the engine."""
+    xs, ws, has_bias, kw = CONV_CASES[case]
+    ones_out = nr.conv3d(Tensor(np.ones(xs)), Tensor(np.ones(ws)), **kw).shape
+    reads = conv3d_vjp_ref(np.ones(xs), np.ones(ws), np.ones(ones_out), **kw)[1]
+    padding_only = reads == 0
+    assert padding_only.any()
+    x, w, b, g = _conv_inputs(rng, xs, ws, has_bias, kw)
+    assert (conv3d_vjp_ref(x, w, g, **kw)[1][padding_only] == 0).all()
+    assert (_conv_grads(x, w, b, g, kw)[1][padding_only] == 0).all()
+
+
+# (x shape, conv3d keywords) of the model's depthwise convs, plus one-sided padding.
+DEPTHWISE_SHAPES = {
+    "32x8^3": ((32, 8, 8, 8), dict(padding=1)),
+    "8x8^3_dilated": ((8, 8, 8, 8), dict(padding=2, dilation=2)),
+    "256x1^3": ((256, 1, 1, 1), dict(padding=1)),
+    "32x2^3_dilated": ((32, 2, 2, 2), dict(padding=2, dilation=2)),
+    "8x16^3": ((8, 16, 16, 16), dict(padding=1)),
+    "one_sided_padding": ((6, 2, 2, 5), dict(padding=((2, 0), (0, 2), (1, 1)))),
+}
+
+
+@pytest.mark.parametrize("case", list(DEPTHWISE_SHAPES))
+def test_depthwise_flat_shift_equals_shifted_slice_sum_in_float32(rng, case):
+    """The flat shift forms the same float32 products as the shifted-slice
+    kernel and adds them in the same order: forward and input gradient are
+    bit-identical. Only the weight gradient sums in another order."""
+    xs, kw = DEPTHWISE_SHAPES[case]
+    c = xs[0]
+    x = rng.standard_normal(xs).astype(np.float32)
+    w = rng.standard_normal((c, 1, 3, 3, 3)).astype(np.float32)
+    want_out, want_vjp = depthwise_shift_ref(x, w, **kw)
+    g = rng.standard_normal(want_out.shape).astype(np.float32)
+    want_gx, want_gw = want_vjp(g)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with GradTape() as tape:
+        out = nr.conv3d(xt, wt, groups=c, **kw)
+        tape.backward(nr.tsum(out * Tensor(g)))
+    npt.assert_array_equal(out.data, want_out)
+    npt.assert_array_equal(xt.grad, want_gx)
+    assert np.abs(wt.grad - want_gw).max() <= 1e-6 * np.abs(want_gw).max()
 
 
 @pytest.mark.parametrize("case", list(CONV_CASES))
@@ -146,6 +208,11 @@ def _float32_cases(rng):
         "pointwise": conv((16, 16, 16, 16), (8, 16, 1, 1, 1)),
         "upsample": (_upsample_grads, (f32(8, 8, 8, 8), f32(8, 32, 32, 32))),
         "warp": (_warp_grads, (f32(1, 32, 32, 32), u, f32(1, 32, 32, 32))),
+        # Stage-4 Mix-FFN and a dilated conv at 2^3: 26 of 27 offsets read only padding.
+        "depthwise_extent1": conv((256, 1, 1, 1), (256, 1, 3, 3, 3), padding=1, groups=256),
+        "depthwise_extent2_dilated": conv(
+            (32, 2, 2, 2), (32, 1, 3, 3, 3), padding=2, dilation=2, groups=32
+        ),
     }
 
 
@@ -153,7 +220,7 @@ def _float32_cases(rng):
 # gives what was measured.
 FLOAT32_BOUNDS = {
     "dense": 1e-6, "grouped": 1e-6, "depthwise": 1e-6, "pointwise": 1e-6,
-    "upsample": 1e-6, "warp": 5e-6,
+    "upsample": 1e-6, "warp": 5e-6, "depthwise_extent1": 1e-6, "depthwise_extent2_dilated": 1e-6,
 }
 
 
@@ -162,10 +229,12 @@ def test_float32_vjps_within_stated_bound_of_float64(rng, case):
     """Float32 gradients stay within FLOAT32_BOUNDS of the float64 ones on the
     same inputs, and repeat bit for bit. Worst max-norm relative error over a
     call's gradients, measured at seed 1234 (float32 eps is 1.2e-7): dense
-    3.6e-7, grouped 1.5e-7, depthwise 1.8e-7, pointwise 3.2e-7, upsample
-    1.2e-7, warp 1.4e-6. The warp's error comes from its float32 sample
-    positions (one ulp at 32 is 3.8e-6), not from the float64 bincount that
-    accumulates the image gradient."""
+    3.6e-7, grouped 1.5e-7, depthwise 2.3e-7 (1.8e-7 before its weight
+    gradient became one dot product per offset), pointwise 3.2e-7, upsample
+    1.2e-7, warp 1.4e-6, depthwise_extent1 4.5e-8, depthwise_extent2_dilated
+    1.1e-7. The warp's error comes from its float32 sample positions (one
+    ulp at 32 is 3.8e-6), not from the float64 bincount that accumulates the
+    image gradient."""
     fn, inputs = _float32_cases(rng)[case]
     got = fn(*inputs)
     again = fn(*inputs)

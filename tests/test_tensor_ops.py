@@ -154,6 +154,24 @@ def test_conv3d_grouped_and_depthwise_match_loop_oracle(rng):
     npt.assert_allclose(got, conv3d_ref(x, w_dw, padding=1, groups=4), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "xs,kw",
+    [
+        ((4, 1, 1, 1), dict(padding=1)),
+        ((3, 2, 2, 2), dict(padding=2, dilation=2)),
+        ((3, 2, 2, 4), dict(padding=((2, 0), (0, 2), (1, 1)))),
+    ],
+    ids=["extent1", "extent2_dilated", "one_sided_padding"],
+)
+def test_conv3d_depthwise_with_padding_only_offsets_matches_loop_oracle(rng, xs, kw):
+    x = rng.normal(size=xs)
+    w = rng.normal(size=(xs[0], 1, 3, 3, 3))
+    b = rng.normal(size=xs[0])
+    got = nr.conv3d(Tensor(x), Tensor(w), Tensor(b), groups=xs[0], **kw).data
+    want = conv3d_ref(x, w, b, groups=xs[0], **kw)
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_conv3d_output_extent_formula(rng):
     x = Tensor(rng.normal(size=(1, 10, 10, 10)))
     w = Tensor(rng.normal(size=(1, 1, 3, 3, 3)))
