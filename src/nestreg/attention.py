@@ -69,28 +69,36 @@ class DualBlockParams:
 
 
 def volume_to_tokens(v: Tensor) -> Tensor:
-    """[C, d, h, w] -> [N, C] with row-major (z, y, x) token order."""
-    c = v.shape[0]
-    return reshape(transpose(v, (1, 2, 3, 0)), (-1, c))
+    """[..., C, d, h, w] -> [..., N, C] with row-major (z, y, x) token order."""
+    k = v.ndim - 4
+    lead = tuple(range(k))
+    return reshape(transpose(v, lead + (k + 1, k + 2, k + 3, k)), v.shape[:k] + (-1, v.shape[k]))
 
 
 def tokens_to_volume(t: Tensor, spatial) -> Tensor:
-    """[N, C] -> [C, d, h, w]; N must equal d*h*w."""
+    """[..., N, C] -> [..., C, d, h, w]; N must equal d*h*w."""
     d, h, w = spatial
-    n, c = t.shape
+    n, c = t.shape[-2:]
     if n != d * h * w:
         raise ShapeError(f"token count {n} != spatial volume {d}*{h}*{w}")
-    return transpose(reshape(t, (d, h, w, c)), (3, 0, 1, 2))
+    k = t.ndim - 2
+    lead = tuple(range(k))
+    return transpose(reshape(t, t.shape[:k] + (d, h, w, c)), lead + (k + 3, k, k + 1, k + 2))
+
+
+def _swap_last(t: Tensor) -> Tensor:
+    """Transpose of each matrix in a stack: swap the last two axes."""
+    k = t.ndim - 2
+    return transpose(t, tuple(range(k)) + (k + 1, k))
 
 
 def _head_slices(x: Tensor, heads: int):
-    n, dm = x.shape
-    dh = dm // heads
-    return [x[:, i * dh:(i + 1) * dh] for i in range(heads)]
+    dh = x.shape[-1] // heads
+    return [x[..., i * dh:(i + 1) * dh] for i in range(heads)]
 
 
 def _check_proj(x: Tensor, p: AttentionParams, what: str) -> None:
-    n, dm = x.shape
+    dm = x.shape[-1]
     if dm % p.heads:
         raise ShapeError(f"{what}: d_model {dm} not divisible by heads {p.heads}")
     for name, w in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv), ("wo", p.wo)):
@@ -114,11 +122,11 @@ def efficient_attention(x: Tensor, p: AttentionParams) -> Tensor:
     for qh, kh, vh in zip(
         _head_slices(q, p.heads), _head_slices(k, p.heads), _head_slices(v, p.heads)
     ):
-        rq = softmax(qh, axis=1)
-        rk = softmax(kh, axis=0)
-        context = matmul(transpose(rk, (1, 0)), vh)  # [dh, dh]
+        rq = softmax(qh, axis=-1)
+        rk = softmax(kh, axis=-2)
+        context = matmul(_swap_last(rk), vh)  # [..., dh, dh]
         outs.append(matmul(rq, context))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=1)
+    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
     return matmul(merged, p.wo)
 
 
@@ -142,17 +150,17 @@ def channel_attention(x: Tensor, p: AttentionParams) -> Tensor:
     for h, (qh, kh, vh) in enumerate(
         zip(_head_slices(q, p.heads), _head_slices(k, p.heads), _head_slices(v, p.heads))
     ):
-        scores = matmul(transpose(kh, (1, 0)), qh) / tau[h:h + 1]
-        mix = softmax(scores, axis=0)
+        scores = matmul(_swap_last(kh), qh) / tau[h:h + 1]
+        mix = softmax(scores, axis=-2)
         outs.append(matmul(vh, mix))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=1)
+    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
     return matmul(merged, p.wo)
 
 
 def mix_ffn(x: Tensor, spatial, p: MixFfnParams) -> Tensor:
     """FC -> depthwise conv on the token volume -> GELU -> FC."""
     h = matmul(x, p.w1) + p.b1
-    hidden = h.shape[1]
+    hidden = h.shape[-1]
     vol = tokens_to_volume(h, spatial)
     pad = same_padding(p.kernel)
     vol = conv3d(vol, p.dw_w, p.dw_b, padding=(pad, pad, pad), groups=hidden)
@@ -166,8 +174,8 @@ def dual_attention_block(x: Tensor, spatial, p: DualBlockParams) -> Tensor:
     residual sublayer (layernorm before each FFN only).  Disabled attention
     branches contribute zero, which keeps the residual passthrough intact."""
     ea_b = (efficient_attention(x, p.efficient) + x) if p.efficient is not None else x
-    m1 = mix_ffn(layernorm(ea_b, p.ln1.gamma, p.ln1.beta, axis=1), spatial, p.ffn1)
+    m1 = mix_ffn(layernorm(ea_b, p.ln1.gamma, p.ln1.beta, axis=-1), spatial, p.ffn1)
     y = ea_b + m1
     ca_b = (channel_attention(y, p.channel) + y) if p.channel is not None else y
-    m2 = mix_ffn(layernorm(ca_b, p.ln2.gamma, p.ln2.beta, axis=1), spatial, p.ffn2)
+    m2 = mix_ffn(layernorm(ca_b, p.ln2.gamma, p.ln2.beta, axis=-1), spatial, p.ffn2)
     return ca_b + m2

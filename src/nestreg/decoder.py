@@ -99,7 +99,7 @@ class DecoderStageParams:
 
 def lka_block(x: Tensor, p: LkaParams) -> Tensor:
     """x + A(x) * x with A = pointwise(dilated-depthwise(depthwise(x)))."""
-    c = x.shape[0]
+    c = x.shape[-4]
     a = conv3d(x, p.dw_w, p.dw_b, padding=(same_padding(3),) * 3, groups=c)
     a = conv3d(a, p.dwd_w, p.dwd_b, padding=(same_padding(3, 2),) * 3, dilation=2, groups=c)
     a = conv3d(a, p.pw_w, p.pw_b)
@@ -109,18 +109,18 @@ def lka_block(x: Tensor, p: LkaParams) -> Tensor:
 def global_extract(x: Tensor, p: FusionParams) -> Tensor:
     """Per-channel avg and max descriptors through one shared projection, summed.
 
-    Returns [C, 1, 1, 1], ready to broadcast over space.
+    Returns [..., C, 1, 1, 1], ready to broadcast over space.
     """
-    c = x.shape[0]
-    avg = reshape(global_pool(x, "avg"), (1, c))
-    mx = reshape(global_pool(x, "max"), (1, c))
+    lead, c = x.shape[:-4], x.shape[-4]
+    avg = reshape(global_pool(x, "avg"), lead + (1, c))
+    mx = reshape(global_pool(x, "max"), lead + (1, c))
     proj = (matmul(avg, p.g_w) + p.g_b) + (matmul(mx, p.g_w) + p.g_b)
-    return reshape(proj, (c, 1, 1, 1))
+    return reshape(proj, lead + (c, 1, 1, 1))
 
 
 def feature_extract(x: Tensor, p: FusionParams) -> Tensor:
     """Depthwise -> pointwise -> dilated depthwise -> 1x1x1 reduction, extent-preserving."""
-    c = x.shape[0]
+    c = x.shape[-4]
     k = p.kernel
     out = conv3d(x, p.fe_dw_w, p.fe_dw_b, padding=(same_padding(k),) * 3, groups=c)
     out = conv3d(out, p.fe_pw_w, p.fe_pw_b)
@@ -139,8 +139,8 @@ def nested_attention_fusion(x1: Tensor, x2: Tensor, p: FusionParams) -> Tensor:
     if x1.shape != x2.shape:
         raise ShapeError(f"fusion inputs must match, got {x1.shape} vs {x2.shape}")
     u = feature_extract(x1, p) + global_extract(x2, p)
-    u = layernorm(u, p.norm_gamma, p.norm_beta, axis=0)
-    sm = softmax(conv3d(u, p.sel_w, p.sel_b), axis=0)
+    u = layernorm(u, p.norm_gamma, p.norm_beta, axis=-4)
+    sm = softmax(conv3d(u, p.sel_w, p.sel_b), axis=-4)
     x1s = sm * x1 + x1
     x2s = sm * x2 + x2
     mutual = (x1s * sigmoid(x2s)) * (x2s * sigmoid(x1s))
@@ -161,7 +161,8 @@ def decoder_forward(
     stages: list,
     head: DecoderHeadParams,
 ) -> Tensor:
-    """Consume the pyramid deep-to-shallow and emit the [3, D, H, W] field."""
+    """Consume the pyramid deep-to-shallow and emit the [3, D, H, W] field
+    ([B, 3, D, H, W] for a batched pyramid)."""
     n = len(pyramid)
     if dec_cfg.stages != n:
         raise ConfigError(
@@ -172,7 +173,7 @@ def decoder_forward(
     x = pyramid[n - 1]
     for i, sp in enumerate(stages):
         if sp.kind == "dae":
-            spatial = x.shape[1:]
+            spatial = x.shape[-3:]
             tokens = dual_attention_block(volume_to_tokens(x), spatial, sp.block)
             x = tokens_to_volume(tokens, spatial)
         elif sp.kind == "lka":

@@ -29,6 +29,7 @@ from .tensor import (
     sigmoid,
     softmax,
     tanh,
+    tmean,
     tsum,
     upsample_trilinear,
 )
@@ -182,6 +183,26 @@ def _check_conv3d_pointwise(seed, h, max_coords):
     return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
 
 
+def _check_conv3d_batched(seed, h, max_coords):
+    # A batch of two through each kernel kind: dense, depthwise, pointwise.
+    rng = _rng(seed, 25)
+    x = _leaf(rng, (2, 3, 4, 5, 4))
+    wd = _leaf(rng, (2, 3, 3, 3, 3), 0.3)
+    wdw = _leaf(rng, (3, 1, 3, 3, 3), 0.3)
+    wp = _leaf(rng, (2, 3, 1, 1, 1), 0.3)
+    b = _leaf(rng, (2,))
+    r0, r1, r2 = (_proj(rng, (2, c, 4, 5, 4)) for c in (2, 3, 2))
+
+    def fn():
+        return (
+            tsum(conv3d(x, wd, b, padding=1) * r0)
+            + tsum(conv3d(x, wdw, padding=2, dilation=2, groups=3) * r1)
+            + tsum(conv3d(x, wp, b) * r2)
+        )
+
+    return check_gradients(fn, {"x": x, "wd": wd, "wdw": wdw, "wp": wp, "b": b}, h=h)
+
+
 def _check_upsample(seed, h, max_coords):
     rng = _rng(seed, 8)
     x = _leaf(rng, (2, 3, 4, 5))
@@ -278,6 +299,17 @@ def _check_warp(seed, h, max_coords):
     return check_gradients(fn, {"m": m, "u": u}, h=h, max_coords=max_coords)
 
 
+def _check_warp_batched(seed, h, max_coords):
+    rng = _rng(seed, 26)
+    m = _leaf(rng, (2, 1, 6, 5, 7))
+    u = Tensor(np.moveaxis(_offgrid_field(rng, (2, 6, 5, 7)), 0, 1), requires_grad=True)
+    r = _proj(rng, (2, 1, 6, 5, 7))
+    fn = lambda: tsum(
+        warp_trilinear(Volume(values=m), DeformationField(u=u)).values * r
+    )
+    return check_gradients(fn, {"m": m, "u": u}, h=h, max_coords=max_coords)
+
+
 def _check_ncc(seed, h, max_coords):
     rng = _rng(seed, 17)
     f = _leaf(rng, (1, 7, 7, 7))
@@ -335,24 +367,29 @@ def _tiny_model(seed):
     return model
 
 
-def _check_full_model(seed, h, max_coords):
-    rng = _rng(seed, 21)
-    model = _tiny_model(seed)
-    cfg = LossConfig(ncc_window=5)
-    fx = Tensor(
-        np.clip(rng.normal(0.5, 0.25, size=(1, 8, 8, 8)), 0.0, 1.0), requires_grad=True
-    )
-    mv = Tensor(
-        np.clip(rng.normal(0.5, 0.25, size=(1, 8, 8, 8)), 0.0, 1.0), requires_grad=True
-    )
+def _full_model_check(salt: int, shape):
+    """The tiny model's composite loss on fixed/moving leaves of ``shape``
+    ([1, 8, 8, 8] for one pair, [B, 1, 8, 8, 8] for a batch, whose loss is
+    the mean of the per-pair totals)."""
 
-    def fn():
-        field = model.forward(mv, fx)
-        return composite_loss(Volume(values=fx), Volume(values=mv), field, cfg).total
+    def check(seed, h, max_coords):
+        rng = _rng(seed, salt)
+        model = _tiny_model(seed)
+        cfg = LossConfig(ncc_window=5)
+        fx, mv = (
+            Tensor(np.clip(rng.normal(0.5, 0.25, size=shape), 0.0, 1.0), requires_grad=True)
+            for _ in range(2)
+        )
 
-    leaves = {"moving": mv, "fixed": fx}
-    leaves.update(model.parameters())
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
+        def fn():
+            field = model.forward(mv, fx)
+            return tmean(composite_loss(Volume(values=fx), Volume(values=mv), field, cfg).total)
+
+        leaves = {"moving": mv, "fixed": fx}
+        leaves.update(model.parameters())
+        return check_gradients(fn, leaves, h=h, max_coords=max_coords)
+
+    return check
 
 
 _CHECKS = [
@@ -365,6 +402,7 @@ _CHECKS = [
     ("conv3d_grouped", _check_conv3d_grouped, None),
     ("conv3d_depthwise", _check_conv3d_depthwise, None),
     ("conv3d_pointwise", _check_conv3d_pointwise, None),
+    ("conv3d_batched", _check_conv3d_batched, None),
     ("box_sum", _check_box_sum, None),
     ("upsample_trilinear", _check_upsample, None),
     ("global_pool", _check_global_pool, None),
@@ -375,10 +413,16 @@ _CHECKS = [
     ("lka_block", _check_lka, 24),
     ("nested_attention_fusion", _check_fusion, 12),
     ("warp_trilinear", _check_warp, 48),
+    ("warp_batched", _check_warp_batched, 48),
     ("ncc_loss", _check_ncc, 48),
     ("smoothness_loss", _check_smoothness, None),
     ("composite_loss", _check_composite, 32),
-    ("full_model", _check_full_model, 3),
+    ("full_model", _full_model_check(21, (1, 8, 8, 8)), 3),
+    # The fusion's global max-pool has a kink where two voxels tie. At seeds
+    # 0-3 the top two values of every max-pool on these inputs are >= 3.9e-3
+    # apart; at salt 27 a 4e-4 gap at seed 1 let the central difference
+    # straddle it.
+    ("full_model_batched", _full_model_check(30, (2, 1, 8, 8, 8)), 3),
 ]
 
 

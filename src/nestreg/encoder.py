@@ -84,8 +84,9 @@ class EncoderStageParams:
 
 @dataclass
 class FeaturePyramid:
-    """Stage outputs, shallow to deep; each is [C_i, d_i, h_i, w_i] with
-    extents shrunk by the cumulative stride product."""
+    """Stage outputs, shallow to deep; each is [C_i, d_i, h_i, w_i] (with the
+    input's batch axis in front, if it has one) with extents shrunk by the
+    cumulative stride product."""
 
     stages: list = field(default_factory=list)
 
@@ -99,26 +100,27 @@ class FeaturePyramid:
 def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int):
     """Strided conv (padding kernel//2) + channel layernorm over tokens.
 
-    Returns (tokens [N, C_out], spatial shape of the embedded volume).
+    Returns (tokens [..., N, C_out], spatial shape of the embedded volume).
     """
-    for ax, ext in enumerate(x.shape[1:]):
+    for ax, ext in enumerate(x.shape[-3:]):
         if ext % stride:
             raise ShapeError(
                 f"overlap_patch_embed: axis {ax} extent {ext} not divisible by stride {stride}"
             )
     pad = kernel // 2
     v = conv3d(x, p.w, p.b, stride=stride, padding=pad)
-    spatial = v.shape[1:]
+    spatial = v.shape[-3:]
     tokens = volume_to_tokens(v)
-    tokens = layernorm(tokens, p.gamma, p.beta, axis=1)
+    tokens = layernorm(tokens, p.gamma, p.beta, axis=-1)
     return tokens, spatial
 
 
 def encoder_forward(x: Tensor, cfg: EncoderConfig, params: list) -> FeaturePyramid:
-    """Run all stages on the [in_channels, D, H, W] input volume."""
-    if x.ndim != 4 or x.shape[0] != cfg.in_channels:
+    """Run all stages on the [in_channels, D, H, W] input volume, or on a
+    batch [B, in_channels, D, H, W] of them."""
+    if x.ndim not in (4, 5) or x.shape[-4] != cfg.in_channels:
         raise ShapeError(
-            f"encoder expects [{cfg.in_channels},D,H,W], got {x.shape}"
+            f"encoder expects [{cfg.in_channels},D,H,W] or [B,{cfg.in_channels},D,H,W], got {x.shape}"
         )
     if len(params) != cfg.stages:
         raise ConfigError(
@@ -130,7 +132,7 @@ def encoder_forward(x: Tensor, cfg: EncoderConfig, params: list) -> FeaturePyram
         tokens, spatial = overlap_patch_embed(cur, sp.embed, stride, kernel)
         for bp in sp.blocks:
             tokens = dual_attention_block(tokens, spatial, bp)
-        tokens = layernorm(tokens, sp.out_gamma, sp.out_beta, axis=1)
+        tokens = layernorm(tokens, sp.out_gamma, sp.out_beta, axis=-1)
         cur = tokens_to_volume(tokens, spatial)
         pyramid.stages.append(cur)
     return pyramid

@@ -23,6 +23,10 @@ from .tensor import Tensor, box_sum, tmean
 from .warp import DeformationField, Volume, warp_trilinear
 
 
+# The axes a per-pair mean reduces: channel and space, not the batch axis.
+_PER_PAIR = (-4, -3, -2, -1)
+
+
 @dataclass
 class LossConfig:
     ncc_window: int = 5      # 9 at full scale
@@ -49,18 +53,21 @@ class CompositeLoss:
 
 
 def ncc_loss(fixed: Volume, warped: Volume, cfg: LossConfig | None = None) -> Tensor:
-    """1 - mean local squared NCC over valid windows. Range [0, 1]."""
+    """1 - mean local squared NCC over valid windows. Range [0, 1].
+
+    Batched volumes [B, 1, ...] give one loss per pair, of shape [B].
+    """
     cfg = cfg or LossConfig()
     f = fixed.values
     w = warped.values
     if f.shape != w.shape:
         raise ShapeError(f"ncc_loss: volume shapes differ, {f.shape} vs {w.shape}")
-    if f.shape[0] != 1:
+    if f.shape[-4] != 1:
         raise ShapeError(f"ncc_loss expects single-channel volumes, got {f.shape}")
     k = cfg.ncc_window
-    if any(e < k for e in f.shape[1:]):
+    if any(e < k for e in f.shape[-3:]):
         raise ShapeError(
-            f"ncc_loss: extents {f.shape[1:]} smaller than window {k}"
+            f"ncc_loss: extents {f.shape[-3:]} smaller than window {k}"
         )
     if w.dtype != f.dtype:
         raise ShapeError(f"ncc_loss: dtype mismatch {f.dtype.name} vs {w.dtype.name}")
@@ -76,7 +83,7 @@ def ncc_loss(fixed: Volume, warped: Volume, cfg: LossConfig | None = None) -> Te
     var_f = sff - sf * sf * (1.0 / n)
     var_w = sww - sw * sw * (1.0 / n)
     cc = (cross * cross) / (var_f * var_w + cfg.ncc_eps)
-    return 1.0 - tmean(cc)
+    return 1.0 - tmean(cc, axis=_PER_PAIR)
 
 
 def smoothness_loss(field: DeformationField) -> Tensor:
@@ -84,17 +91,18 @@ def smoothness_loss(field: DeformationField) -> Tensor:
 
     For each axis the one-sided border plane is excluded; per-axis means are
     taken over (component, interior position) and summed over axes, i.e. the
-    voxel-mean squared gradient magnitude averaged over the 3 components.
+    voxel-mean squared gradient magnitude averaged over the 3 components. A
+    batched field [B, 3, ...] gives one value per pair, of shape [B].
     """
     u = field.u
     total = None
-    for axis in (1, 2, 3):
-        lead = [slice(None)] * 4
-        lag = [slice(None)] * 4
+    for axis in (-3, -2, -1):
+        lead = [slice(None)] * u.ndim
+        lag = [slice(None)] * u.ndim
         lead[axis] = slice(1, None)
         lag[axis] = slice(None, -1)
         d = u[tuple(lead)] - u[tuple(lag)]
-        term = tmean(d * d)
+        term = tmean(d * d, axis=_PER_PAIR)
         total = term if total is None else total + term
     return total
 
@@ -105,7 +113,8 @@ def composite_loss(
     field: DeformationField,
     cfg: LossConfig | None = None,
 ) -> CompositeLoss:
-    """ncc_loss(fixed, warp(moving, field)) + smooth_weight * smoothness(field)."""
+    """ncc_loss(fixed, warp(moving, field)) + smooth_weight * smoothness(field);
+    each term has shape [B] for batched inputs [B, ...]."""
     cfg = cfg or LossConfig()
     warped = warp_trilinear(moving, field)
     sim = ncc_loss(fixed, warped, cfg)

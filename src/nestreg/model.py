@@ -352,8 +352,8 @@ class RegistrationModel:
             t = Tensor(t, dtype=self.dtype)
         if t.ndim == 3:
             t = Volume(values=t).values
-        if t.ndim != 4 or t.shape[0] != 1:
-            raise ShapeError(f"{what} must be a [1,D,H,W] volume, got {t.shape}")
+        if t.ndim not in (4, 5) or t.shape[-4] != 1:
+            raise ShapeError(f"{what} must be a [1,D,H,W] volume or a [B,1,D,H,W] batch, got {t.shape}")
         if t.dtype != self.dtype:
             raise ShapeError(
                 f"{what} dtype {t.dtype.name} != model precision "
@@ -362,11 +362,13 @@ class RegistrationModel:
         return t
 
     def forward(self, moving, fixed) -> DeformationField:
+        """The field [3, D, H, W] for one pair, or [B, 3, D, H, W] for a
+        batch of B pairs stacked as [B, 1, D, H, W]."""
         m = self._volume_tensor(moving, "moving")
         f = self._volume_tensor(fixed, "fixed")
         if m.shape != f.shape:
             raise ShapeError(f"moving shape {m.shape} != fixed shape {f.shape}")
-        x = concat([m, f], axis=0)
+        x = concat([m, f], axis=-4)
         pyramid = encoder_forward(x, self.config.encoder_config(), self.enc_stages)
         u = decoder_forward(
             pyramid,

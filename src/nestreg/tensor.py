@@ -550,17 +550,17 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float
 
 
 def _zero_pad(a: np.ndarray, pads) -> np.ndarray:
-    """[C, D, H, W] inside a fresh zeros buffer, (low, high) pads per spatial axis."""
-    shape = tuple(e + lo + hi for e, (lo, hi) in zip(a.shape[1:], pads))
-    out = np.zeros(a.shape[:1] + shape, dtype=a.dtype)
-    out[(slice(None),) + tuple(slice(lo, lo + e) for e, (lo, _hi) in zip(a.shape[1:], pads))] = a
+    """[..., D, H, W] inside a fresh zeros buffer, (low, high) pads per spatial axis."""
+    shape = tuple(e + lo + hi for e, (lo, hi) in zip(a.shape[-3:], pads))
+    out = np.zeros(a.shape[:-3] + shape, dtype=a.dtype)
+    out[(Ellipsis,) + tuple(slice(lo, lo + e) for e, (lo, _hi) in zip(a.shape[-3:], pads))] = a
     return out
 
 
 def _crop(ap: np.ndarray, pads, spatial) -> np.ndarray:
     """The inverse of ``_zero_pad``: the ``spatial`` interior that starts at the low pads."""
     keep = tuple(slice(lo, lo + e) for (lo, _hi), e in zip(pads, spatial))
-    return np.ascontiguousarray(ap[(slice(None),) + keep])
+    return np.ascontiguousarray(ap[(Ellipsis,) + keep])
 
 
 def conv3d(
@@ -574,35 +574,37 @@ def conv3d(
 ) -> Tensor:
     """Grouped, strided, dilated 3-D convolution (cross-correlation).
 
-    x: [C_in, D, H, W]; weight: [C_out, C_in/groups, kd, kh, kw]; bias: [C_out].
+    x: [C_in, D, H, W] or a batch [B, C_in, D, H, W]; weight: [C_out,
+    C_in/groups, kd, kh, kw]; bias: [C_out]. The output keeps x's batch axis.
     Output extent per axis: (ext + lo + hi - dilation*(k-1) - 1)//stride + 1.
 
     Two kinds run on their own kernels. Pointwise (1x1x1, stride 1, no
-    padding, one group) is a channel matmul. Depthwise (groups = C_in =
-    C_out, stride 1, any padding and dilation) is a flat shift: x sits in
-    one zeros buffer [C, Pz+1, Py, Px] (the padded extents plus a slack
-    z-plane that keeps the last slice in bounds), viewed flat. There kernel
-    offset (jz, jy, jx) is the shift jz*dz*Py*Px + jy*dy*Px + jx*dx, and its
-    input for every output voxel is one contiguous slice of oz*Py*Px values
-    per channel. Output rows at y >= oy or x >= ox read wrapped-around
-    values and are cropped once at the end. An offset whose window lies
-    wholly in the padding on some axis (max(0, lo - j*d) >= min(o, n + lo -
-    j*d)) would add only zeros and is skipped; its weight gradient is
-    exactly 0. The forward and the input gradient form the same products
-    as a per-offset sum of shifted slices and add them in the same offset
-    order, so they are bit-identical to it; the weight gradient is one dot
-    product per offset and sums in another order.
+    padding, one group) is a channel matmul, batched over B. Depthwise
+    (groups = C_in = C_out, stride 1, any padding and dilation) folds B into
+    the channels and is a flat shift: x sits in one zeros buffer [B*C, Pz+1,
+    Py, Px] (the padded extents plus a slack z-plane that keeps the last
+    slice in bounds), viewed flat. There kernel offset (jz, jy, jx) is the
+    shift jz*dz*Py*Px + jy*dy*Px + jx*dx, and its input for every output
+    voxel is one contiguous slice of oz*Py*Px values per channel. Output rows
+    at y >= oy or x >= ox read wrapped-around values and are cropped once at
+    the end. An offset whose window lies wholly in the padding on some axis
+    (max(0, lo - j*d) >= min(o, n + lo - j*d)) would add only zeros and is
+    skipped; its weight gradient is exactly 0. The forward and the input
+    gradient form the same products as a per-offset sum of shifted slices and
+    add them in the same offset order, so they are bit-identical to it; the
+    weight gradient is one dot product per offset and sums in another order.
 
     Every other conv contracts a sliding-window view; its backward scatters
     the column gradient back by kernel offset.
     """
     _check_same_dtype(x, weight, "conv3d")
-    if x.ndim != 4 or weight.ndim != 5:
+    if x.ndim not in (4, 5) or weight.ndim != 5:
         raise ShapeError(
-            f"conv3d expects x [C,D,H,W] and weight [O,I,kd,kh,kw], got "
+            f"conv3d expects x [C,D,H,W] or [B,C,D,H,W] and weight [O,I,kd,kh,kw], got "
             f"{x.data.shape} and {weight.data.shape}"
         )
-    cin = x.data.shape[0]
+    lead = x.data.shape[:-4]
+    cin = x.data.shape[-4]
     cout, cin_g, kd, kh, kw = weight.data.shape
     if groups < 1 or cin % groups or cout % groups:
         raise ConfigError(
@@ -617,7 +619,7 @@ def conv3d(
     dils = _triple(dilation, "dilation")
     pads = _pad_pairs(padding)
     kern = (kd, kh, kw)
-    spatial = x.data.shape[1:]
+    spatial = x.data.shape[-3:]
     out_ext = []
     for ax in range(3):
         eff = dils[ax] * (kern[ax] - 1) + 1
@@ -641,14 +643,14 @@ def conv3d(
     unit_stride = strides == (1, 1, 1)
 
     if kern == (1, 1, 1) and unit_stride and groups == 1 and pads == ((0, 0),) * 3:
-        x2 = x.data.reshape(cin, -1)
+        x2 = x.data.reshape(lead + (cin, -1))
         w2 = w.reshape(cout, cin)
-        out = (w2 @ x2).reshape((cout,) + spatial)
+        out = (w2 @ x2).reshape(lead + (cout,) + spatial)
 
         def kernel_vjp(g):
-            g2 = g.reshape(cout, -1)
+            g2 = g.reshape(lead + (cout, -1))
             gx = (w2.T @ g2).reshape(x.data.shape) if need_gx else None
-            return gx, (g2 @ x2.T).reshape(w.shape)
+            return gx, _unbroadcast(g2 @ np.swapaxes(x2, -1, -2), w2.shape).reshape(w.shape)
 
     elif groups == cin == cout and unit_stride:
         out, kernel_vjp = _depthwise_flat_shift(x.data, w, pads, dils, out_ext, need_gx)
@@ -660,12 +662,12 @@ def conv3d(
             [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
             for k, d, s, o in zip(kern, dils, strides, out_ext)
         ]
-        taps = [(slice(None),) + t for t in itertools.product(*per_axis)]
+        taps = [(Ellipsis,) + t for t in itertools.product(*per_axis)]
         win = np.lib.stride_tricks.sliding_window_view(
-            xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(1, 2, 3)
+            xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(-3, -2, -1)
         )
         win = win[
-            :,
+            ...,
             :: strides[0],
             :: strides[1],
             :: strides[2],
@@ -673,94 +675,116 @@ def conv3d(
             :: dils[1],
             :: dils[2],
         ]
-        # win: [C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
-        vg = win.reshape((groups, cin_g) + win.shape[1:])
+        # win: [..., C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
+        vg = win.reshape(lead + (groups, cin_g) + win.shape[-6:])
         wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
-        out = np.einsum("goiabc,gizyxabc->gozyx", wg, vg, optimize=True)
-        out = np.ascontiguousarray(out.reshape((cout,) + out_ext))
+        out = np.einsum("goiabc,...gizyxabc->...gozyx", wg, vg, optimize=True)
+        out = np.ascontiguousarray(out.reshape(lead + (cout,) + out_ext))
 
         def kernel_vjp(g):
-            go = g.reshape((groups, cout // groups) + out_ext)
-            gw = np.einsum("gozyx,gizyxabc->goiabc", go, vg, optimize=True)
-            if not need_gx:
-                return None, gw.reshape(w.shape)
-            gcols = np.einsum("gozyx,goiabc->giabczyx", go, wg, optimize=True)
-            gcols = gcols.reshape((cin, len(taps)) + out_ext)
-            gxp = np.zeros_like(xp)
-            for i, t in enumerate(taps):
-                gxp[t] += gcols[:, i]
-            return _crop(gxp, pads, spatial), gw.reshape(w.shape)
+            # One sample at a time (b is () without a batch axis), so the
+            # contractions' temporaries stay the size of one sample's.
+            go = g.reshape(lead + (groups, cout // groups) + out_ext)
+            gxp = np.zeros_like(xp) if need_gx else None
+            gw = None
+            for b in np.ndindex(lead):
+                part = np.einsum("gozyx,gizyxabc->goiabc", go[b], vg[b], optimize=True)
+                gw = part if gw is None else gw + part
+                if need_gx:
+                    gcols = np.einsum("gozyx,goiabc->giabczyx", go[b], wg, optimize=True)
+                    gcols = gcols.reshape((cin, len(taps)) + out_ext)
+                    for i, t in enumerate(taps):
+                        gxp[b][t] += gcols[:, i]
+            gx = _crop(gxp, pads, spatial) if need_gx else None
+            return gx, gw.reshape(w.shape)
 
     if bias is not None:
         out += bias.data[:, None, None, None]
 
     def vjp(g):
         grads = kernel_vjp(g)
-        return grads if bias is None else grads + (g.sum(axis=(1, 2, 3)),)
+        if bias is None:
+            return grads
+        return grads + (_unbroadcast(g.sum(axis=(-3, -2, -1)), (cout,)),)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, inputs, vjp)
 
 
+def _live_offsets(kern, dils, pads, out_ext, spatial, steps):
+    """(flat kernel index, flat shift) of every kernel offset whose window
+    reads some input, in row-major offset order. An offset reads input
+    exactly when it does so on each axis, so the live offsets are the product
+    of each axis's live (j, j*d*step) list; ``steps`` are the flat strides of
+    the three padded axes."""
+    per_axis = [
+        [(j, j * d * step) for j in range(k) if max(0, lo - j * d) < min(o, e + lo - j * d)]
+        for k, d, (lo, _hi), o, e, step in zip(kern, dils, pads, out_ext, spatial, steps)
+    ]
+    kh, kw = kern[1:]
+    return [
+        ((jz * kh + jy) * kw + jx, sz + sy + sx)
+        for (jz, sz), (jy, sy), (jx, sx) in itertools.product(*per_axis)
+    ]
+
+
 def _depthwise_flat_shift(x, w, pads, dils, out_ext, need_gx):
-    """Depthwise stride-1 conv3d of x [C, D, H, W] by w [C, 1, kd, kh, kw] as
-    a flat shift (described in ``conv3d``): returns (output, vjp of (x, w))."""
-    c, spatial, kern = x.shape[0], x.shape[1:], w.shape[2:]
+    """Depthwise stride-1 conv3d of x [..., C, D, H, W] by w [C, 1, kd, kh,
+    kw] as a flat shift (described in ``conv3d``), with a batch axis folded
+    into the channels: returns (output, vjp of (x, w))."""
+    c, spatial, kern = w.shape[0], x.shape[-3:], w.shape[2:]
     (lz, hz), (ly, hy), (lx, hx) = pads
-    xp = _zero_pad(x, ((lz, hz + 1), (ly, hy), (lx, hx)))
-    py, px = xp.shape[2:]
-    xf = xp.reshape(c, -1)
+    xp = _zero_pad(x.reshape((-1,) + spatial), ((lz, hz + 1), (ly, hy), (lx, hx)))
+    bc, _pz, py, px = xp.shape
+    xf = xp.reshape(bc, -1)
     oz, oy, ox = out_ext
     n = oz * py * px
-    wf = w.reshape(c, -1)
-    live = []  # (flat kernel index, flat shift) of the offsets that read some input
-    for i, js in enumerate(itertools.product(*map(range, kern))):
-        if all(
-            max(0, lo - j * d) < min(o, e + lo - j * d)
-            for j, d, (lo, _hi), o, e in zip(js, dils, pads, out_ext, spatial)
-        ):
-            live.append((i, js[0] * dils[0] * py * px + js[1] * dils[1] * px + js[2] * dils[2]))
+    wf = np.tile(w.reshape(c, -1), (bc // c, 1))
+    live = _live_offsets(kern, dils, pads, out_ext, spatial, (py * px, px, 1))
 
-    acc = np.zeros((c, n), dtype=x.dtype)
+    acc = np.zeros((bc, n), dtype=x.dtype)
     buf = np.empty_like(acc)
     for i, off in live:
         np.multiply(wf[:, i, None], xf[:, off:off + n], out=buf)
         acc += buf
-    out = np.ascontiguousarray(acc.reshape(c, oz, py, px)[:, :, :oy, :ox])
+    out = np.ascontiguousarray(acc.reshape(bc, oz, py, px)[:, :, :oy, :ox])
+    out = out.reshape(x.shape[:-3] + out_ext)
 
     def kernel_vjp(g):
-        gf = np.zeros((c, oz, py, px), dtype=g.dtype)
-        gf[:, :, :oy, :ox] = g
-        gf = gf.reshape(c, n)
+        gf = np.zeros((bc, oz, py, px), dtype=g.dtype)
+        gf[:, :, :oy, :ox] = g.reshape((bc,) + out_ext)
+        gf = gf.reshape(bc, n)
         gw = np.zeros_like(wf)
         for i, off in live:
             gw[:, i] = np.einsum("cn,cn->c", gf, xf[:, off:off + n])
+        gw = gw.reshape(-1, c, gw.shape[1]).sum(axis=0).reshape(w.shape)
         if not need_gx:
-            return None, gw.reshape(w.shape)
+            return None, gw
         gxf = np.zeros_like(xf)
         gbuf = np.empty_like(gf)
         for i, off in live:
             np.multiply(gf, wf[:, i, None], out=gbuf)
             gxf[:, off:off + n] += gbuf
-        return _crop(gxf.reshape(xp.shape), pads, spatial), gw.reshape(w.shape)
+        return _crop(gxf.reshape(xp.shape), pads, spatial).reshape(x.shape), gw
 
     return out, kernel_vjp
 
 
 def _valid_box_sums(x: np.ndarray, k: int) -> np.ndarray:
-    """Valid k-wide window sums over axes 1-3, one axis at a time, in float64.
+    """Valid k-wide window sums over the last three axes, one axis at a time,
+    in float64.
 
     Each axis takes a prefix sum and differences it at distance k; a per-axis
     prefix grows only to extent * value, so the differences cancel far less
     than those of a 3-D summed-area table would.
     """
     def along(ax, sl):
-        key = [slice(None)] * 4
+        key = [slice(None)] * x.ndim
         key[ax] = sl
         return tuple(key)
 
     out = x.astype(np.float64, copy=False)
-    for ax in (1, 2, 3):
+    for ax in (-3, -2, -1):
         shape = list(out.shape)
         shape[ax] += 1
         c = np.zeros(shape)  # c[i] = sum of the first i planes
@@ -770,18 +794,19 @@ def _valid_box_sums(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def box_sum(a: Tensor, k: int) -> Tensor:
-    """Sum of every valid k x k x k window of [C, D, H, W], per channel.
+    """Sum of every valid k x k x k window of [C, D, H, W] or [B, C, D, H, W],
+    per channel.
 
     Equal to ``conv3d`` with a ones kernel applied to each channel alone, in
     O(N) instead of O(N k^3). Output extent per axis: ext - k + 1. Sums
     accumulate in float64 and are cast back to the input dtype.
     """
-    if a.ndim != 4:
-        raise ShapeError(f"box_sum expects [C,D,H,W], got {a.data.shape}")
+    if a.ndim not in (4, 5):
+        raise ShapeError(f"box_sum expects [C,D,H,W] or [B,C,D,H,W], got {a.data.shape}")
     if k < 1:
         raise ConfigError(f"box_sum window must be >= 1, got {k}")
-    if any(e < k for e in a.data.shape[1:]):
-        raise ShapeError(f"box_sum: extents {a.data.shape[1:]} smaller than window {k}")
+    if any(e < k for e in a.data.shape[-3:]):
+        raise ShapeError(f"box_sum: extents {a.data.shape[-3:]} smaller than window {k}")
 
     def vjp(g):
         # The adjoint of a valid box sum is a full one: pad by k-1, sum again.
@@ -796,25 +821,25 @@ def box_sum(a: Tensor, k: int) -> Tensor:
 
 
 def global_pool(a: Tensor, mode: str) -> Tensor:
-    """Pool [C, D, H, W] to [C] by 'avg' or 'max' over the spatial axes."""
-    if a.ndim != 4:
-        raise ShapeError(f"global_pool expects [C,D,H,W], got {a.data.shape}")
-    c = a.data.shape[0]
-    flat = a.data.reshape(c, -1)
+    """Pool [C, D, H, W] to [C], or [B, C, D, H, W] to [B, C], by 'avg' or
+    'max' over the spatial axes."""
+    if a.ndim not in (4, 5):
+        raise ShapeError(f"global_pool expects [C,D,H,W] or [B,C,D,H,W], got {a.data.shape}")
+    flat = a.data.reshape(a.data.shape[:-3] + (-1,))
     if mode == "avg":
-        out = flat.mean(axis=1)
-        nvox = flat.shape[1]
+        out = flat.mean(axis=-1)
+        nvox = flat.shape[-1]
 
         def vjp(g):
-            return (np.broadcast_to(g[:, None] / nvox, flat.shape).reshape(a.data.shape).copy(),)
+            return (np.broadcast_to(g[..., None] / nvox, flat.shape).reshape(a.data.shape).copy(),)
 
     elif mode == "max":
-        idx = flat.argmax(axis=1)
-        out = flat[np.arange(c), idx]
+        idx = flat.argmax(axis=-1)[..., None]
+        out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
 
         def vjp(g):
             buf = np.zeros_like(flat)
-            buf[np.arange(c), idx] = g
+            np.put_along_axis(buf, idx, g[..., None], axis=-1)
             return (buf.reshape(a.data.shape),)
 
     else:
@@ -836,12 +861,13 @@ def _interp_indices(in_ext: int, factor: int, dtype):
 
 
 def upsample_trilinear(a: Tensor, factor) -> Tensor:
-    """Upsample [C, D, H, W] by integer factors, half-pixel aligned.
+    """Upsample [C, D, H, W] or [B, C, D, H, W] by integer factors, half-pixel
+    aligned.
 
     Factor 1 on an axis is the identity (bit-exact).
     """
-    if a.ndim != 4:
-        raise ShapeError(f"upsample_trilinear expects [C,D,H,W], got {a.data.shape}")
+    if a.ndim not in (4, 5):
+        raise ShapeError(f"upsample_trilinear expects [C,D,H,W] or [B,C,D,H,W], got {a.data.shape}")
     factors = _triple(factor, "factor")
     if any(f < 1 for f in factors):
         raise ConfigError(f"upsample factors must be >= 1, got {factors}")
@@ -850,12 +876,12 @@ def upsample_trilinear(a: Tensor, factor) -> Tensor:
     dtype = a.data.dtype
     mats = []
     cur = a.data
-    for ax, f in zip((1, 2, 3), factors):
+    for ax, f in zip((-3, -2, -1), factors):
         if f == 1:
             continue
         in_ext = cur.shape[ax]
         i0, i1, w = _interp_indices(in_ext, f, dtype)
-        wshape = [1, 1, 1, 1]
+        wshape = [1, 1, 1]
         wshape[ax] = w.size
         wb = w.reshape(wshape)
         cur = np.take(cur, i0, axis=ax) * (1.0 - wb) + np.take(cur, i1, axis=ax) * wb

@@ -1,5 +1,6 @@
-"""Training loop: seeded shuffling, minibatch gradient accumulation on one
-tape, plain SGD with decoupled-style weight decay folded into the gradient
+"""Training loop: seeded shuffling, one batched forward and backward per
+minibatch (the chunk's pairs stacked on a leading batch axis), plain SGD with
+decoupled-style weight decay folded into the gradient
 (p <- p - lr * (g + wd * p)), per-epoch train/val loss and SSIM, and
 best/last checkpointing.
 
@@ -19,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError
-from .losses import composite_loss
+from .errors import ContractError, NumericError, ShapeError
+from .losses import CompositeLoss, LossConfig, composite_loss
 from .metrics import ssim
 from .model import ModelConfig, RegistrationModel, _build
 from .model import build_model  # noqa: F401  (perfbench/spans.py times the builder through this name)
-from .tensor import GradTape
+from .tensor import GradTape, Tensor, tmean
 from .volio import atomic_write_bytes
+from .warp import Volume
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +104,32 @@ def _cast_pairs(pairs, bits: int):
     return out
 
 
+def _check_one_shape(pairs, what: str) -> None:
+    """Batches stack their pairs, so every volume of a set shares one shape."""
+    first = pairs[0][0].values.shape
+    for i, pair in enumerate(pairs):
+        for vol in pair:
+            if vol.values.shape != first:
+                raise ShapeError(
+                    f"{what} pairs must share one volume shape: pair 0 has {first}, "
+                    f"pair {i} has {vol.values.shape}"
+                )
+
+
+def _chunk_loss(model: RegistrationModel, pairs, chunk, loss_cfg: LossConfig) -> CompositeLoss:
+    """One forward and composite loss for the pairs ``chunk`` indexes, stacked
+    on a batch axis; every loss term has shape [len(chunk)]."""
+    mv, fx = (
+        Volume(values=Tensor(np.stack([pairs[int(i)][k].values.data for i in chunk])))
+        for k in (0, 1)
+    )
+    return composite_loss(fx, mv, model.forward(mv, fx), loss_cfg)
+
+
+def _pair_ssims(out: CompositeLoss, pairs, chunk) -> list:
+    return [ssim(out.warped.values.data[j], pairs[int(i)][1]) for j, i in enumerate(chunk)]
+
+
 def _snapshot(model: RegistrationModel, rng, epoch: int) -> Checkpoint:
     return Checkpoint(
         config=model.config,
@@ -126,6 +154,8 @@ def train(
     val_pairs = _cast_pairs(val_pairs, cfg.precision)
     if not train_pairs or not val_pairs:
         raise ContractError("train needs non-empty train and val pair lists")
+    _check_one_shape(train_pairs, "train")
+    _check_one_shape(val_pairs, "validation")
     loss_cfg = cfg.loss_config()
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -150,35 +180,28 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             chunk = order[lo:lo + cfg.batch_size]
             with GradTape() as tape:
-                outs = []
-                for idx in chunk:
-                    mv, fx = train_pairs[idx]
-                    fld = model.forward(mv, fx)
-                    outs.append(composite_loss(fx, mv, fld, loss_cfg))
-                acc = outs[0].total
-                for o in outs[1:]:
-                    acc = acc + o.total
-                batch_loss = acc * (1.0 / len(chunk))
+                out = _chunk_loss(model, train_pairs, chunk, loss_cfg)
+                batch_loss = tmean(out.total)
                 tape.backward(batch_loss)
             value = batch_loss.item()
             if not np.isfinite(value):
                 detail = ", ".join(
-                    f"pair {int(i)}: sim={o.similarity.item():.6g} smooth={o.smoothness.item():.6g}"
-                    for i, o in zip(chunk, outs)
+                    f"pair {int(i)}: sim={float(sim):.6g} smooth={float(smooth):.6g}"
+                    for i, sim, smooth in zip(chunk, out.similarity.data, out.smoothness.data)
                 )
                 raise NumericError(
                     f"non-finite loss {value!r} at epoch {epoch + 1}, "
                     f"batch pairs {list(map(int, chunk))} ({detail})"
                 )
             sgd_step(model.parameters(), cfg.lr, cfg.weight_decay)
-            for i, o in zip(chunk, outs):
-                losses.append(o.total.item())
-                ssims.append(ssim(o.warped, train_pairs[int(i)][1]))
+            losses.extend(map(float, out.total.data))
+            ssims.extend(_pair_ssims(out, train_pairs, chunk))
         val_losses, val_ssims = [], []
-        for mv, fx in val_pairs:
-            out = composite_loss(fx, mv, model.forward(mv, fx), loss_cfg)
-            val_losses.append(out.total.item())
-            val_ssims.append(ssim(out.warped, fx))
+        for lo in range(0, len(val_pairs), cfg.batch_size):
+            chunk = range(lo, min(lo + cfg.batch_size, len(val_pairs)))
+            out = _chunk_loss(model, val_pairs, chunk, loss_cfg)
+            val_losses.extend(map(float, out.total.data))
+            val_ssims.extend(_pair_ssims(out, val_pairs, chunk))
         row = EpochStats(
             epoch=epoch + 1,
             train_loss=float(np.mean(losses)),

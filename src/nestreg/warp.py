@@ -19,7 +19,8 @@ from .tensor import DTYPES, Tensor, make_op, reshape
 
 @dataclass
 class Volume:
-    """A [C, D, H, W] intensity block plus isotropic voxel spacing (informational)."""
+    """A [C, D, H, W] intensity block, or a batch [B, C, D, H, W] of them,
+    plus isotropic voxel spacing (informational)."""
 
     values: Tensor
     spacing: float = 1.0
@@ -29,12 +30,14 @@ class Volume:
             self.values = Tensor(self.values)
         if self.values.ndim == 3:
             self.values = reshape(self.values, (1,) + self.values.shape)
-        if self.values.ndim != 4:
-            raise ShapeError(f"Volume expects [C,D,H,W] or [D,H,W], got {self.values.shape}")
+        if self.values.ndim not in (4, 5):
+            raise ShapeError(
+                f"Volume expects [C,D,H,W], [B,C,D,H,W] or [D,H,W], got {self.values.shape}"
+            )
 
     @property
     def spatial_shape(self) -> tuple[int, int, int]:
-        return self.values.shape[1:]
+        return self.values.shape[-3:]
 
     def astype(self, bits: int) -> "Volume":
         return Volume(values=self.values.astype(bits), spacing=self.spacing)
@@ -42,19 +45,20 @@ class Volume:
 
 @dataclass
 class DeformationField:
-    """Dense displacement u: [3, D, H, W], voxel units, (z, y, x) components."""
+    """Dense displacement u: [3, D, H, W], or a batch [B, 3, D, H, W], voxel
+    units, (z, y, x) components."""
 
     u: Tensor
 
     def __post_init__(self):
         if not isinstance(self.u, Tensor):
             self.u = Tensor(self.u)
-        if self.u.ndim != 4 or self.u.shape[0] != 3:
-            raise ShapeError(f"DeformationField expects [3,D,H,W], got {self.u.shape}")
+        if self.u.ndim not in (4, 5) or self.u.shape[-4] != 3:
+            raise ShapeError(f"DeformationField expects [3,D,H,W] or [B,3,D,H,W], got {self.u.shape}")
 
     @property
     def spatial_shape(self) -> tuple[int, int, int]:
-        return self.u.shape[1:]
+        return self.u.shape[-3:]
 
     def astype(self, bits: int) -> "DeformationField":
         return DeformationField(u=self.u.astype(bits))
@@ -67,12 +71,16 @@ def identity_field(shape, bits: int = 64) -> DeformationField:
 
 
 def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
-    """Resample ``volume`` at v + u(v); out-of-range samples clamp to the border."""
+    """Resample ``volume`` at v + u(v); out-of-range samples clamp to the border.
+
+    A batch of volumes [B, C, ...] takes a batch of fields [B, 3, ...].
+    """
     m = volume.values
     u = field.u
-    if m.shape[1:] != u.shape[1:]:
+    if m.shape[-3:] != u.shape[-3:] or m.shape[:-4] != u.shape[:-4]:
         raise ShapeError(
-            f"warp: volume spatial shape {m.shape[1:]} != field spatial shape {u.shape[1:]}"
+            f"warp: volume shape {m.shape} does not match field shape {u.shape} "
+            "(spatial and batch extents must agree)"
         )
     if m.dtype != u.dtype:
         raise ShapeError(f"warp: dtype mismatch {m.dtype.name} vs {u.dtype.name}")
@@ -80,18 +88,20 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
         raise NumericError("warp: displacement field contains non-finite values")
 
     data = m.data
-    c = data.shape[0]
-    exts = data.shape[1:]
+    exts = data.shape[-3:]
     dtype = data.dtype
     grid = np.indices(exts, dtype=dtype)
-    pos = grid + u.data
+    # Component-first view [3, ..., D, H, W], so pos[ax] is one axis's positions.
+    pos = np.moveaxis(grid + u.data, -4, 0)
 
     # Derivative of the border clamp: zero outside the open interval.
-    live = np.empty((3,) + tuple(exts), dtype=bool)
+    live = np.empty(pos.shape, dtype=bool)
     posc = np.empty_like(pos)
-    i0 = np.empty((3,) + tuple(exts), dtype=np.intp)
+    # i0/i1: each axis's lower/upper corner index times that axis's flat stride.
+    i0 = np.empty(pos.shape, dtype=np.intp)
     i1 = np.empty_like(i0)
     frac = np.empty_like(pos)
+    steps = (exts[1] * exts[2], exts[2], 1)
     for ax in range(3):
         hi = exts[ax] - 1
         live[ax] = (pos[ax] > 0.0) & (pos[ax] < hi)
@@ -99,21 +109,26 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
         lo = np.floor(posc[ax]).astype(np.intp)
         if exts[ax] > 1:
             np.minimum(lo, exts[ax] - 2, out=lo)
-        i0[ax] = lo
-        i1[ax] = np.minimum(lo + 1, hi)
         frac[ax] = posc[ax] - lo
+        i0[ax] = lo * steps[ax]
+        i1[ax] = np.minimum(lo + 1, hi) * steps[ax]
 
-    wz1, wy1, wx1 = frac
+    # Weights broadcast over the channel axis of data.
+    wz1, wy1, wx1 = np.expand_dims(frac, -4)
     wz0, wy0, wx0 = 1.0 - wz1, 1.0 - wy1, 1.0 - wx1
     wsel = ((wz0, wz1), (wy0, wy1), (wx0, wx1))
 
-    def corner(bz, by, bx):
-        return (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
+    # A corner's index in data.ravel(): the (sample, channel) row's offset plus
+    # (iz*H + iy)*W + ix.
+    nvox = exts[0] * steps[0]
+    rows = (np.arange(data.size // nvox) * nvox).reshape(data.shape[:-3] + (1, 1, 1))
+    flat = data.ravel()
 
-    corners = {}
-    for key in product((0, 1), repeat=3):
-        iz, iy, ix = corner(*key)
-        corners[key] = data[:, iz, iy, ix]
+    def corner_index(bz, by, bx):
+        iz, iy, ix = (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
+        return np.expand_dims(iz + iy + ix, -4) + rows
+
+    corners = {key: np.take(flat, corner_index(*key)) for key in product((0, 1), repeat=3)}
 
     out = np.zeros_like(data)
     for (bz, by, bx), val in corners.items():
@@ -125,30 +140,27 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
         if need_gm:
             # Scatter g * weight onto the eight corners of every voxel: one
             # float64 bincount over the flat source indices of all channels.
-            n = data[0].size
-            chan = (np.arange(c) * n)[:, None, None, None]
             idx, parts = [], []
             for bz, by, bx in corners:
-                iz, iy, ix = corner(bz, by, bx)
-                idx.append((iz * exts[1] + iy) * exts[2] + ix + chan)
+                idx.append(corner_index(bz, by, bx))
                 parts.append(g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]))
             gm = np.bincount(
-                np.ravel(idx), weights=np.ravel(parts), minlength=c * n
+                np.ravel(idx), weights=np.ravel(parts), minlength=data.size
             ).astype(dtype).reshape(data.shape)
 
-        gu = np.zeros_like(u.data)
+        gu = np.zeros_like(pos)
         # d(out)/d(pos_z) = sum over (y,x) corners of (m[z1] - m[z0]) * wy * wx, etc.
         for by, bx in product((0, 1), repeat=2):
             diff = corners[(1, by, bx)] - corners[(0, by, bx)]
-            gu[0] += (g * diff * (wsel[1][by] * wsel[2][bx])).sum(axis=0)
+            gu[0] += (g * diff * (wsel[1][by] * wsel[2][bx])).sum(axis=-4)
         for bz, bx in product((0, 1), repeat=2):
             diff = corners[(bz, 1, bx)] - corners[(bz, 0, bx)]
-            gu[1] += (g * diff * (wsel[0][bz] * wsel[2][bx])).sum(axis=0)
+            gu[1] += (g * diff * (wsel[0][bz] * wsel[2][bx])).sum(axis=-4)
         for bz, by in product((0, 1), repeat=2):
             diff = corners[(bz, by, 1)] - corners[(bz, by, 0)]
-            gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=0)
+            gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=-4)
         gu *= live
-        return gm, gu
+        return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
 
     out_t = make_op(out, (m, u), vjp)
     return Volume(values=out_t, spacing=volume.spacing)

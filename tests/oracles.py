@@ -427,3 +427,43 @@ def depthwise_shift_ref(x, w, padding, dilation=1):
         return gxp[(slice(None),) + keep], gw.reshape(w.shape)
 
     return out, vjp
+
+
+def depthwise_live_ref(kern, dils, pads, out_ext, spatial, py, px):
+    """(flat kernel index, flat shift) of the depthwise offsets that read some
+    input, by testing every offset on all three axes: the list the flat-shift
+    kernel built before it took the product of per-axis lists."""
+    live = []
+    for i, js in enumerate(product(*map(range, kern))):
+        if all(
+            max(0, lo - j * d) < min(o, e + lo - j * d)
+            for j, d, (lo, _hi), o, e in zip(js, dils, pads, out_ext, spatial)
+        ):
+            live.append((i, js[0] * dils[0] * py * px + js[1] * dils[1] * px + js[2] * dils[2]))
+    return live
+
+
+def warp_gather_ref(m, u):
+    """The trilinear warp's forward of m [C,D,H,W] by u [3,D,H,W] with the
+    corners gathered by three-array fancy indexing, in the input's dtype:
+    the gather that the engine's flat-index ``np.take`` replaced."""
+    exts = m.shape[1:]
+    pos = np.indices(exts, dtype=m.dtype) + u
+    i0 = np.empty((3,) + exts, dtype=np.intp)
+    i1 = np.empty_like(i0)
+    frac = np.empty_like(pos)
+    for ax in range(3):
+        hi = exts[ax] - 1
+        posc = np.clip(pos[ax], 0.0, hi)
+        lo = np.floor(posc).astype(np.intp)
+        if exts[ax] > 1:
+            np.minimum(lo, exts[ax] - 2, out=lo)
+        i0[ax] = lo
+        i1[ax] = np.minimum(lo + 1, hi)
+        frac[ax] = posc - lo
+    wsel = [(1.0 - f, f) for f in frac]
+    out = np.zeros_like(m)
+    for bz, by, bx in product((0, 1), repeat=3):
+        iz, iy, ix = (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
+        out += m[:, iz, iy, ix] * (wsel[0][bz] * wsel[1][by] * wsel[2][bx])
+    return out

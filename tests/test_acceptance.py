@@ -78,6 +78,7 @@ def test_c1_gradient_integrity():
         "dual_attention_block", "nested_attention_fusion", "lka_block",
         "warp_trilinear", "ncc_loss", "smoothness_loss", "composite_loss",
         "full_model", "box_sum", "conv3d_depthwise", "conv3d_pointwise",
+        "conv3d_batched", "warp_batched", "full_model_batched",
     } <= names
     worst = max(r.max_rel_error for r in results)
     failures = [r.line() for r in results if not r.passed]

@@ -10,7 +10,8 @@ import pytest
 
 import nestreg as nr
 from nestreg import GradTape, Tensor
-from oracles import conv3d_vjp_ref, depthwise_shift_ref
+from nestreg.tensor import _live_offsets, _pad_pairs, _triple
+from oracles import conv3d_vjp_ref, depthwise_live_ref, depthwise_shift_ref
 
 # (x shape, w shape, bias?, conv3d keywords), one per conv3d kernel branch.
 CONV_CASES = {
@@ -120,6 +121,23 @@ def test_depthwise_flat_shift_equals_shifted_slice_sum_in_float32(rng, case):
     npt.assert_array_equal(out.data, want_out)
     npt.assert_array_equal(xt.grad, want_gx)
     assert np.abs(wt.grad - want_gw).max() <= 1e-6 * np.abs(want_gw).max()
+
+
+@pytest.mark.parametrize(
+    "xs,kw",
+    list(DEPTHWISE_SHAPES.values()) + [(CONV_CASES[c][0], CONV_CASES[c][3]) for c in PADDING_ONLY_CASES],
+    ids=list(DEPTHWISE_SHAPES) + PADDING_ONLY_CASES,
+)
+def test_depthwise_live_offsets_are_the_product_of_per_axis_lists(xs, kw):
+    """The per-axis product lists the same live (index, shift) pairs in the
+    same order as testing each of the 27 offsets on every axis."""
+    pads = _pad_pairs(kw["padding"])
+    dils = _triple(kw.get("dilation", 1), "dilation")
+    spatial = xs[1:]
+    out_ext = nr.conv3d(Tensor(np.zeros(xs)), Tensor(np.zeros((xs[0], 1, 3, 3, 3))), **{**kw, "groups": xs[0]}).shape[1:]
+    py, px = (e + lo + hi for e, (lo, hi) in zip(spatial[1:], pads[1:]))
+    want = depthwise_live_ref((3, 3, 3), dils, pads, out_ext, spatial, py, px)
+    assert _live_offsets((3, 3, 3), dils, pads, out_ext, spatial, (py * px, px, 1)) == want
 
 
 @pytest.mark.parametrize("case", list(CONV_CASES))

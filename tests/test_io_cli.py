@@ -331,6 +331,23 @@ def test_cli_train_with_empty_data_dir_is_a_data_error(tmp_path, capsys):
     assert "no pairs" in capsys.readouterr().err
 
 
+def test_cli_train_on_pairs_of_different_shapes_is_a_data_error(tmp_path, capsys):
+    """A batch stacks its pairs, so train rejects a set whose volumes differ
+    in shape before epoch 1, naming two pairs and their shapes."""
+    data = tmp_path / "data"
+    for name, extent in (("a", "8"), ("b", "12")):
+        main(["synth", "--out", str(tmp_path / name), "--shape", extent, "--seed", "1"])
+        data.mkdir(exist_ok=True)
+        for kind in ("moving", "fixed"):
+            (tmp_path / name / f"{kind}.nmv").rename(data / f"{name}_{kind}.nmv")
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pair 0 has (1, 8, 8, 8)" in err and "pair 1 has (1, 12, 12, 12)" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_gradcheck_exit_codes_follow_the_suite(monkeypatch, capsys):
     ok = nr.CheckResult(name="stub", max_rel_error=1e-9, tolerance=1e-4, passed=True, seconds=0.0)
     monkeypatch.setattr(
