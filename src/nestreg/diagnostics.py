@@ -8,6 +8,7 @@ Shared by the test suite and the ``gradcheck`` CLI subcommand.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,12 +16,14 @@ import numpy as np
 
 from . import attention as att
 from . import decoder as dec
+from .encoder import encoder_forward
 from .gradcheck import check_gradients
 from .losses import LossConfig, composite_loss, ncc_loss, smoothness_loss
 from .model import ModelConfig, _Builder, build_model
 from .tensor import (
     Tensor,
     box_sum,
+    concat,
     conv3d,
     gelu,
     global_pool,
@@ -367,19 +370,40 @@ def _tiny_model(seed):
     return model
 
 
+# The fusion max-pools every encoder skip but the deepest, and a max-pool has a
+# kink where its top two values tie: a central difference at h = 1e-4
+# straddles it when they lie closer than about 5e-4.
+MAX_POOL_MARGIN = 1e-3
+
+
+def _full_model_inputs(seed: int, salt: int, shape):
+    """The tiny model and its fixed/moving leaves of ``shape``, drawn again
+    from the same rng until every max-pooled skip feature of more than one
+    voxel has its top two values MAX_POOL_MARGIN apart in every channel and
+    sample (one tape-free encoder forward per draw)."""
+    rng = _rng(seed, salt)
+    model = _tiny_model(seed)
+    while True:
+        fx, mv = (
+            Tensor(np.clip(rng.normal(0.5, 0.25, size=shape), 0.0, 1.0), requires_grad=True)
+            for _ in range(2)
+        )
+        x = concat([mv, fx], axis=-4)
+        skips = encoder_forward(x, model.config.encoder_config(), model.enc_stages).stages[:-1]
+        flats = [f.data.reshape(f.shape[:-3] + (-1,)) for f in skips if math.prod(f.shape[-3:]) > 1]
+        top2 = [np.partition(f, -2, axis=-1)[..., -2:] for f in flats]
+        if min((t[..., 1] - t[..., 0]).min() for t in top2) >= MAX_POOL_MARGIN:
+            return model, fx, mv
+
+
 def _full_model_check(salt: int, shape):
     """The tiny model's composite loss on fixed/moving leaves of ``shape``
     ([1, 8, 8, 8] for one pair, [B, 1, 8, 8, 8] for a batch, whose loss is
     the mean of the per-pair totals)."""
 
     def check(seed, h, max_coords):
-        rng = _rng(seed, salt)
-        model = _tiny_model(seed)
+        model, fx, mv = _full_model_inputs(seed, salt, shape)
         cfg = LossConfig(ncc_window=5)
-        fx, mv = (
-            Tensor(np.clip(rng.normal(0.5, 0.25, size=shape), 0.0, 1.0), requires_grad=True)
-            for _ in range(2)
-        )
 
         def fn():
             field = model.forward(mv, fx)
@@ -418,10 +442,6 @@ _CHECKS = [
     ("smoothness_loss", _check_smoothness, None),
     ("composite_loss", _check_composite, 32),
     ("full_model", _full_model_check(21, (1, 8, 8, 8)), 3),
-    # The fusion's global max-pool has a kink where two voxels tie. At seeds
-    # 0-3 the top two values of every max-pool on these inputs are >= 3.9e-3
-    # apart; at salt 27 a 4e-4 gap at seed 1 let the central difference
-    # straddle it.
     ("full_model_batched", _full_model_check(30, (2, 1, 8, 8, 8)), 3),
 ]
 

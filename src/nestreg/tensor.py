@@ -563,6 +563,17 @@ def _crop(ap: np.ndarray, pads, spatial) -> np.ndarray:
     return np.ascontiguousarray(ap[(Ellipsis,) + keep])
 
 
+def _columns(xp, kern, dils, strides, groups):
+    """The windows that a dense conv reads from its padded input xp [..., C,
+    Pz, Py, Px] as one contiguous [..., groups, C/groups*kd*kh*kw, do*ho*wo]."""
+    eff = tuple(d * (k - 1) + 1 for k, d in zip(kern, dils))
+    win = np.lib.stride_tricks.sliding_window_view(xp, eff, axis=(-3, -2, -1))
+    win = win[(Ellipsis,) + tuple(slice(None, None, s) for s in strides + dils)]
+    # win: [..., C, do, ho, wo, kd, kh, kw], a view; kernel axes go before output axes.
+    win = np.moveaxis(win, (-3, -2, -1), (-6, -5, -4))
+    return np.ascontiguousarray(win).reshape(win.shape[:-7] + (groups, -1, math.prod(win.shape[-3:])))
+
+
 def conv3d(
     x: Tensor,
     weight: Tensor,
@@ -594,8 +605,12 @@ def conv3d(
     add them in the same offset order, so they are bit-identical to it; the
     weight gradient is one dot product per offset and sums in another order.
 
-    Every other conv contracts a sliding-window view; its backward scatters
-    the column gradient back by kernel offset.
+    Every other conv (the strided patch embeds, grouped convs) is one matmul
+    of the weight [groups, C_out/groups, C_in/groups*kd*kh*kw] with a
+    contiguous copy of the input's windows (``_columns``). The backward keeps
+    only the padded input, rebuilds one sample's columns at a time, takes
+    gw = g @ cols^T and the column gradient w^T @ g, and scatters the latter
+    back by kernel offset.
     """
     _check_same_dtype(x, weight, "conv3d")
     if x.ndim not in (4, 5) or weight.ndim != 5:
@@ -657,42 +672,26 @@ def conv3d(
 
     else:
         xp = _zero_pad(x.data, pads)
-        # taps[i]: the slice of xp that flat kernel offset i reads for the output.
-        per_axis = [
-            [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
-            for k, d, s, o in zip(kern, dils, strides, out_ext)
-        ]
-        taps = [(Ellipsis,) + t for t in itertools.product(*per_axis)]
-        win = np.lib.stride_tricks.sliding_window_view(
-            xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(-3, -2, -1)
-        )
-        win = win[
-            ...,
-            :: strides[0],
-            :: strides[1],
-            :: strides[2],
-            :: dils[0],
-            :: dils[1],
-            :: dils[2],
-        ]
-        # win: [..., C_in, do, ho, wo, kd, kh, kw] (a view; no copy)
-        vg = win.reshape(lead + (groups, cin_g) + win.shape[-6:])
-        wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
-        out = np.einsum("goiabc,...gizyxabc->...gozyx", wg, vg, optimize=True)
-        out = np.ascontiguousarray(out.reshape(lead + (cout,) + out_ext))
+        wg = w.reshape(groups, cout // groups, -1)
+        out = (wg @ _columns(xp, kern, dils, strides, groups)).reshape(lead + (cout,) + out_ext)
 
         def kernel_vjp(g):
-            # One sample at a time (b is () without a batch axis), so the
-            # contractions' temporaries stay the size of one sample's.
-            go = g.reshape(lead + (groups, cout // groups) + out_ext)
+            # One sample's columns at a time (b is () without a batch axis),
+            # so the tape holds only xp and the temporaries stay one sample's.
+            go = g.reshape(lead + (groups, cout // groups, -1))
             gxp = np.zeros_like(xp) if need_gx else None
+            # taps[i]: the slice of xp that flat kernel offset i reads for the output.
+            per_axis = [
+                [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
+                for k, d, s, o in zip(kern, dils, strides, out_ext)
+            ]
+            taps = [(Ellipsis,) + t for t in itertools.product(*per_axis)]
             gw = None
             for b in np.ndindex(lead):
-                part = np.einsum("gozyx,gizyxabc->goiabc", go[b], vg[b], optimize=True)
+                part = go[b] @ np.swapaxes(_columns(xp[b], kern, dils, strides, groups), -1, -2)
                 gw = part if gw is None else gw + part
                 if need_gx:
-                    gcols = np.einsum("gozyx,goiabc->giabczyx", go[b], wg, optimize=True)
-                    gcols = gcols.reshape((cin, len(taps)) + out_ext)
+                    gcols = (np.swapaxes(wg, -1, -2) @ go[b]).reshape((cin, len(taps)) + out_ext)
                     for i, t in enumerate(taps):
                         gxp[b][t] += gcols[:, i]
             gx = _crop(gxp, pads, spatial) if need_gx else None
@@ -847,23 +846,31 @@ def global_pool(a: Tensor, mode: str) -> Tensor:
     return make_op(out, (a,), vjp)
 
 
-def _interp_indices(in_ext: int, factor: int, dtype):
-    """Half-pixel-aligned source indices/weights for one upsampled axis."""
+def _interp_matrix(in_ext: int, factor: int, dtype) -> np.ndarray:
+    """m [in_ext, in_ext*factor] of one half-pixel-aligned upsampled axis:
+    m[i, j] = d out[j] / d in[i], with 1 - w and w in every column."""
     scalar = np.dtype(dtype).type
     pos = (np.arange(in_ext * factor, dtype=dtype) + scalar(0.5)) / scalar(factor) - scalar(0.5)
     pos = np.clip(pos, 0.0, in_ext - 1)
     i0 = np.floor(pos).astype(np.intp)
     if in_ext > 1:
         i0 = np.minimum(i0, in_ext - 2)
-    i1 = np.minimum(i0 + 1, in_ext - 1)
     w = (pos - i0).astype(dtype)
-    return i0, i1, w
+    # Each statement writes every column once, so fancy-index += stays exact
+    # where the border clamp makes i0 == i1.
+    m = np.zeros((in_ext, w.size), dtype=dtype)
+    cols = np.arange(w.size)
+    m[i0, cols] += 1.0 - w
+    m[np.minimum(i0 + 1, in_ext - 1), cols] += w
+    return m
 
 
 def upsample_trilinear(a: Tensor, factor) -> Tensor:
     """Upsample [C, D, H, W] or [B, C, D, H, W] by integer factors, half-pixel
     aligned.
 
+    Each upsampled axis is one matmul by its interpolation matrix m: the
+    forward contracts the axis with m's rows, the vjp with its columns.
     Factor 1 on an axis is the identity (bit-exact).
     """
     if a.ndim not in (4, 5):
@@ -873,30 +880,16 @@ def upsample_trilinear(a: Tensor, factor) -> Tensor:
         raise ConfigError(f"upsample factors must be >= 1, got {factors}")
     if all(f == 1 for f in factors):
         return make_op(a.data.copy(), (a,), lambda g: (g,))
-    dtype = a.data.dtype
     mats = []
-    cur = a.data
+    out = a.data
     for ax, f in zip((-3, -2, -1), factors):
-        if f == 1:
-            continue
-        in_ext = cur.shape[ax]
-        i0, i1, w = _interp_indices(in_ext, f, dtype)
-        wshape = [1, 1, 1]
-        wshape[ax] = w.size
-        wb = w.reshape(wshape)
-        cur = np.take(cur, i0, axis=ax) * (1.0 - wb) + np.take(cur, i1, axis=ax) * wb
-        # m[i, j] = d out[j] / d in[i]. Each statement writes every column once,
-        # so fancy-index += stays exact where the border clamp makes i0 == i1.
-        m = np.zeros((in_ext, w.size), dtype=dtype)
-        cols = np.arange(w.size)
-        m[i0, cols] += 1.0 - w
-        m[i1, cols] += w
-        mats.append((ax, m))
-    out = cur
+        if f > 1:
+            mats.append((ax, _interp_matrix(out.shape[ax], f, out.dtype)))
+            out = np.moveaxis(np.moveaxis(out, ax, -1) @ mats[-1][1], -1, ax)
 
     def vjp(g):
         for ax, m in reversed(mats):
-            g = np.moveaxis(np.tensordot(g, m, axes=([ax], [1])), -1, ax)
+            g = np.moveaxis(np.moveaxis(g, ax, -1) @ m.T, -1, ax)
         return (np.ascontiguousarray(g),)
 
-    return make_op(out, (a,), vjp)
+    return make_op(np.ascontiguousarray(out), (a,), vjp)

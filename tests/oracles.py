@@ -37,18 +37,21 @@ def layernorm_ref(x, gamma, beta, axis, eps=1e-5):
     return ((x - mu) / np.sqrt(var + eps)) * gamma.reshape(shape) + beta.reshape(shape)
 
 
+def _triple(v):
+    return (v, v, v) if np.isscalar(v) else tuple(v)
+
+
+def _pad_pairs(padding):
+    """(low, high) padding per spatial axis."""
+    if np.isscalar(padding):
+        return ((padding, padding),) * 3
+    return tuple((p, p) if np.isscalar(p) else tuple(p) for p in padding)
+
+
 def _conv_geometry(x, w, stride, padding, dilation):
     """Padded float64 input, per-axis (stride, dilation) and output extents."""
-
-    def triple(v):
-        return (v, v, v) if np.isscalar(v) else tuple(v)
-
-    pads = padding
-    if np.isscalar(pads):
-        pads = ((pads, pads),) * 3
-    else:
-        pads = tuple((p, p) if np.isscalar(p) else tuple(p) for p in pads)
-    steps = tuple(zip(triple(stride), triple(dilation)))
+    pads = _pad_pairs(padding)
+    steps = tuple(zip(_triple(stride), _triple(dilation)))
     xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0),) + pads)
     out_ext = tuple(
         (xp.shape[1 + ax] - d * (w.shape[2 + ax] - 1) - 1) // s + 1
@@ -402,11 +405,9 @@ def depthwise_shift_ref(x, w, padding, dilation=1):
     input, one slice per kernel offset in row-major offset order, in the
     input's dtype: the kernel that the engine's flat shift replaced.
     x [C,D,H,W], w [C,1,kd,kh,kw]; returns (out, vjp) with vjp(g) -> (gx, gw)."""
-    pads = padding
-    if np.isscalar(pads):
-        pads = ((pads, pads),) * 3
-    dils = (dilation,) * 3 if np.isscalar(dilation) else tuple(dilation)
-    xp = np.pad(x, ((0, 0),) + tuple(pads))
+    pads = _pad_pairs(padding)
+    dils = _triple(dilation)
+    xp = np.pad(x, ((0, 0),) + pads)
     kern = w.shape[2:]
     out_ext = tuple(xp.shape[1 + a] - dils[a] * (kern[a] - 1) for a in range(3))
     per_axis = [[slice(j * d, j * d + o) for j in range(k)] for k, d, o in zip(kern, dils, out_ext)]
@@ -467,3 +468,71 @@ def warp_gather_ref(m, u):
         iz, iy, ix = (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
         out += m[:, iz, iy, ix] * (wsel[0][bz] * wsel[1][by] * wsel[2][bx])
     return out
+
+
+def dense_einsum_ref(x, w, stride=1, padding=0, dilation=1, groups=1):
+    """Dense conv3d (no bias) of x [C,D,H,W] or [B,C,D,H,W] by w [O,I,kd,kh,kw]
+    as einsum contractions over a sliding-window view of the padded input,
+    in the input's dtype: the kernel that the engine's column-matrix GEMM
+    replaced. Returns (out, vjp) with vjp(g) -> (gx, gw)."""
+    pads = _pad_pairs(padding)
+    strides, dils = _triple(stride), _triple(dilation)
+    lead, cin, spatial = x.shape[:-4], x.shape[-4], x.shape[-3:]
+    cout, cin_g, kd, kh, kw = w.shape
+    kern = (kd, kh, kw)
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 3) + pads)
+    out_ext = tuple(
+        (xp.shape[-3 + a] - dils[a] * (kern[a] - 1) - 1) // strides[a] + 1 for a in range(3)
+    )
+    per_axis = [
+        [slice(j * d, j * d + s * (o - 1) + 1, s) for j in range(k)]
+        for k, d, s, o in zip(kern, dils, strides, out_ext)
+    ]
+    taps = [(Ellipsis,) + t for t in product(*per_axis)]
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, tuple(dils[a] * (kern[a] - 1) + 1 for a in range(3)), axis=(-3, -2, -1)
+    )
+    win = win[..., :: strides[0], :: strides[1], :: strides[2], :: dils[0], :: dils[1], :: dils[2]]
+    vg = win.reshape(lead + (groups, cin_g) + win.shape[-6:])
+    wg = w.reshape(groups, cout // groups, cin_g, kd, kh, kw)
+    out = np.einsum("goiabc,...gizyxabc->...gozyx", wg, vg, optimize=True)
+    out = np.ascontiguousarray(out.reshape(lead + (cout,) + out_ext))
+
+    def vjp(g):
+        go = g.reshape(lead + (groups, cout // groups) + out_ext)
+        gxp = np.zeros_like(xp)
+        gw = None
+        for b in np.ndindex(lead):
+            part = np.einsum("gozyx,gizyxabc->goiabc", go[b], vg[b], optimize=True)
+            gw = part if gw is None else gw + part
+            gcols = np.einsum("gozyx,goiabc->giabczyx", go[b], wg, optimize=True)
+            gcols = gcols.reshape((cin, len(taps)) + out_ext)
+            for i, t in enumerate(taps):
+                gxp[b][t] += gcols[:, i]
+        keep = tuple(slice(lo, lo + e) for (lo, _hi), e in zip(pads, spatial))
+        return gxp[(Ellipsis,) + keep], gw.reshape(w.shape)
+
+    return out, vjp
+
+
+def upsample_take_ref(x, factors):
+    """Trilinear upsampling of x [..., D, H, W] one axis at a time, each a
+    gather of both neighbors by ``np.take`` and a lerp, in the input's dtype:
+    the forward that the engine's interpolation-matrix product replaced."""
+    factors = (factors,) * 3 if np.isscalar(factors) else tuple(factors)
+    scalar = x.dtype.type
+    for ax, f in zip((-3, -2, -1), factors):
+        if f == 1:
+            continue
+        n = x.shape[ax]
+        pos = (np.arange(n * f, dtype=x.dtype) + scalar(0.5)) / scalar(f) - scalar(0.5)
+        pos = np.clip(pos, 0.0, n - 1)
+        i0 = np.floor(pos).astype(np.intp)
+        if n > 1:
+            i0 = np.minimum(i0, n - 2)
+        i1 = np.minimum(i0 + 1, n - 1)
+        wshape = [1, 1, 1]
+        wshape[ax] = n * f
+        w = (pos - i0).astype(x.dtype).reshape(wshape)
+        x = np.take(x, i0, axis=ax) * (1.0 - w) + np.take(x, i1, axis=ax) * w
+    return x

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
+import nestreg.decoder
 import nestreg.tensor as T
 from nestreg import ContractError, GradTape, NumericError, Tensor
+from nestreg.diagnostics import MAX_POOL_MARGIN, _full_model_inputs, _rng
 
 
 def leaf(rng, *shape, scale=1.0):
@@ -199,6 +201,47 @@ def test_backward_rules_pass_finite_difference_check(name):
     results = nr.run_gradcheck_suite(seed=3, names=[name])
     assert len(results) == 1
     assert results[0].passed, results[0].line()
+
+
+def _max_pooled_top_two_gaps(model, fx, mv, monkeypatch):
+    """Top-two gap, per sample and channel, of every input that the model's
+    forward max-pools (one-voxel inputs have no kink and are left out)."""
+    gaps = []
+
+    def recording_pool(a, mode):
+        flat = np.sort(a.data.reshape(a.shape[:-3] + (-1,)), axis=-1)
+        if mode == "max" and flat.shape[-1] > 1:
+            gaps.append((flat[..., -1] - flat[..., -2]).ravel())
+        return nr.global_pool(a, mode)
+
+    monkeypatch.setattr(nestreg.decoder, "global_pool", recording_pool)
+    model.forward(mv, fx)
+    return np.concatenate(gaps)
+
+
+@pytest.mark.parametrize("salt,shape", [(21, (1, 8, 8, 8)), (30, (2, 1, 8, 8, 8))])
+def test_full_model_gradcheck_inputs_keep_off_the_max_pool_kink(salt, shape, monkeypatch):
+    """At seeds 0-9 every input that the fusion max-pools has its top two
+    values >= MAX_POOL_MARGIN apart, in every channel and sample."""
+    for seed in range(10):
+        model, fx, mv = _full_model_inputs(seed, salt, shape)
+        assert fx.shape == mv.shape == shape
+        assert _max_pooled_top_two_gaps(model, fx, mv, monkeypatch).min() >= MAX_POOL_MARGIN, seed
+
+
+def test_full_model_gradcheck_redraws_only_inputs_inside_the_margin(monkeypatch):
+    """Seed 0 clears the margin on its first draw and keeps it; seed 23's
+    first draw has a top-two gap of 6.7e-5, so its inputs are drawn again
+    from the same rng."""
+    shape = (1, 8, 8, 8)
+    for seed, redrawn in ((0, False), (23, True)):
+        model, fx, mv = _full_model_inputs(seed, 21, shape)
+        rng = _rng(seed, 21)
+        first_fx, first_mv = (np.clip(rng.normal(0.5, 0.25, size=shape), 0.0, 1.0) for _ in range(2))
+        first_gap = _max_pooled_top_two_gaps(model, Tensor(first_fx), Tensor(first_mv), monkeypatch).min()
+        assert (first_gap < MAX_POOL_MARGIN) == redrawn
+        assert np.array_equal(fx.data, first_fx) != redrawn
+        assert np.array_equal(mv.data, first_mv) != redrawn
 
 
 def test_slice_and_concat_grads_route_to_their_sources(rng):

@@ -10,7 +10,14 @@ from scipy.special import softmax as sp_softmax
 
 import nestreg as nr
 from nestreg import ConfigError, ShapeError, Tensor
-from oracles import box_sum_ref, conv3d_ref, gelu_ref, layernorm_ref, upsample_trilinear_ref
+from oracles import (
+    box_sum_ref,
+    conv3d_ref,
+    gelu_ref,
+    layernorm_ref,
+    upsample_take_ref,
+    upsample_trilinear_ref,
+)
 
 
 def test_matmul_matches_numpy(rng):
@@ -225,14 +232,33 @@ def test_global_pool_matches_numpy(rng):
 
 def test_upsample_matches_loop_oracle(rng):
     x = rng.normal(size=(2, 3, 2, 4))
-    for factor in (2, (2, 3, 1), (1, 1, 2)):
+    for factor in (2, (2, 3, 1), (1, 1, 2), (1, 2, 4)):
         got = nr.upsample_trilinear(Tensor(x), factor).data
         npt.assert_allclose(got, upsample_trilinear_ref(x, factor), rtol=1e-12, atol=1e-12)
+    batch = rng.normal(size=(2, 3, 2, 4, 3))
+    for factor in (2, (1, 2, 4)):
+        got = nr.upsample_trilinear(Tensor(batch), factor).data
+        want = np.stack([upsample_trilinear_ref(xb, factor) for xb in batch])
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_upsample_factor_one_is_bit_exact_identity(rng):
-    x = rng.normal(size=(2, 3, 3, 3))
-    npt.assert_array_equal(nr.upsample_trilinear(Tensor(x), 1).data, x)
+    for shape in ((2, 3, 3, 3), (2, 2, 3, 3, 3)):
+        x = rng.normal(size=shape)
+        npt.assert_array_equal(nr.upsample_trilinear(Tensor(x), 1).data, x)
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 8, 8, 8), (8, 16, 16, 16)])
+def test_upsample_float32_forward_within_stated_bound_of_float64(rng, shape):
+    """Max |f32 - f64| / max |f64| of the x4 forward stays below 1e-6. At
+    seed 1234 the matrix-product forward measured 1.2e-7 at [2, 8, 8^3] and
+    1.2e-7 at [8, 16^3]; the take + lerp forward it replaced measured 1.2e-7
+    and 1.5e-7 on the same inputs."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    want = nr.upsample_trilinear(Tensor(x.astype(np.float64)), 4).data
+    for got in (nr.upsample_trilinear(Tensor(x), 4).data, upsample_take_ref(x, 4)):
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-6
 
 
 def test_upsample_constant_volume_stays_constant():
