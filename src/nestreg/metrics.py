@@ -39,14 +39,19 @@ def _gaussian_window(extent: int, sigma: float) -> np.ndarray:
 def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     """Separable Gaussian-weighted mean over valid window positions only.
 
-    Each axis's pass is cropped to its valid range ``[r:-r]`` before the next
-    pass runs, so later passes filter fewer lines. A 1-D pass reads only its
-    own line, so the kept values equal those of filtering the whole volume
-    along every axis and cropping once at the end.
+    The axis-0 pass sums whole contiguous z-slabs in the order scipy's
+    ``correlate1d`` uses for a symmetric kernel, so the two agree bit for bit
+    as long as the kernel is symmetric, which the Gaussian window always is.
+    Axes 1 and 2 run ``correlate1d``, each cropped to ``[r:-r]`` before the
+    next pass; a 1-D pass reads only its own line, so the kept values equal
+    filtering the whole volume along every axis and cropping once at the end.
     """
     r = (kern1d.size - 1) // 2
-    out = a
-    for axis in range(3):
+    n = a.shape[0] - 2 * r
+    out = a[r:r + n] * kern1d[r]
+    for j in range(r, 0, -1):
+        out += (a[r - j:r - j + n] + a[r + j:r + j + n]) * kern1d[r + j]
+    for axis in (1, 2):
         out = ndimage.correlate1d(out, kern1d, axis=axis, mode="constant")
         if r:
             out = out[(slice(None),) * axis + (slice(r, -r),)]
@@ -94,16 +99,19 @@ def mask_from_volume(v, rel_threshold: float = 0.1) -> np.ndarray:
     return arr > rel_threshold * peak
 
 
-_SIX_NEIGHBOR = ndimage.generate_binary_structure(3, 1)
-
-
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
     """Mask voxels with at least one non-mask 6-neighbor (volume border counts)."""
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 3:
         raise ShapeError(f"surface_voxels expects a 3-D mask, got {mask.shape}")
-    eroded = ndimage.binary_erosion(mask, structure=_SIX_NEIGHBOR, border_value=0)
-    return mask & ~eroded
+    pad = np.zeros(tuple(e + 2 for e in mask.shape), dtype=bool)
+    pad[1:-1, 1:-1, 1:-1] = mask
+    core = mask.copy()  # mask voxels whose six neighbours (slices of pad) are all set
+    for axis in range(3):
+        for lo in (0, 2):
+            core &= pad[tuple(slice(lo, lo + e) if ax == axis else slice(1, -1)
+                              for ax, e in enumerate(mask.shape))]
+    return mask & ~core
 
 
 def hd95(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

@@ -288,25 +288,40 @@ def read_curve_csv(path) -> TrainingCurve:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Parameters verbatim (bit-exact) in an npz plus a JSON metadata entry."""
+    """Parameters verbatim (bit-exact) as one flat buffer ``__params__`` of their
+    shared dtype; the JSON ``__meta__`` lists each name and shape in order."""
+    dtypes = {str(p.dtype) for p in ckpt.params.values()}
+    if len(dtypes) > 1:
+        raise ContractError(f"save_checkpoint: parameters mix dtypes {sorted(dtypes)}")
     meta = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
         "rng_state": _jsonable(ckpt.rng_state),
+        "params": [[name, list(p.shape)] for name, p in ckpt.params.items()],
     }
-
+    flat = np.concatenate([p.ravel() for p in ckpt.params.values()] or [np.empty(0)])
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **ckpt.params)
+             __params__=flat)
     atomic_write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parameters come back as reshaped views of the file's one buffer. Files
+    without ``__params__``, the older layout, hold one member per name."""
     with np.load(path) as data:
         if "__meta__" not in data:
             raise ContractError(f"{path} is not a checkpoint (missing metadata)")
         meta = json.loads(bytes(data["__meta__"]).decode())
         params = {k: data[k] for k in data.files if k != "__meta__"}
+    if "__params__" in params:
+        flat, index = params.pop("__params__"), meta.get("params", [])
+        ends = np.cumsum([0] + [np.prod(shape, dtype=int) for _, shape in index])
+        if ends[-1] != flat.size or len(dict(index)) != len(index):
+            raise ContractError(f"{path}: index of {len(index)} parameters ({ends[-1]} values) "
+                                f"does not match its {flat.size}-value buffer or repeats a name")
+        params = {name: flat[lo:hi].reshape(shape)
+                  for (name, shape), lo, hi in zip(index, ends, ends[1:])}
     return Checkpoint(
         config=ModelConfig.from_dict(meta["config"]),
         params=params,

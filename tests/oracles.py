@@ -386,9 +386,8 @@ def windowed_mean_full_ref(a, kern1d):
 def hd95_edt_ref(mask_a, mask_b):
     """HD95 from exact Euclidean distance transforms of the whole volume;
     surfaces by 6-neighbor erosion with the border counted as background."""
-    six = ndimage.generate_binary_structure(3, 1)
-    surf_a = mask_a & ~ndimage.binary_erosion(mask_a, structure=six, border_value=0)
-    surf_b = mask_b & ~ndimage.binary_erosion(mask_b, structure=six, border_value=0)
+    surf_a = surface_erosion_ref(mask_a)
+    surf_b = surface_erosion_ref(mask_b)
     dist_to_b = ndimage.distance_transform_edt(~surf_b)
     dist_to_a = ndimage.distance_transform_edt(~surf_a)
     pooled = np.concatenate([dist_to_b[surf_a], dist_to_a[surf_b]])
@@ -398,6 +397,27 @@ def hd95_edt_ref(mask_a, mask_b):
 # ---------------------------------------------------------------------------
 # Earlier kernel formulations (exact references for restructured kernels)
 # ---------------------------------------------------------------------------
+
+
+def surface_erosion_ref(mask):
+    """6-neighbor surface as the mask minus its binary erosion, the border
+    counted as background: the formulation the engine's slicing replaced."""
+    mask = np.asarray(mask, dtype=bool)
+    six = ndimage.generate_binary_structure(3, 1)
+    return mask & ~ndimage.binary_erosion(mask, structure=six, border_value=0)
+
+
+def windowed_mean_correlate_ref(a, kern1d):
+    """Separable windowed mean with ``correlate1d`` along all three axes, each
+    pass cropped to its valid range before the next: the formulation the
+    engine's axis-0 slab sums replaced."""
+    r = (kern1d.size - 1) // 2
+    out = a
+    for axis in range(3):
+        out = ndimage.correlate1d(out, kern1d, axis=axis, mode="constant")
+        if r:
+            out = out[(slice(None),) * axis + (slice(r, -r),)]
+    return out
 
 
 def depthwise_shift_ref(x, w, padding, dilation=1):

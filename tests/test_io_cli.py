@@ -323,6 +323,59 @@ def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_pa
     assert not (tmp_path / "field.nmv").exists()
 
 
+TINY_CFG = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
+                       dae_blocks=1, lka_blocks=1, precision=32)
+
+
+def _register(tmp_path, ckpt, out):
+    return main([
+        "register", "--checkpoint", str(ckpt),
+        "--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
+        "--out-field", str(out / "field.nmv"), "--out-warped", str(out / "warped.nmv"),
+        "--json",
+    ])
+
+
+def test_cli_register_with_a_checkpoint_index_that_misses_its_buffer_is_a_data_error(
+        tmp_path, capsys):
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    ckpt = tmp_path / "broken.npz"
+    meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}, "params": [["w", [2, 3]]]}
+    np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             __params__=np.zeros(5, dtype=np.float32))
+    capsys.readouterr()
+    assert _register(tmp_path, ckpt, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(ckpt) in err
+    assert not (tmp_path / "field.nmv").exists()
+
+
+def test_cli_register_gives_the_same_bytes_from_a_packed_and_a_per_name_checkpoint(
+        tmp_path, capsys):
+    """Parameters loaded as views of one buffer register exactly as the
+    separate arrays of the older per-name layout do."""
+    main(["synth", "--out", str(tmp_path), "--shape", "16", "--seed", "2"])
+    rng = np.random.default_rng(5)
+    state = {name: arr + rng.normal(0.0, 0.02, arr.shape).astype(arr.dtype)
+             for name, arr in nr.build_model(TINY_CFG, seed=5).state().items()}
+    packed, legacy = tmp_path / "packed", tmp_path / "legacy"
+    for out in (packed, legacy):
+        out.mkdir()
+    nr.save_checkpoint(packed / "ckpt.npz", nr.Checkpoint(TINY_CFG, state, 1, {}))
+    meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}}
+    np.savez(legacy / "ckpt.npz",
+             __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **state)
+    capsys.readouterr()
+    reports = []
+    for out in (packed, legacy):
+        assert _register(tmp_path, out / "ckpt.npz", out) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["sdlogj"] > 0.0
+    for name in ("field.nmv", "warped.nmv"):
+        assert (packed / name).read_bytes() == (legacy / name).read_bytes()
+
+
 def test_cli_train_with_empty_data_dir_is_a_data_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -15,7 +15,9 @@ from oracles import (
     hd95_ref,
     sdlogj_ref,
     ssim_ref,
+    surface_erosion_ref,
     surface_ref,
+    windowed_mean_correlate_ref,
     windowed_mean_full_ref,
 )
 
@@ -97,6 +99,36 @@ def test_surface_of_solid_block_is_its_shell():
     assert not surf[2, 2, 2]
 
 
+def _slicing_surface_cases(rng):
+    """Masks on which the sliced surface must equal the eroded one."""
+    for seed in (1, 2):
+        moving, fixed, _ = nr.synth_pair(64, seed=seed)
+        yield from (nr.mask_from_volume(v) for v in (moving, fixed))
+    for axis in range(3):
+        for face in (slice(0, 4), slice(-4, None)):
+            mask = np.zeros((9, 10, 11), dtype=bool)
+            box = [slice(2, 7), slice(3, 8), slice(2, 9)]
+            box[axis] = face
+            mask[tuple(box)] = True
+            yield mask
+            yield mask & (rng.uniform(size=mask.shape) > 0.2)
+    yield np.ones((6, 7, 8), dtype=bool)
+    single = np.zeros((6, 7, 8), dtype=bool)
+    single[2, 5, 3] = True
+    yield single
+    for thin in ((1, 9, 8), (2, 9, 8), (9, 1, 8), (9, 2, 8), (9, 8, 1), (9, 8, 2)):
+        yield np.ones(thin, dtype=bool)
+        yield rng.uniform(size=thin) > 0.3
+
+
+def test_surface_by_slicing_equals_the_erosion_formulation(rng):
+    n = 0
+    for mask in _slicing_surface_cases(rng):
+        npt.assert_array_equal(nr.surface_voxels(mask), surface_erosion_ref(mask), strict=True)
+        n += 1
+    assert n == 4 + 12 + 2 + 12
+
+
 def _surface_box(a, b):
     hit = np.argwhere(surface_ref(a) | surface_ref(b))
     return tuple(int(e) for e in hit.min(axis=0)), tuple(int(e) for e in np.ptp(hit, axis=0) + 1)
@@ -163,6 +195,25 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
     got = nr.ssim(x, y)
     monkeypatch.setattr(metrics, "_windowed_mean", windowed_mean_full_ref)
     assert nr.ssim(x, y) == got
+
+
+@pytest.mark.parametrize("window", [3, 5, 7, 9])
+@pytest.mark.parametrize("sigma", [0.8, 1.5])
+def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, window, sigma):
+    """The axis-0 slab sums reproduce ``correlate1d``'s symmetric-kernel order
+    bit for bit, on anisotropic volumes whose axis-0 extent can equal the
+    window (one output plane) and on a non-contiguous transposed view."""
+    kern = metrics._gaussian_window(window, sigma)
+    assert np.array_equal(kern, kern[::-1])
+    shapes = [(window, 13, 17), (window + 6, window, 11), (2 * window + 1, 16, window + 2)]
+    for shape in shapes:
+        v = rng.normal(loc=1.0, scale=3.0, size=shape)
+        for vol in (v, v.transpose(0, 2, 1)):
+            got = metrics._windowed_mean(vol, kern)
+            want = windowed_mean_correlate_ref(vol, kern)
+            assert got.shape == want.shape == tuple(e - window + 1 for e in vol.shape)
+            assert got.dtype == want.dtype == np.float64
+            assert (got == want).all()
 
 
 def test_hd95_identity_and_symmetry(rng):

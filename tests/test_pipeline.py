@@ -5,6 +5,7 @@ and checkpoint persistence."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -399,26 +400,86 @@ def test_checkpoint_roundtrip_preserves_forward_bit_for_bit(tmp_path, rng):
 
 
 def test_checkpoint_with_legacy_opt_state_key_loads_bit_for_bit(tmp_path):
-    """Older checkpoints carry an always-empty "opt_state" in their metadata;
-    they still load, and new checkpoints no longer write the key."""
+    """Older checkpoints hold one npz member per parameter and carry an
+    always-empty "opt_state" in their metadata; they still load, and new
+    checkpoints no longer write the key."""
     model = nr.build_model(small_cfg(), seed=1)
     state = np.random.default_rng(0).bit_generator.state
     path = tmp_path / "ckpt.npz"
     nr.save_checkpoint(path, nr.Checkpoint(model.config, model.state(), 1, state))
     with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        params = {k: data[k] for k in data.files if k != "__meta__"}
-    assert "opt_state" not in meta
+        assert "opt_state" not in json.loads(bytes(data["__meta__"]).decode())
 
     legacy = tmp_path / "legacy.npz"
-    meta["opt_state"] = {}
+    meta = {"config": model.config.to_dict(), "epoch": 1, "rng_state": state, "opt_state": {}}
     np.savez(legacy, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **params)
+             **model.state())
+    with np.load(legacy) as data:
+        assert sorted(data.files) == sorted(["__meta__", *model.state()])
     loaded = nr.load_checkpoint(legacy)
     assert loaded.config == model.config
     assert loaded.rng_state == state
     for name, arr in model.state().items():
         npt.assert_array_equal(loaded.params[name], arr, err_msg=name, strict=True)
+
+
+@pytest.mark.parametrize("precision", [32, 64])
+def test_checkpoint_is_one_indexed_buffer_that_round_trips_bit_for_bit(tmp_path, precision):
+    model = nr.build_model(small_cfg(precision=precision), seed=2)
+    state = model.state()
+    path = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(path, nr.Checkpoint(model.config, state, 3, {}))
+    with np.load(path) as data:
+        assert sorted(data.files) == ["__meta__", "__params__"]
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        flat = data["__params__"]
+    assert meta["params"] == [[name, list(arr.shape)] for name, arr in state.items()]
+    assert flat.dtype == model.dtype and flat.shape == (sum(a.size for a in state.values()),)
+
+    loaded = nr.load_checkpoint(path)
+    assert list(loaded.params) == list(state)
+    for name, arr in state.items():
+        npt.assert_array_equal(loaded.params[name], arr, err_msg=name, strict=True)
+    model.load_state(loaded.params)
+    for name, arr in model.state().items():
+        npt.assert_array_equal(arr, state[name], err_msg=name, strict=True)
+
+
+def test_checkpoint_without_parameters_round_trips(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(path, nr.Checkpoint(small_cfg(), {}, 0, {}))
+    loaded = nr.load_checkpoint(path)
+    assert loaded.params == {} and loaded.config == small_cfg() and loaded.epoch == 0
+
+
+def test_save_checkpoint_rejects_mixed_parameter_dtypes(tmp_path):
+    state = nr.build_model(small_cfg(), seed=1).state()
+    first = next(iter(state))
+    state[first] = state[first].astype(np.float32)
+    path = tmp_path / "ckpt.npz"
+    with pytest.raises(ContractError, match="mix dtypes"):
+        nr.save_checkpoint(path, nr.Checkpoint(small_cfg(), state, 1, {}))
+    assert not path.exists()
+
+
+def test_checkpoint_whose_index_does_not_match_its_buffer_is_rejected(tmp_path):
+    state = nr.build_model(small_cfg(), seed=1).state()
+    index = [[name, list(arr.shape)] for name, arr in state.items()]
+    flat = np.concatenate([arr.ravel() for arr in state.values()])
+    repeated = [index[0], [index[0][0], index[1][1]]] + index[2:]  # sizes still sum up
+    cases = {
+        "short": (index, flat[:-1]),
+        "long": (index, np.append(flat, 0.0)),
+        "duplicate": (repeated, flat),
+        "no_index": ([], flat),
+    }
+    for what, (idx, buf) in cases.items():
+        path = tmp_path / f"{what}.npz"
+        meta = {"config": small_cfg().to_dict(), "epoch": 1, "rng_state": {}, "params": idx}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 __params__=buf)
+        with pytest.raises(ContractError, match=re.escape(str(path))):
+            nr.load_checkpoint(path)
 
 
 def test_load_state_rejects_mismatched_checkpoints():
