@@ -16,12 +16,16 @@ from .tensor import Tensor
 from .warp import DeformationField, Volume
 
 
-def _as_array(v) -> np.ndarray:
+def _unwrap(v) -> np.ndarray:
     if isinstance(v, Volume):
         v = v.values
     if isinstance(v, Tensor):
         v = v.data
-    arr = np.asarray(v)
+    return np.asarray(v)
+
+
+def _as_array(v) -> np.ndarray:
+    arr = _unwrap(v)
     if arr.ndim == 4 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim != 3:
@@ -58,36 +62,46 @@ def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     return out
 
 
-def ssim(a, b, window: int = 7, sigma: float = 1.5) -> float:
+def ssim(a, b, window: int = 7, sigma: float = 1.5):
     """Mean local SSIM with a 3-D Gaussian window.
 
     The stabilizers are C1=(0.01 L)^2, C2=(0.03 L)^2 with L the dynamic range
     of the pooled pair; two identical constant volumes (L = 0) score 1.
+
+    A batch ``a`` [B,1,D,H,W] against one ``b`` returns a list of one score
+    per member, each equal to its single call; ``b``'s windowed mean and
+    variance are computed once for the whole batch.
     """
-    x = _as_array(a)
+    arr = _unwrap(a)
+    xs = [_as_array(m) for m in arr] if arr.ndim == 5 else [_as_array(arr)]
     y = _as_array(b)
-    if x.shape != y.shape:
-        raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
+    for x in xs:
+        if x.shape != y.shape:
+            raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
     if window < 3 or window % 2 == 0:
         raise ShapeError(f"ssim: window must be odd and >= 3, got {window}")
-    if any(e < window for e in x.shape):
-        raise ShapeError(f"ssim: extents {x.shape} smaller than window {window}")
-    lo = min(x.min(), y.min())
-    hi = max(x.max(), y.max())
-    span = hi - lo
-    if span == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    c1 = (0.01 * span) ** 2
-    c2 = (0.03 * span) ** 2
+    if any(e < window for e in y.shape):
+        raise ShapeError(f"ssim: extents {y.shape} smaller than window {window}")
     k = _gaussian_window(window, sigma)
-    mu_x = _windowed_mean(x, k)
     mu_y = _windowed_mean(y, k)
-    var_x = _windowed_mean(x * x, k) - mu_x * mu_x
-    var_y = _windowed_mean(y * y, k) - mu_y * mu_y
-    cov = _windowed_mean(x * y, k) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    mu_yy = mu_y * mu_y
+    var_y = _windowed_mean(y * y, k) - mu_yy
+    lo_y, hi_y = y.min(), y.max()
+    scores = []
+    for x in xs:
+        span = max(x.max(), hi_y) - min(x.min(), lo_y)
+        if span == 0.0:
+            scores.append(1.0 if np.array_equal(x, y) else 0.0)
+            continue
+        c1 = (0.01 * span) ** 2
+        c2 = (0.03 * span) ** 2
+        mu_x = _windowed_mean(x, k)
+        var_x = _windowed_mean(x * x, k) - mu_x * mu_x
+        cov = _windowed_mean(x * y, k) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+        den = (mu_x * mu_x + mu_yy + c1) * (var_x + var_y + c2)
+        scores.append(float(np.mean(num / den)))
+    return scores if arr.ndim == 5 else scores[0]
 
 
 def mask_from_volume(v, rel_threshold: float = 0.1) -> np.ndarray:
@@ -114,34 +128,44 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~core
 
 
-def hd95(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+def hd95(mask_a: np.ndarray, mask_b: np.ndarray):
     """95th percentile (linear interpolation) of pooled directed surface
     distances between the 6-neighbor surfaces of the two masks.
 
-    The distance transforms run on the bounding box of the two surfaces, not
-    on the whole volume. This is exact: every surface voxel of either mask
-    lies in the box, so each one's nearest voxel on the other surface does
+    A batch ``mask_a`` [B,D,H,W] against one ``mask_b`` returns a list of one
+    distance per member, each equal to its single call; ``mask_b``'s surface
+    and distance transform are computed once for the whole batch.
+
+    The distance transforms run on the bounding box of all the surfaces, not
+    on the whole volume. This is exact: every surface voxel of every mask
+    lies in the box, so each one's nearest voxel on another surface does
     too, and every distance is the square root of the same integer sum of
     squares. The saving grows as the box's share of the volume shrinks; when
     the surfaces touch all six faces the box is the whole volume.
     """
     a = np.asarray(mask_a, dtype=bool)
     b = np.asarray(mask_b, dtype=bool)
-    if a.shape != b.shape:
-        raise ShapeError(f"hd95: mask shapes differ, {a.shape} vs {b.shape}")
-    if not a.any() or not b.any():
+    batched = a.ndim == b.ndim + 1
+    members = list(a) if batched else [a]
+    for m in members:
+        if m.shape != b.shape:
+            raise ShapeError(f"hd95: mask shapes differ, {m.shape} vs {b.shape}")
+    if not b.any() or not all(m.any() for m in members):
         raise UndefinedMetricError("hd95 is undefined for an empty mask")
-    surf_a = surface_voxels(a)
     surf_b = surface_voxels(b)
-    hit = np.argwhere(surf_a | surf_b)
+    surfs = [surface_voxels(m) for m in members]
+    hit = np.argwhere(np.logical_or.reduce([surf_b] + surfs))
     box = tuple(slice(lo, hi + 1) for lo, hi in zip(hit.min(axis=0), hit.max(axis=0)))
-    surf_a = surf_a[box]
     surf_b = surf_b[box]
     # Exact Euclidean distance to the nearest surface voxel of the other mask.
     dist_to_b = ndimage.distance_transform_edt(~surf_b)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a)
-    pooled = np.concatenate([dist_to_b[surf_a], dist_to_a[surf_b]])
-    return float(np.percentile(pooled, 95))
+    scores = []
+    for surf_a in surfs:
+        surf_a = surf_a[box]
+        dist_to_a = ndimage.distance_transform_edt(~surf_a)
+        pooled = np.concatenate([dist_to_b[surf_a], dist_to_a[surf_b]])
+        scores.append(float(np.percentile(pooled, 95)))
+    return scores if batched else scores[0]
 
 
 @dataclass

@@ -397,7 +397,7 @@ class RegistrationModel:
                 raise ContractError(
                     f"parameter {name}: checkpoint shape {arr.shape} != model {p.data.shape}"
                 )
-            p.data = np.ascontiguousarray(arr, dtype=self.dtype)
+            p.data = np.array(arr, dtype=self.dtype, order="C")  # a copy: sgd_step updates in place
             p.grad = None
 
 
@@ -427,11 +427,17 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     out = composite_loss(fixed, moving, field, model.config.loss_config())
     warped = out.warped
     jac = sdlogj(field)
+    # One batch [moving, warped] against the fixed volume: its terms once.
+    pair = np.stack([moving.values.data, warped.values.data])
+    ssim_initial, ssim_final = ssim(pair, fixed)
+    hd95_initial, hd95_final = hd95(
+        np.stack([mask_from_volume(v) for v in pair]), mask_from_volume(fixed)
+    )
     report = RegistrationReport(
-        ssim_initial=ssim(moving, fixed),
-        ssim=ssim(warped, fixed),
-        hd95_initial=hd95(mask_from_volume(moving), mask_from_volume(fixed)),
-        hd95=hd95(mask_from_volume(warped), mask_from_volume(fixed)),
+        ssim_initial=ssim_initial,
+        ssim=ssim_final,
+        hd95_initial=hd95_initial,
+        hd95=hd95_final,
         sdlogj=jac.sdlogj,
         folding_fraction=jac.nonpositive_fraction,
         ncc=1.0 - out.similarity.item(),

@@ -94,41 +94,35 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
     # Component-first view [3, ..., D, H, W], so pos[ax] is one axis's positions.
     pos = np.moveaxis(grid + u.data, -4, 0)
 
-    # Derivative of the border clamp: zero outside the open interval.
-    live = np.empty(pos.shape, dtype=bool)
     posc = np.empty_like(pos)
-    # i0/i1: each axis's lower/upper corner index times that axis's flat stride.
-    i0 = np.empty(pos.shape, dtype=np.intp)
-    i1 = np.empty_like(i0)
     frac = np.empty_like(pos)
+    # base: the lower corner's flat offset (lo_z*H + lo_y)*W + lo_x. lo is
+    # clamped to extent - 2, so the upper corner is lo + 1 on every axis of
+    # extent > 1 (a constant shift of that axis's stride) and lo on the others.
+    base = np.zeros(pos.shape[1:], dtype=np.intp)
     steps = (exts[1] * exts[2], exts[2], 1)
     for ax in range(3):
-        hi = exts[ax] - 1
-        live[ax] = (pos[ax] > 0.0) & (pos[ax] < hi)
-        posc[ax] = np.clip(pos[ax], 0.0, hi)
+        posc[ax] = np.clip(pos[ax], 0.0, exts[ax] - 1)
         lo = np.floor(posc[ax]).astype(np.intp)
         if exts[ax] > 1:
             np.minimum(lo, exts[ax] - 2, out=lo)
         frac[ax] = posc[ax] - lo
-        i0[ax] = lo * steps[ax]
-        i1[ax] = np.minimum(lo + 1, hi) * steps[ax]
+        base += lo * steps[ax]
+    up = [s if e > 1 else 0 for s, e in zip(steps, exts)]
+    shift = {(bz, by, bx): bz * up[0] + by * up[1] + bx * up[2] for bz, by, bx in product((0, 1), repeat=3)}
 
     # Weights broadcast over the channel axis of data.
     wz1, wy1, wx1 = np.expand_dims(frac, -4)
     wz0, wy0, wx0 = 1.0 - wz1, 1.0 - wy1, 1.0 - wx1
     wsel = ((wz0, wz1), (wy0, wy1), (wx0, wx1))
 
-    # A corner's index in data.ravel(): the (sample, channel) row's offset plus
-    # (iz*H + iy)*W + ix.
+    # The lower corner's index in data.ravel(): the (sample, channel) row's
+    # offset plus base; each corner sits its constant shift further on.
     nvox = exts[0] * steps[0]
     rows = (np.arange(data.size // nvox) * nvox).reshape(data.shape[:-3] + (1, 1, 1))
+    idx = np.expand_dims(base, -4) + rows
     flat = data.ravel()
-
-    def corner_index(bz, by, bx):
-        iz, iy, ix = (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
-        return np.expand_dims(iz + iy + ix, -4) + rows
-
-    corners = {key: np.take(flat, corner_index(*key)) for key in product((0, 1), repeat=3)}
+    corners = {key: np.take(flat[k:], idx) for key, k in shift.items()}
 
     out = np.zeros_like(data)
     for (bz, by, bx), val in corners.items():
@@ -140,12 +134,9 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
         if need_gm:
             # Scatter g * weight onto the eight corners of every voxel: one
             # float64 bincount over the flat source indices of all channels.
-            idx, parts = [], []
-            for bz, by, bx in corners:
-                idx.append(corner_index(bz, by, bx))
-                parts.append(g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]))
+            parts = [g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]) for bz, by, bx in shift]
             gm = np.bincount(
-                np.ravel(idx), weights=np.ravel(parts), minlength=data.size
+                np.ravel([idx + k for k in shift.values()]), weights=np.ravel(parts), minlength=data.size
             ).astype(dtype).reshape(data.shape)
 
         gu = np.zeros_like(pos)
@@ -159,7 +150,9 @@ def warp_trilinear(volume: Volume, field: DeformationField) -> Volume:
         for bz, by in product((0, 1), repeat=2):
             diff = corners[(bz, by, 1)] - corners[(bz, by, 0)]
             gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=-4)
-        gu *= live
+        # Derivative of the border clamp: zero outside the open interval.
+        for ax in range(3):
+            gu[ax] *= (pos[ax] > 0.0) & (pos[ax] < exts[ax] - 1)
         return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
 
     out_t = make_op(out, (m, u), vjp)

@@ -420,6 +420,29 @@ def windowed_mean_correlate_ref(a, kern1d):
     return out
 
 
+def ssim_pair_ref(a, b, window=7, sigma=1.5):
+    """SSIM of one pair of float64 [D,H,W] volumes with every windowed mean
+    (both volumes' included) taken per call, in the order the metric used
+    before a batch shared the fixed volume's terms."""
+    lo = min(a.min(), b.min())
+    span = max(a.max(), b.max()) - lo
+    if span == 0.0:
+        return 1.0 if np.array_equal(a, b) else 0.0
+    c1 = (0.01 * span) ** 2
+    c2 = (0.03 * span) ** 2
+    x = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    k /= k.sum()
+    mu_a = windowed_mean_correlate_ref(a, k)
+    mu_b = windowed_mean_correlate_ref(b, k)
+    var_a = windowed_mean_correlate_ref(a * a, k) - mu_a * mu_a
+    var_b = windowed_mean_correlate_ref(b * b, k) - mu_b * mu_b
+    cov = windowed_mean_correlate_ref(a * b, k) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
+
+
 def depthwise_shift_ref(x, w, padding, dilation=1):
     """Depthwise stride-1 conv3d as a sum of shifted slices of the padded
     input, one slice per kernel offset in row-major offset order, in the
@@ -556,3 +579,66 @@ def upsample_take_ref(x, factors):
         w = (pos - i0).astype(x.dtype).reshape(wshape)
         x = np.take(x, i0, axis=ax) * (1.0 - w) + np.take(x, i1, axis=ax) * w
     return x
+
+
+def warp_corner_index_ref(m, u):
+    """The trilinear warp of m [..., C, D, H, W] by u [..., 3, D, H, W] with
+    each corner's flat index summed from per-axis lower/upper index arrays
+    and the clamp's derivative mask stored on the forward, in the input's
+    dtype: the warp that the engine's one base index replaced. Returns
+    (out, vjp) with vjp(g) -> (gm, gu)."""
+    exts = m.shape[-3:]
+    pos = np.moveaxis(np.indices(exts, dtype=m.dtype) + u, -4, 0)
+    live = np.empty(pos.shape, dtype=bool)
+    posc = np.empty_like(pos)
+    i0 = np.empty(pos.shape, dtype=np.intp)
+    i1 = np.empty_like(i0)
+    frac = np.empty_like(pos)
+    steps = (exts[1] * exts[2], exts[2], 1)
+    for ax in range(3):
+        hi = exts[ax] - 1
+        live[ax] = (pos[ax] > 0.0) & (pos[ax] < hi)
+        posc[ax] = np.clip(pos[ax], 0.0, hi)
+        lo = np.floor(posc[ax]).astype(np.intp)
+        if exts[ax] > 1:
+            np.minimum(lo, exts[ax] - 2, out=lo)
+        frac[ax] = posc[ax] - lo
+        i0[ax] = lo * steps[ax]
+        i1[ax] = np.minimum(lo + 1, hi) * steps[ax]
+    wz1, wy1, wx1 = np.expand_dims(frac, -4)
+    wsel = ((1.0 - wz1, wz1), (1.0 - wy1, wy1), (1.0 - wx1, wx1))
+    nvox = exts[0] * steps[0]
+    rows = (np.arange(m.size // nvox) * nvox).reshape(m.shape[:-3] + (1, 1, 1))
+    flat = m.ravel()
+
+    def corner_index(bz, by, bx):
+        iz, iy, ix = (i1[0] if bz else i0[0], i1[1] if by else i0[1], i1[2] if bx else i0[2])
+        return np.expand_dims(iz + iy + ix, -4) + rows
+
+    corners = {key: np.take(flat, corner_index(*key)) for key in product((0, 1), repeat=3)}
+    out = np.zeros_like(m)
+    for (bz, by, bx), val in corners.items():
+        out += val * (wsel[0][bz] * wsel[1][by] * wsel[2][bx])
+
+    def vjp(g):
+        idx, parts = [], []
+        for bz, by, bx in corners:
+            idx.append(corner_index(bz, by, bx))
+            parts.append(g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]))
+        gm = np.bincount(
+            np.ravel(idx), weights=np.ravel(parts), minlength=m.size
+        ).astype(m.dtype).reshape(m.shape)
+        gu = np.zeros_like(pos)
+        for by, bx in product((0, 1), repeat=2):
+            diff = corners[(1, by, bx)] - corners[(0, by, bx)]
+            gu[0] += (g * diff * (wsel[1][by] * wsel[2][bx])).sum(axis=-4)
+        for bz, bx in product((0, 1), repeat=2):
+            diff = corners[(bz, 1, bx)] - corners[(bz, 0, bx)]
+            gu[1] += (g * diff * (wsel[0][bz] * wsel[2][bx])).sum(axis=-4)
+        for bz, by in product((0, 1), repeat=2):
+            diff = corners[(bz, by, 1)] - corners[(bz, by, 0)]
+            gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=-4)
+        gu *= live
+        return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
+
+    return out, vjp

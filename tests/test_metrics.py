@@ -1,5 +1,6 @@
 """Evaluation metrics against loop oracles and closed forms: SSIM, 6-neighbor
-surface HD95, and the log-Jacobian spread."""
+surface HD95 (each also as a batch against one fixed volume or mask), and the
+log-Jacobian spread."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from oracles import (
     hd95_edt_ref,
     hd95_ref,
     sdlogj_ref,
+    ssim_pair_ref,
     ssim_ref,
     surface_erosion_ref,
     surface_ref,
@@ -193,6 +195,7 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
     for v in (x, y, x * y):
         npt.assert_array_equal(metrics._windowed_mean(v, kern), windowed_mean_full_ref(v, kern))
     got = nr.ssim(x, y)
+    assert got == ssim_pair_ref(x, y)
     monkeypatch.setattr(metrics, "_windowed_mean", windowed_mean_full_ref)
     assert nr.ssim(x, y) == got
 
@@ -240,6 +243,84 @@ def test_hd95_undefined_for_empty_mask():
     b = np.ones((5, 5, 5), dtype=bool)
     with pytest.raises(UndefinedMetricError):
         nr.hd95(a, b)
+
+
+# ---------------------------------------------------------------------------
+# A batch against one fixed volume or mask
+# ---------------------------------------------------------------------------
+
+
+def test_batched_ssim_members_equal_their_single_calls(rng):
+    b = rng.uniform(0, 1, size=(9, 8, 10))
+    members = [
+        np.clip(b + rng.normal(0, 0.1, size=b.shape), 0, 1),
+        rng.uniform(0, 1, size=b.shape),
+        np.full(b.shape, 0.4),  # constant, against a varying b
+        b.copy(),
+    ]
+    batch = np.stack(members)[:, None]
+    want = [nr.ssim(m, b) for m in members]
+    assert nr.ssim(batch, b) == want
+    assert want == [ssim_pair_ref(m, b) for m in members]
+    assert nr.ssim(Volume(values=Tensor(batch)), Volume(values=Tensor(b))) == want
+    assert nr.ssim(batch.astype(np.float32), b) == [nr.ssim(m.astype(np.float32), b) for m in members]
+    assert nr.ssim(batch, b, window=5, sigma=0.8) == [nr.ssim(m, b, window=5, sigma=0.8) for m in members]
+    assert nr.ssim(batch[:1], b) == want[:1]
+
+
+def test_batched_ssim_constant_member_scores_as_alone(rng):
+    b = np.full((7, 7, 7), 0.3)
+    members = [np.full(b.shape, 0.3), np.full(b.shape, 0.8), rng.uniform(0, 1, size=b.shape)]
+    got = nr.ssim(np.stack(members)[:, None], b)
+    assert got == [nr.ssim(m, b) for m in members]
+    assert got[0] == 1.0  # span 0, equal
+    assert got[1] < 1.0
+
+
+def test_batched_ssim_rejects_a_mismatched_member(rng):
+    b = rng.uniform(size=(8, 8, 8))
+    with pytest.raises(ShapeError):
+        nr.ssim(rng.uniform(size=(2, 1, 8, 8, 7)), b)
+    with pytest.raises(ShapeError):
+        nr.ssim(rng.uniform(size=(2, 2, 8, 8, 8)), b)  # two channels per member
+    with pytest.raises(ShapeError):
+        nr.ssim(rng.uniform(size=(2, 1, 5, 5, 5)), rng.uniform(size=(5, 5, 5)))
+
+
+def test_batched_hd95_members_equal_their_single_calls(rng):
+    for seed in (1, 2):
+        moving, fixed, _ = nr.synth_pair(32, seed=seed)
+        mb = nr.mask_from_volume(fixed)
+        members = [nr.mask_from_volume(moving), mb, rng.uniform(size=mb.shape) > 0.7]
+        assert nr.hd95(np.stack(members), mb) == [nr.hd95(m, mb) for m in members]
+        assert nr.hd95(np.stack(members[:1]), mb) == [nr.hd95(members[0], mb)]
+
+
+def test_batched_hd95_union_box_is_exact():
+    """Members whose surfaces sit in opposite corners make the union box
+    larger than either pair's box; every distance is still exact."""
+    b = np.zeros((14, 16, 15), dtype=bool)
+    b[6:9, 7:10, 6:10] = True
+    near = np.zeros_like(b)
+    near[1:4, 0:3, 2:5] = True
+    far = np.zeros_like(b)
+    far[10:13, 12:16, 9:14] = True
+    for m in (near, far):
+        assert _surface_box(m, b) != _surface_box(near | far, b)
+    got = nr.hd95(np.stack([near, far]), b)
+    assert got == [hd95_edt_ref(near, b), hd95_edt_ref(far, b)]
+    assert got == [nr.hd95(near, b), nr.hd95(far, b)]
+
+
+def test_batched_hd95_guards(rng):
+    b = rng.uniform(size=(6, 6, 6)) > 0.5
+    full = np.ones_like(b)
+    with pytest.raises(UndefinedMetricError):
+        nr.hd95(np.stack([full, np.zeros_like(b)]), b)
+    with pytest.raises(UndefinedMetricError):
+        nr.hd95(np.stack([full, full]), np.zeros_like(b))
+    with pytest.raises(ShapeError):
+        nr.hd95(np.ones((2, 6, 6, 5), dtype=bool), b)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,25 @@ def test_resumed_run_replays_the_straight_through_run():
         npt.assert_array_equal(arr, resumed.state()[name], err_msg=name)
 
 
+def test_resume_leaves_the_checkpoint_it_starts_from_unchanged():
+    """Training updates parameters in place; resuming must not write through
+    into the checkpoint, so a second resume from it replays the first."""
+    tr, va = nr.split_pairs(small_pairs(3, seed=7))
+    part = nr.train(nr.build_model(small_cfg(epochs=1, seed=3)), tr, va)
+    before = {name: arr.copy() for name, arr in part.last.params.items()}
+    runs = []
+    for _ in range(2):
+        model = nr.build_model(small_cfg(epochs=3, seed=3))
+        runs.append((nr.train(model, tr, va, resume=part.last), model.state()))
+    (first, first_state), (second, second_state) = runs
+    assert first.curve.rows == second.curve.rows
+    for name, arr in first_state.items():
+        npt.assert_array_equal(arr, second_state[name], err_msg=name)
+    assert any(not np.array_equal(first_state[name], arr) for name, arr in before.items())
+    for name, arr in before.items():
+        npt.assert_array_equal(part.last.params[name], arr, err_msg=name)
+
+
 def test_resume_into_its_run_directory_keeps_the_earlier_best_and_curve(tmp_path):
     """A 2-epoch run plus a resume to epoch 4 writes the same curve.csv and
     checkpoint_best.npz as a straight 4-epoch run, whose best epoch falls in
@@ -532,3 +551,22 @@ def test_register_reports_identity_for_an_untrained_model():
     assert report.sdlogj == 0.0
     assert report.folding_fraction == 0.0
     assert report.loss_smoothness == 0.0
+
+
+@pytest.mark.parametrize("shape", [32, (24, 32, 20)])
+def test_register_report_equals_the_single_metric_calls(shape):
+    """The report's batched SSIM and HD95 equal one call per pair, exactly."""
+    mv, fx, _ = nr.synth_pair(shape, seed=4, amplitude=1.5)
+    model = nr.build_model(small_cfg(precision=32), seed=0)
+    rng = np.random.default_rng(9)
+    for name in ("head.w", "head.b"):
+        p = model.registry[name]
+        p.data = rng.normal(0.0, 0.5, size=p.data.shape).astype(p.data.dtype)
+    field, warped, report = nr.register(model, mv, fx)
+    assert np.abs(field.u.data).max() > 0.1
+    assert report.ssim_initial == nr.ssim(mv, fx)
+    assert report.ssim == nr.ssim(warped, fx)
+    mask_fx = nr.mask_from_volume(fx)
+    assert report.hd95_initial == nr.hd95(nr.mask_from_volume(mv), mask_fx)
+    assert report.hd95 == nr.hd95(nr.mask_from_volume(warped), mask_fx)
+    assert report.ssim != report.ssim_initial

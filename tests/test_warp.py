@@ -1,5 +1,6 @@
-"""Trilinear warp against a per-voxel loop oracle, identity fixed point, and
-border-clamp behavior."""
+"""Trilinear warp against a per-voxel loop oracle, identity fixed point,
+border-clamp behavior, and bit identity with the per-axis corner-index
+formulation it replaced."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-from nestreg import DeformationField, NumericError, ShapeError, Tensor, Volume
-from oracles import warp_ref
+from nestreg import DeformationField, GradTape, NumericError, ShapeError, Tensor, Volume
+from oracles import warp_corner_index_ref, warp_gather_ref, warp_ref
 
 
 def test_warp_matches_loop_oracle_on_random_fields(rng):
@@ -88,3 +89,42 @@ def test_volume_and_field_constructors_validate_rank(rng):
         Volume(values=Tensor(rng.normal(size=(2, 3))))
     with pytest.raises(ShapeError):
         DeformationField(u=Tensor(rng.normal(size=(2, 4, 4, 4))))
+
+
+def _clamping_field(rng, lead, exts, dtype):
+    """Displacements reaching past every face by up to two voxels, half of
+    them whole numbers, so samples land on lattice planes and exactly on the
+    clamp boundaries as well as strictly inside and outside them."""
+    shape = lead + (3,) + exts
+    reach = np.asarray(exts).reshape((3, 1, 1, 1)) + 2
+    u = rng.integers(-reach, reach + 1, size=shape).astype(np.float64)
+    u += np.where(rng.uniform(size=shape) < 0.5, 0.0, rng.uniform(-1.0, 1.0, size=shape))
+    return u.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize(
+    "exts", [(5, 6, 4), (1, 6, 4), (2, 6, 4), (5, 1, 4), (5, 2, 4), (5, 6, 1), (5, 6, 2), (1, 2, 1)]
+)
+def test_base_index_warp_is_bit_identical_to_the_corner_index_warp(rng, dtype, lead, exts):
+    """Forward, image gradient and field gradient equal the formulation with
+    per-axis index arrays and a stored clamp mask bit for bit; the forward
+    also equals the fancy-index gather."""
+    m = rng.standard_normal(lead + (2,) + exts).astype(dtype)
+    u = _clamping_field(rng, lead, exts, dtype)
+    g = rng.standard_normal(m.shape).astype(dtype)
+    mt, ut = Tensor(m, requires_grad=True), Tensor(u, requires_grad=True)
+    with GradTape() as tape:
+        out = nr.warp_trilinear(Volume(values=mt), DeformationField(u=ut)).values
+        tape.backward(nr.tsum(out * Tensor(g)))
+    want, vjp = warp_corner_index_ref(m, u)
+    gm, gu = vjp(g)
+    npt.assert_array_equal(out.data, want)
+    gathered = warp_gather_ref(m, u) if not lead else np.stack([warp_gather_ref(a, b) for a, b in zip(m, u)])
+    npt.assert_array_equal(out.data, gathered)
+    assert mt.grad.dtype == ut.grad.dtype == np.dtype(dtype)
+    npt.assert_array_equal(mt.grad, gm)
+    npt.assert_array_equal(ut.grad, gu)
+    if min(exts) > 1:  # the clamp mask both cuts and passes
+        assert (gu == 0).any() and (gu != 0).any()
