@@ -25,6 +25,10 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 DTYPES = {32: np.float32, 64: np.float64}
 
+# Bytes of the column buffer that a depthwise conv fills per matrix product:
+# small enough to stay in a core's L2 cache.
+_DEPTHWISE_BLOCK_BYTES = 1 << 20
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -522,10 +526,11 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float
     gb = gamma.data.reshape(pshape)
     bb = beta.data.reshape(pshape)
 
-    mu = a.data.mean(axis=axis, keepdims=True)
-    var = a.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    # The variance from the centred values d, which xhat reuses: the sums
+    # ndarray.var forms, without its second mean pass.
+    d = a.data - a.data.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=axis, keepdims=True) + eps)
+    xhat = d * inv
     out = xhat * gb + bb
 
     others = tuple(i for i in range(a.ndim) if i != axis)
@@ -592,18 +597,23 @@ def conv3d(
     Two kinds run on their own kernels. Pointwise (1x1x1, stride 1, no
     padding, one group) is a channel matmul, batched over B. Depthwise
     (groups = C_in = C_out, stride 1, any padding and dilation) folds B into
-    the channels and is a flat shift: x sits in one zeros buffer [B*C, Pz+1,
-    Py, Px] (the padded extents plus a slack z-plane that keeps the last
-    slice in bounds), viewed flat. There kernel offset (jz, jy, jx) is the
-    shift jz*dz*Py*Px + jy*dy*Px + jx*dx, and its input for every output
-    voxel is one contiguous slice of oz*Py*Px values per channel. Output rows
-    at y >= oy or x >= ox read wrapped-around values and are cropped once at
-    the end. An offset whose window lies wholly in the padding on some axis
-    (max(0, lo - j*d) >= min(o, n + lo - j*d)) would add only zeros and is
-    skipped; its weight gradient is exactly 0. The forward and the input
-    gradient form the same products as a per-offset sum of shifted slices and
-    add them in the same offset order, so they are bit-identical to it; the
-    weight gradient is one dot product per offset and sums in another order.
+    the channels: x is copied once into a zeros buffer [B*C, Pz+1, Py, Px]
+    (the padded extents plus a slack z-plane that keeps the last window in
+    bounds), viewed flat. There kernel offset (jz, jy, jx) is the shift
+    jz*dz*Py*Px + jy*dy*Px + jx*dx, and its input for every output voxel is
+    one contiguous run of oz*Py*Px values per channel. Output rows at y >= oy
+    or x >= ox read wrapped-around values and are cropped once at the end.
+    On each axis the offsets whose window reads some input (max(0, lo - j*d)
+    < min(o, n + lo - j*d)) form one range; the others add only zeros, are
+    skipped, and get a weight gradient of exactly 0. One strided view [B*C,
+    kz', ky', kx', oz*Py*Px] holds the live offsets' runs. Block by block
+    (_DEPTHWISE_BLOCK_BYTES, along the channels and, if one channel's
+    columns exceed it, along the flat axis) the view is copied into a
+    contiguous column buffer and the output is one batched matrix-vector
+    product, out[r] = w[r] @ cols[r]. The backward rebuilds the same blocks
+    for gw[r] = cols[r] @ g[r] (wrapped rows of g set to 0), and gets the
+    input gradient from the same kernel with the live block flipped, run on
+    g placed in a zeros buffer, over the z-planes that hold input.
 
     Every other conv (the strided patch embeds, grouped convs) is one matmul
     of the weight [groups, C_out/groups, C_in/groups*kd*kh*kw] with a
@@ -668,7 +678,7 @@ def conv3d(
             return gx, _unbroadcast(g2 @ np.swapaxes(x2, -1, -2), w2.shape).reshape(w.shape)
 
     elif groups == cin == cout and unit_stride:
-        out, kernel_vjp = _depthwise_flat_shift(x.data, w, pads, dils, out_ext, need_gx)
+        out, kernel_vjp = _depthwise_columns(x.data, w, pads, dils, out_ext, need_gx)
 
     else:
         xp = _zero_pad(x.data, pads)
@@ -710,61 +720,110 @@ def conv3d(
     return make_op(out, inputs, vjp)
 
 
-def _live_offsets(kern, dils, pads, out_ext, spatial, steps):
-    """(flat kernel index, flat shift) of every kernel offset whose window
-    reads some input, in row-major offset order. An offset reads input
-    exactly when it does so on each axis, so the live offsets are the product
-    of each axis's live (j, j*d*step) list; ``steps`` are the flat strides of
-    the three padded axes."""
-    per_axis = [
-        [(j, j * d * step) for j in range(k) if max(0, lo - j * d) < min(o, e + lo - j * d)]
-        for k, d, (lo, _hi), o, e, step in zip(kern, dils, pads, out_ext, spatial, steps)
-    ]
-    kh, kw = kern[1:]
-    return [
-        ((jz * kh + jy) * kw + jx, sz + sy + sx)
-        for (jz, sz), (jy, sy), (jx, sx) in itertools.product(*per_axis)
-    ]
+def _live_ranges(kern, dils, pads, out_ext, spatial):
+    """Per axis, the kernel offsets j whose window reads some input: those
+    with max(0, lo - j*d) < min(o, e + lo - j*d). The window slides with j,
+    so each axis's set is one range, and the live offsets are their product."""
+    ranges = []
+    for k, d, (lo, _hi), o, e in zip(kern, dils, pads, out_ext, spatial):
+        live = [j for j in range(k) if max(0, lo - j * d) < min(o, e + lo - j * d)]
+        ranges.append(range(live[0], live[-1] + 1) if live else range(0))
+    return ranges
 
 
-def _depthwise_flat_shift(x, w, pads, dils, out_ext, need_gx):
+def _window_view(flat, start, shifts, live, n):
+    """The view [R, *live, n] of a contiguous flat [R, L] whose element [r, a,
+    b, c, t] is flat[r, start + a*shifts[0] + b*shifts[1] + c*shifts[2] + t].
+    numpy checks that every element lies inside flat."""
+    item = flat.itemsize
+    return np.ndarray(
+        (flat.shape[0],) + live + (n,), flat.dtype, flat, start * item,
+        (flat.shape[1] * item,) + tuple(s * item for s in shifts) + (item,),
+    )
+
+
+_COLUMNS = threading.local()
+
+
+def _column_blocks(view):
+    """Copy the window view [R, *live, n] block by block into one contiguous
+    buffer of at most _DEPTHWISE_BLOCK_BYTES (a row whose columns exceed it is
+    split along n) and yield (row slice, flat slice, columns [r, prod(live),
+    f]). The buffer is this thread's and outlives the call, so its pages are
+    not faulted in afresh by every conv; a caller consumes one generator
+    before it starts the next."""
+    rows, n = view.shape[0], view.shape[-1]
+    live = view.shape[1:-1]
+    k = math.prod(live)
+    col_bytes = max(k, 1) * view.itemsize
+    f = max(1, min(n, _DEPTHWISE_BLOCK_BYTES // col_bytes))
+    r = max(1, min(rows, _DEPTHWISE_BLOCK_BYTES // (col_bytes * f)))
+    nbytes = r * k * f * view.itemsize
+    if getattr(_COLUMNS, "buf", None) is None or _COLUMNS.buf.nbytes < nbytes:
+        _COLUMNS.buf = np.empty(max(nbytes, _DEPTHWISE_BLOCK_BYTES), np.uint8)
+    buf = _COLUMNS.buf[:nbytes].view(view.dtype)
+    for r0 in range(0, rows, r):
+        rs = slice(r0, min(rows, r0 + r))
+        for f0 in range(0, n, f):
+            fs = slice(f0, min(n, f0 + f))
+            nrows, nflat = rs.stop - r0, fs.stop - f0
+            cols = buf[:nrows * k * nflat].reshape((nrows,) + live + (nflat,))
+            np.copyto(cols, view[rs, ..., fs])
+            yield rs, fs, cols.reshape(nrows, k, nflat)
+
+
+def _weighted_windows(view, wl):
+    """out[r, t] = sum_k wl[r, k] * view[r, k, t] (the live axes flattened):
+    one batched matrix-vector product per column block."""
+    out = np.empty((view.shape[0], view.shape[-1]), dtype=view.dtype)
+    for rs, fs, cols in _column_blocks(view):
+        np.matmul(wl[rs, None, :], cols, out=out[rs, None, fs])
+    return out
+
+
+def _depthwise_columns(x, w, pads, dils, out_ext, need_gx):
     """Depthwise stride-1 conv3d of x [..., C, D, H, W] by w [C, 1, kd, kh,
-    kw] as a flat shift (described in ``conv3d``), with a batch axis folded
-    into the channels: returns (output, vjp of (x, w))."""
+    kw] on the live-offset columns of a flat zero-padded buffer (described in
+    ``conv3d``), with a batch axis folded into the channels: returns (output,
+    vjp of (x, w))."""
     c, spatial, kern = w.shape[0], x.shape[-3:], w.shape[2:]
     (lz, hz), (ly, hy), (lx, hx) = pads
-    xp = _zero_pad(x.reshape((-1,) + spatial), ((lz, hz + 1), (ly, hy), (lx, hx)))
-    bc, _pz, py, px = xp.shape
-    xf = xp.reshape(bc, -1)
+    xp = _zero_pad(x, ((lz, hz + 1), (ly, hy), (lx, hx)))
+    _pz, py, px = xp.shape[-3:]
+    xf = xp.reshape(-1, math.prod(xp.shape[-3:]))
+    bc = xf.shape[0]
     oz, oy, ox = out_ext
     n = oz * py * px
-    wf = np.tile(w.reshape(c, -1), (bc // c, 1))
-    live = _live_offsets(kern, dils, pads, out_ext, spatial, (py * px, px, 1))
-
-    acc = np.zeros((bc, n), dtype=x.dtype)
-    buf = np.empty_like(acc)
-    for i, off in live:
-        np.multiply(wf[:, i, None], xf[:, off:off + n], out=buf)
-        acc += buf
-    out = np.ascontiguousarray(acc.reshape(bc, oz, py, px)[:, :, :oy, :ox])
-    out = out.reshape(x.shape[:-3] + out_ext)
+    ranges = _live_ranges(kern, dils, pads, out_ext, spatial)
+    live = tuple(len(r) for r in ranges)
+    shifts = tuple(d * s for d, s in zip(dils, (py * px, px, 1)))
+    first = sum(r.start * s for r, s in zip(ranges, shifts))
+    span = sum(max(k - 1, 0) * s for k, s in zip(live, shifts))
+    sub = (slice(None),) + tuple(slice(r.start, r.stop) for r in ranges)
+    wl = np.tile(w.reshape((c,) + kern)[sub].reshape(c, -1), (bc // c, 1))
+    view = _window_view(xf, first, shifts, live, n)
+    out = _weighted_windows(view, wl).reshape(bc, oz, py, px)[:, :, :oy, :ox]
+    out = np.ascontiguousarray(out).reshape(x.shape[:-3] + out_ext)
 
     def kernel_vjp(g):
-        gf = np.zeros((bc, oz, py, px), dtype=g.dtype)
-        gf[:, :, :oy, :ox] = g.reshape((bc,) + out_ext)
-        gf = gf.reshape(bc, n)
-        gw = np.zeros_like(wf)
-        for i, off in live:
-            gw[:, i] = np.einsum("cn,cn->c", gf, xf[:, off:off + n])
-        gw = gw.reshape(-1, c, gw.shape[1]).sum(axis=0).reshape(w.shape)
+        # g sits at flat offset first + span of a zeros buffer, the wrapped
+        # rows left at 0; the input gradient over the z-planes that hold input
+        # is the same kernel on that buffer with the live block flipped.
+        gz0, gn = lz * py * px, spatial[0] * py * px
+        last = first + span
+        gp = np.zeros((bc, max(gz0 + gn + span, last + n)), dtype=g.dtype)
+        gf = gp[:, last:last + n]
+        gf.reshape(bc, oz, py, px)[:, :, :oy, :ox] = g.reshape((bc,) + out_ext)
+        gwl = np.zeros((bc, wl.shape[1], 1), dtype=g.dtype)
+        for rs, fs, cols in _column_blocks(view):
+            gwl[rs] += cols @ gf[rs, fs, None]
+        gw = np.zeros((c,) + kern, dtype=w.dtype)
+        gw[sub] = gwl.reshape((bc // c, c) + live).sum(axis=0)
         if not need_gx:
-            return None, gw
-        gxf = np.zeros_like(xf)
-        gbuf = np.empty_like(gf)
-        for i, off in live:
-            np.multiply(gf, wf[:, i, None], out=gbuf)
-            gxf[:, off:off + n] += gbuf
-        return _crop(gxf.reshape(xp.shape), pads, spatial).reshape(x.shape), gw
+            return None, gw.reshape(w.shape)
+        gx = _weighted_windows(_window_view(gp, gz0, shifts, live, gn), wl[:, ::-1].copy())
+        gx = _crop(gx.reshape(bc, spatial[0], py, px), ((0, 0),) + pads[1:], spatial)
+        return gx.reshape(x.shape), gw.reshape(w.shape)
 
     return out, kernel_vjp
 

@@ -37,6 +37,16 @@ def layernorm_ref(x, gamma, beta, axis, eps=1e-5):
     return ((x - mu) / np.sqrt(var + eps)) * gamma.reshape(shape) + beta.reshape(shape)
 
 
+def layernorm_var_ref(x, gamma, beta, axis, eps=1e-5):
+    """Layernorm in the input's dtype with the variance from ``ndarray.var``:
+    the forward the engine used before it reused the centred values."""
+    mu = x.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + eps)
+    shape = [1] * x.ndim
+    shape[axis % x.ndim] = -1
+    return (x - mu) * inv * gamma.reshape(shape) + beta.reshape(shape)
+
+
 def _triple(v):
     return (v, v, v) if np.isscalar(v) else tuple(v)
 
@@ -446,7 +456,7 @@ def ssim_pair_ref(a, b, window=7, sigma=1.5):
 def depthwise_shift_ref(x, w, padding, dilation=1):
     """Depthwise stride-1 conv3d as a sum of shifted slices of the padded
     input, one slice per kernel offset in row-major offset order, in the
-    input's dtype: the kernel that the engine's flat shift replaced.
+    input's dtype: the kernel that the engine's flat-buffer kernels replaced.
     x [C,D,H,W], w [C,1,kd,kh,kw]; returns (out, vjp) with vjp(g) -> (gx, gw)."""
     pads = _pad_pairs(padding)
     dils = _triple(dilation)
@@ -475,8 +485,8 @@ def depthwise_shift_ref(x, w, padding, dilation=1):
 
 def depthwise_live_ref(kern, dils, pads, out_ext, spatial, py, px):
     """(flat kernel index, flat shift) of the depthwise offsets that read some
-    input, by testing every offset on all three axes: the list the flat-shift
-    kernel built before it took the product of per-axis lists."""
+    input, by testing every offset on all three axes: the list the engine
+    built before it took the product of per-axis ranges."""
     live = []
     for i, js in enumerate(product(*map(range, kern))):
         if all(

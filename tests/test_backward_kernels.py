@@ -4,13 +4,16 @@ against float64 on the same inputs, repeatability and one tape record per call."
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import nestreg as nr
 from nestreg import GradTape, Tensor
-from nestreg.tensor import _live_offsets, _pad_pairs, _triple
+import nestreg.tensor as nt
+from nestreg.tensor import _live_ranges, _pad_pairs, _triple
 from oracles import conv3d_vjp_ref, dense_einsum_ref, depthwise_live_ref, depthwise_shift_ref
 
 # (x shape, w shape, bias?, conv3d keywords), one per conv3d kernel branch.
@@ -91,7 +94,8 @@ def test_depthwise_offsets_that_read_only_padding_get_zero_weight_gradient(rng, 
     assert (_conv_grads(x, w, b, g, kw)[1][padding_only] == 0).all()
 
 
-# (x shape, conv3d keywords) of the model's depthwise convs, plus one-sided padding.
+# (x shape, conv3d keywords) of the model's depthwise convs, plus one-sided padding
+# and an axis without live offsets.
 DEPTHWISE_SHAPES = {
     "32x8^3": ((32, 8, 8, 8), dict(padding=1)),
     "8x8^3_dilated": ((8, 8, 8, 8), dict(padding=2, dilation=2)),
@@ -99,28 +103,94 @@ DEPTHWISE_SHAPES = {
     "32x2^3_dilated": ((32, 2, 2, 2), dict(padding=2, dilation=2)),
     "8x16^3": ((8, 16, 16, 16), dict(padding=1)),
     "one_sided_padding": ((6, 2, 2, 5), dict(padding=((2, 0), (0, 2), (1, 1)))),
+    # No z offset reads input: the output is 0 and so are both gradients.
+    "no_live_z_offset": ((2, 1, 3, 3), dict(padding=((1, 3), (1, 1), (1, 1)), dilation=(2, 1, 1))),
 }
 
 
-@pytest.mark.parametrize("case", list(DEPTHWISE_SHAPES))
-def test_depthwise_flat_shift_equals_shifted_slice_sum_in_float32(rng, case):
-    """The flat shift forms the same float32 products as the shifted-slice
-    kernel and adds them in the same order: forward and input gradient are
-    bit-identical. Only the weight gradient sums in another order."""
-    xs, kw = DEPTHWISE_SHAPES[case]
+def _depthwise_engine_and_ref(rng, xs, kw, dtype, batch=()):
+    """(engine, reference) pairs of (out, gx, gw) for a depthwise conv of a
+    random x [*batch, *xs] by a 3x3x3 kernel; the reference runs
+    depthwise_shift_ref on each sample and sums the weight gradients."""
     c = xs[0]
-    x = rng.standard_normal(xs).astype(np.float32)
-    w = rng.standard_normal((c, 1, 3, 3, 3)).astype(np.float32)
-    want_out, want_vjp = depthwise_shift_ref(x, w, **kw)
-    g = rng.standard_normal(want_out.shape).astype(np.float32)
-    want_gx, want_gw = want_vjp(g)
+    x = rng.standard_normal(batch + xs).astype(dtype)
+    w = rng.standard_normal((c, 1, 3, 3, 3)).astype(dtype)
+    xb = x.reshape((-1,) + xs)
+    refs = [depthwise_shift_ref(xi, w, **kw) for xi in xb]
+    g = rng.standard_normal(batch + refs[0][0].shape).astype(dtype)
+    grads = [vjp(gi) for (_o, vjp), gi in zip(refs, g.reshape((-1,) + refs[0][0].shape))]
+    want = (
+        np.stack([o for o, _vjp in refs]).reshape(g.shape),
+        np.stack([gx for gx, _gw in grads]).reshape(x.shape),
+        sum(gw for _gx, gw in grads),
+    )
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     with GradTape() as tape:
         out = nr.conv3d(xt, wt, groups=c, **kw)
         tape.backward(nr.tsum(out * Tensor(g)))
-    npt.assert_array_equal(out.data, want_out)
-    npt.assert_array_equal(xt.grad, want_gx)
-    assert np.abs(wt.grad - want_gw).max() <= 1e-6 * np.abs(want_gw).max()
+    return (out.data, xt.grad, wt.grad), want
+
+
+def _assert_close(got, want, bound):
+    for name, a, e in zip(("out", "gx", "gw"), got, want):
+        assert np.abs(a - e).max() <= bound * np.abs(e).max(), name
+
+
+@pytest.mark.parametrize("case", list(DEPTHWISE_SHAPES))
+def test_depthwise_columns_match_shifted_slice_sum_in_float64(rng, case):
+    """The column kernel's forward, input gradient and weight gradient equal
+    the per-offset sum of shifted slices to 1e-12 at float64."""
+    xs, kw = DEPTHWISE_SHAPES[case]
+    _assert_close(*_depthwise_engine_and_ref(rng, xs, kw, np.float64), 1e-12)
+
+
+@pytest.mark.parametrize("case", list(DEPTHWISE_SHAPES))
+def test_depthwise_flat_shift_equals_shifted_slice_sum_in_float32(rng, case):
+    """At float32 the column kernel's matrix products sum in another order
+    than the per-offset sum of shifted slices: forward, input gradient and
+    weight gradient stay within 2e-6 of it (max |diff| / max |ref|; measured
+    at most 7.6e-7 over seeds 0-19, with and without a batch of 2)."""
+    xs, kw = DEPTHWISE_SHAPES[case]
+    _assert_close(*_depthwise_engine_and_ref(rng, xs, kw, np.float32), 2e-6)
+
+
+def _recorded_blocks(monkeypatch, budget):
+    """Set the column budget and record the (rows, flat) slices of every block."""
+    monkeypatch.setattr(nt, "_DEPTHWISE_BLOCK_BYTES", budget)
+    seen, blocks = [], nt._column_blocks
+
+    def recording(view):
+        for rs, fs, cols in blocks(view):
+            seen.append((rs, fs))
+            yield rs, fs, cols
+
+    monkeypatch.setattr(nt, "_column_blocks", recording)
+    return seen
+
+
+# A batch of 2 x 3 channels with one-sided padding: 6 rows of n = 2*4*7 = 56
+# flat outputs, 2*2*3 = 12 live offsets, and offsets that read only padding.
+BLOCK_X, BLOCK_KW = (3, 2, 2, 5), dict(padding=((2, 0), (0, 2), (1, 1)))
+
+
+@pytest.mark.parametrize("split", ["rows", "flat"])
+def test_depthwise_column_blocks_at_their_edges_match_the_oracle(rng, monkeypatch, split):
+    """A budget of 4 rows' columns splits the 6 rows into blocks of 4 and 2;
+    one of 20 columns splits each row along n into 20, 20, 16. Both match
+    the shifted-slice sum at float64, and offsets that read only padding get
+    a weight gradient of exactly 0."""
+    live = [len(r) for r in _live_ranges((3, 3, 3), (1, 1, 1), _pad_pairs(BLOCK_KW["padding"]), (2, 2, 5), BLOCK_X[1:])]
+    k, n = np.prod(live), 56
+    budget = 4 * k * n * 8 if split == "rows" else 20 * k * 8
+    seen = _recorded_blocks(monkeypatch, budget)
+    got, want = _depthwise_engine_and_ref(rng, BLOCK_X, BLOCK_KW, np.float64, batch=(2,))
+    _assert_close(got, want, 1e-12)
+    forward = [(rs.stop - rs.start, fs.stop - fs.start) for rs, fs in seen[:3 if split == "flat" else 2]]
+    assert forward == ([(4, n), (2, n)] if split == "rows" else [(1, 20), (1, 20), (1, 16)])
+    xs1 = (1,) + BLOCK_X[1:]
+    reads = conv3d_vjp_ref(np.ones(xs1), np.ones((1, 1, 3, 3, 3)), np.ones((1, 2, 2, 5)), **BLOCK_KW)[1]
+    assert (reads == 0).any()
+    assert (got[2][np.broadcast_to(reads == 0, got[2].shape)] == 0).all()
 
 
 # (x shape, w shape, conv3d keywords) of the dense convs: the default model's
@@ -174,15 +244,22 @@ def test_dense_gemm_equals_einsum_contractions_in_float32(rng, case):
     ids=list(DEPTHWISE_SHAPES) + PADDING_ONLY_CASES,
 )
 def test_depthwise_live_offsets_are_the_product_of_per_axis_lists(xs, kw):
-    """The per-axis product lists the same live (index, shift) pairs in the
-    same order as testing each of the 27 offsets on every axis."""
+    """Each axis's live offsets are one contiguous range, and the product of
+    the three ranges lists the same live (index, shift) pairs in the same
+    order as testing each of the 27 offsets on every axis."""
     pads = _pad_pairs(kw["padding"])
     dils = _triple(kw.get("dilation", 1), "dilation")
     spatial = xs[1:]
     out_ext = nr.conv3d(Tensor(np.zeros(xs)), Tensor(np.zeros((xs[0], 1, 3, 3, 3))), **{**kw, "groups": xs[0]}).shape[1:]
     py, px = (e + lo + hi for e, (lo, hi) in zip(spatial[1:], pads[1:]))
-    want = depthwise_live_ref((3, 3, 3), dils, pads, out_ext, spatial, py, px)
-    assert _live_offsets((3, 3, 3), dils, pads, out_ext, spatial, (py * px, px, 1)) == want
+    ranges = _live_ranges((3, 3, 3), dils, pads, out_ext, spatial)
+    assert all(isinstance(r, range) and r.step == 1 for r in ranges)
+    steps = [d * s for d, s in zip(dils, (py * px, px, 1))]
+    got = [
+        ((jz * 3 + jy) * 3 + jx, jz * steps[0] + jy * steps[1] + jx * steps[2])
+        for jz, jy, jx in itertools.product(*ranges)
+    ]
+    assert got == depthwise_live_ref((3, 3, 3), dils, pads, out_ext, spatial, py, px)
 
 
 @pytest.mark.parametrize("case", list(CONV_CASES))
@@ -292,8 +369,8 @@ def test_float32_vjps_within_stated_bound_of_float64(rng, case):
     """Float32 gradients stay within FLOAT32_BOUNDS of the float64 ones on the
     same inputs, and repeat bit for bit. Worst max-norm relative error over a
     call's gradients, measured at seed 1234 (float32 eps is 1.2e-7): dense
-    3.6e-7, grouped 1.5e-7, depthwise 2.3e-7 (1.8e-7 before its weight
-    gradient became one dot product per offset), pointwise 3.2e-7, upsample
+    3.6e-7, grouped 1.5e-7, depthwise 2.3e-7 (the same on the flat shift
+    and on the column kernel that replaced it), pointwise 3.2e-7, upsample
     1.2e-7, warp 1.4e-6, depthwise_extent1 4.5e-8, depthwise_extent2_dilated
     1.1e-7. The warp's error comes from its float32 sample positions (one
     ulp at 32 is 3.8e-6), not from the float64 bincount that accumulates the

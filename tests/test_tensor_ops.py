@@ -15,6 +15,7 @@ from oracles import (
     conv3d_ref,
     gelu_ref,
     layernorm_ref,
+    layernorm_var_ref,
     upsample_take_ref,
     upsample_trilinear_ref,
 )
@@ -105,6 +106,18 @@ def test_layernorm_channel_axis_on_volume(rng):
     got = nr.layernorm(Tensor(x), Tensor(gamma), Tensor(beta), axis=0).data
     npt.assert_allclose(got.mean(axis=0), 0.0, atol=1e-12)
     npt.assert_allclose(got, layernorm_ref(x, gamma, beta, axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,axis", [((2, 512, 8), -1), ((2, 8, 4, 5, 3), -4)])
+def test_layernorm_forward_is_bit_identical_to_the_var_formula(rng, dtype, shape, axis):
+    """The variance from the reused centred values forms the sums that
+    ndarray.var forms, so the forward equals the var formula bit for bit."""
+    x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+    n = shape[axis]
+    gamma, beta = rng.normal(size=n).astype(dtype), rng.normal(size=n).astype(dtype)
+    got = nr.layernorm(Tensor(x), Tensor(gamma), Tensor(beta), axis=axis).data
+    npt.assert_array_equal(got, layernorm_var_ref(x, gamma, beta, axis))
 
 
 def test_layernorm_rejects_wrong_param_length(rng):
