@@ -49,7 +49,6 @@ class MixFfnParams:
     dw_b: Tensor
     w2: Tensor
     b2: Tensor
-    kernel: int = 3
 
 
 @dataclass
@@ -162,7 +161,7 @@ def mix_ffn(x: Tensor, spatial, p: MixFfnParams) -> Tensor:
     h = matmul(x, p.w1) + p.b1
     hidden = h.shape[-1]
     vol = tokens_to_volume(h, spatial)
-    pad = same_padding(p.kernel)
+    pad = same_padding(p.dw_w.shape[-1])
     vol = conv3d(vol, p.dw_w, p.dw_b, padding=(pad, pad, pad), groups=hidden)
     vol = gelu(vol)
     t = volume_to_tokens(vol)

@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .config import ModelConfig
 from .errors import (
     ConfigError,
     ContractError,
@@ -26,7 +27,7 @@ from .errors import (
     VolumeFormatError,
 )
 from .metrics import hd95, mask_from_volume, sdlogj, ssim
-from .model import ModelConfig, build_model, count_params, register
+from .model import build_model, count_params, register
 from .synth import synth_pair
 from .train import load_checkpoint, model_from_checkpoint, split_pairs, train
 from .volio import (

@@ -2,17 +2,19 @@
 channel projection, nested attention fusion against each encoder skip, and a
 zero-initialized 1x1x1 head that emits the 3-channel displacement field.
 
-The deepest ``dae_blocks`` stages reuse the dual-attention block; the
-remaining ``lka_blocks`` stages use large-kernel attention (gated depthwise /
-dilated-depthwise / pointwise convolution).
+The deepest ``dae_blocks`` stages of the ``ModelConfig`` reuse the
+dual-attention block; the remaining ``lka_blocks`` stages use large-kernel
+attention (gated depthwise / dilated-depthwise / pointwise convolution).  A
+stage runs the kind of block its parameters hold, and convolution kernels
+take their extent from the weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import dual_attention_block, tokens_to_volume, volume_to_tokens
-from .encoder import EncoderConfig, FeaturePyramid
+from .attention import DualBlockParams, dual_attention_block, tokens_to_volume, volume_to_tokens
+from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
@@ -26,29 +28,6 @@ from .tensor import (
     softmax,
     upsample_trilinear,
 )
-
-
-@dataclass
-class DecoderConfig:
-    dae_blocks: int = 2
-    lka_blocks: int = 2
-
-    @property
-    def stages(self) -> int:
-        return self.dae_blocks + self.lka_blocks
-
-    def validate(self, encoder_stages: int | None = None) -> list[str]:
-        problems = []
-        if self.dae_blocks < 0 or self.lka_blocks < 0:
-            problems.append(
-                f"block counts must be >= 0, got dae={self.dae_blocks} lka={self.lka_blocks}"
-            )
-        if encoder_stages is not None and self.stages != encoder_stages:
-            problems.append(
-                f"dae_blocks + lka_blocks = {self.stages} must equal the "
-                f"{encoder_stages} encoder stages"
-            )
-        return problems
 
 
 @dataclass
@@ -85,13 +64,11 @@ class FusionParams:
     inner_b: Tensor
     outer_w: Tensor
     outer_b: Tensor
-    kernel: int = 3
 
 
 @dataclass
 class DecoderStageParams:
-    kind: str                      # "dae" | "lka"
-    block: object                  # DualBlockParams | LkaParams
+    block: DualBlockParams | LkaParams
     proj_w: Tensor | None = None   # 1x1x1 channel projection after upsampling
     proj_b: Tensor | None = None
     fusion: FusionParams | None = None
@@ -121,7 +98,7 @@ def global_extract(x: Tensor, p: FusionParams) -> Tensor:
 def feature_extract(x: Tensor, p: FusionParams) -> Tensor:
     """Depthwise -> pointwise -> dilated depthwise -> 1x1x1 reduction, extent-preserving."""
     c = x.shape[-4]
-    k = p.kernel
+    k = p.fe_dw_w.shape[-1]
     out = conv3d(x, p.fe_dw_w, p.fe_dw_b, padding=(same_padding(k),) * 3, groups=c)
     out = conv3d(out, p.fe_pw_w, p.fe_pw_b)
     out = conv3d(out, p.fe_dwd_w, p.fe_dwd_b, padding=(same_padding(k, 2),) * 3, dilation=2, groups=c)
@@ -155,33 +132,30 @@ class DecoderHeadParams:
 
 
 def decoder_forward(
-    pyramid: FeaturePyramid,
-    enc_cfg: EncoderConfig,
-    dec_cfg: DecoderConfig,
-    stages: list,
-    head: DecoderHeadParams,
+    pyramid: list, cfg: ModelConfig, stages: list, head: DecoderHeadParams
 ) -> Tensor:
-    """Consume the pyramid deep-to-shallow and emit the [3, D, H, W] field
-    ([B, 3, D, H, W] for a batched pyramid)."""
+    """Consume the encoder's stage outputs deep-to-shallow and emit the
+    [3, D, H, W] field ([B, 3, D, H, W] for a batched pyramid)."""
     n = len(pyramid)
-    if dec_cfg.stages != n:
+    if cfg.dae_blocks + cfg.lka_blocks != n:
         raise ConfigError(
-            f"decoder has {dec_cfg.stages} attention stages but the pyramid has {n}"
+            f"decoder has {cfg.dae_blocks} + {cfg.lka_blocks} attention stages "
+            f"but the pyramid has {n}"
         )
     if len(stages) != n:
         raise ConfigError(f"decoder got {len(stages)} parameter sets for {n} stages")
     x = pyramid[n - 1]
     for i, sp in enumerate(stages):
-        if sp.kind == "dae":
+        if isinstance(sp.block, DualBlockParams):
             spatial = x.shape[-3:]
             tokens = dual_attention_block(volume_to_tokens(x), spatial, sp.block)
             x = tokens_to_volume(tokens, spatial)
-        elif sp.kind == "lka":
+        elif isinstance(sp.block, LkaParams):
             x = lka_block(x, sp.block)
         else:
-            raise ConfigError(f"unknown decoder stage kind {sp.kind!r}")
+            raise ConfigError(f"unknown decoder block {type(sp.block).__name__}")
         stage_idx = n - 1 - i  # encoder stage this decoder stage sits on
-        x = upsample_trilinear(x, enc_cfg.strides[stage_idx])
+        x = upsample_trilinear(x, cfg.strides[stage_idx])
         if stage_idx > 0:
             x = conv3d(x, sp.proj_w, sp.proj_b)
             x = nested_attention_fusion(x, pyramid[stage_idx - 1], sp.fusion)

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import attention as att
 from . import decoder as dec
+from .config import ModelConfig
 from .encoder import encoder_forward
 from .gradcheck import check_gradients
-from .losses import LossConfig, composite_loss, ncc_loss, smoothness_loss
-from .model import ModelConfig, _Builder, build_model
+from .losses import composite_loss, ncc_loss, smoothness_loss
+from .model import _Builder, build_model
 from .tensor import (
     Tensor,
     box_sum,
@@ -317,8 +318,7 @@ def _check_ncc(seed, h, max_coords):
     rng = _rng(seed, 17)
     f = _leaf(rng, (1, 7, 7, 7))
     w = _leaf(rng, (1, 7, 7, 7))
-    cfg = LossConfig(ncc_window=5)
-    fn = lambda: ncc_loss(Volume(values=f), Volume(values=w), cfg)
+    fn = lambda: ncc_loss(Volume(values=f), Volume(values=w), window=5)
     return check_gradients(fn, {"f": f, "w": w}, h=h, max_coords=max_coords)
 
 
@@ -334,7 +334,7 @@ def _check_composite(seed, h, max_coords):
     fx = _leaf(rng, (1, 8, 8, 8))
     mv = _leaf(rng, (1, 8, 8, 8))
     u = Tensor(_offgrid_field(rng, (8, 8, 8)), requires_grad=True)
-    cfg = LossConfig(ncc_window=5)
+    cfg = ModelConfig(ncc_window=5)
     fn = lambda: composite_loss(
         Volume(values=fx), Volume(values=mv), DeformationField(u=u), cfg
     ).total
@@ -389,7 +389,7 @@ def _full_model_inputs(seed: int, salt: int, shape):
             for _ in range(2)
         )
         x = concat([mv, fx], axis=-4)
-        skips = encoder_forward(x, model.config.encoder_config(), model.enc_stages).stages[:-1]
+        skips = encoder_forward(x, model.config, model.enc_stages)[:-1]
         flats = [f.data.reshape(f.shape[:-3] + (-1,)) for f in skips if math.prod(f.shape[-3:]) > 1]
         top2 = [np.partition(f, -2, axis=-1)[..., -2:] for f in flats]
         if min((t[..., 1] - t[..., 0]).min() for t in top2) >= MAX_POOL_MARGIN:
@@ -403,11 +403,11 @@ def _full_model_check(salt: int, shape):
 
     def check(seed, h, max_coords):
         model, fx, mv = _full_model_inputs(seed, salt, shape)
-        cfg = LossConfig(ncc_window=5)
 
         def fn():
             field = model.forward(mv, fx)
-            return tmean(composite_loss(Volume(values=fx), Volume(values=mv), field, cfg).total)
+            out = composite_loss(Volume(values=fx), Volume(values=mv), field, model.config)
+            return tmean(out.total)
 
         leaves = {"moving": mv, "fixed": fx}
         leaves.update(model.parameters())

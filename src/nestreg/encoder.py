@@ -3,67 +3,19 @@
 Each stage embeds the incoming volume with an overlapping strided conv
 (kernel > stride, padding kernel//2), layer-normalizes the flattened tokens,
 runs the stage's dual-attention blocks, and re-normalizes.  The re-shaped
-stage outputs form the feature pyramid consumed by the decoder.
+stage outputs, a list shallow to deep, form the feature pyramid consumed by
+the decoder.  Input channels, strides and patch kernels come from the
+``ModelConfig``; widths, heads and attention branches from the parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attention import dual_attention_block, tokens_to_volume, volume_to_tokens
+from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, conv3d, layernorm
-
-
-@dataclass
-class EncoderConfig:
-    in_channels: int = 2          # moving and fixed, concatenated on channels
-    channels: tuple = (8, 16, 32, 64)
-    strides: tuple = (4, 2, 2, 2)
-    kernels: tuple = (7, 3, 3, 3)
-    blocks_per_stage: int = 1
-    heads: int = 2
-    ffn_kernel: int = 3
-    use_efficient: bool = True
-    use_channel: bool = True
-
-    @property
-    def stages(self) -> int:
-        return len(self.channels)
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.in_channels < 1:
-            problems.append(f"in_channels must be >= 1, got {self.in_channels}")
-        if not self.channels:
-            problems.append("channels must name at least one stage")
-        if not (len(self.channels) == len(self.strides) == len(self.kernels)):
-            problems.append(
-                f"channels/strides/kernels lengths differ: "
-                f"{len(self.channels)}/{len(self.strides)}/{len(self.kernels)}"
-            )
-            return problems
-        for i, (c, s, k) in enumerate(zip(self.channels, self.strides, self.kernels)):
-            if c < 1:
-                problems.append(f"stage {i + 1}: channels must be >= 1, got {c}")
-            if s < 1:
-                problems.append(f"stage {i + 1}: stride must be >= 1, got {s}")
-            if k <= s:
-                problems.append(
-                    f"stage {i + 1}: patch kernel {k} must exceed stride {s} "
-                    "(patches must overlap)"
-                )
-            if self.heads < 1 or c % self.heads:
-                problems.append(
-                    f"stage {i + 1}: channels {c} not divisible by heads {self.heads}"
-                )
-        if self.blocks_per_stage < 1:
-            problems.append(f"blocks_per_stage must be >= 1, got {self.blocks_per_stage}")
-        if self.ffn_kernel < 1:
-            problems.append(f"ffn_kernel must be >= 1, got {self.ffn_kernel}")
-        if not (self.use_efficient or self.use_channel):
-            problems.append("at least one of use_efficient/use_channel must be on")
-        return problems
 
 
 @dataclass
@@ -80,21 +32,6 @@ class EncoderStageParams:
     blocks: list
     out_gamma: Tensor
     out_beta: Tensor
-
-
-@dataclass
-class FeaturePyramid:
-    """Stage outputs, shallow to deep; each is [C_i, d_i, h_i, w_i] (with the
-    input's batch axis in front, if it has one) with extents shrunk by the
-    cumulative stride product."""
-
-    stages: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.stages)
-
-    def __getitem__(self, i):
-        return self.stages[i]
 
 
 def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int):
@@ -115,18 +52,22 @@ def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int
     return tokens, spatial
 
 
-def encoder_forward(x: Tensor, cfg: EncoderConfig, params: list) -> FeaturePyramid:
+def encoder_forward(x: Tensor, cfg: ModelConfig, params: list) -> list:
     """Run all stages on the [in_channels, D, H, W] input volume, or on a
-    batch [B, in_channels, D, H, W] of them."""
+    batch [B, in_channels, D, H, W] of them.
+
+    Returns the stage outputs, shallow to deep; each is [C_i, d_i, h_i, w_i]
+    (with the input's batch axis in front, if it has one) with extents shrunk
+    by the cumulative stride product."""
     if x.ndim not in (4, 5) or x.shape[-4] != cfg.in_channels:
         raise ShapeError(
             f"encoder expects [{cfg.in_channels},D,H,W] or [B,{cfg.in_channels},D,H,W], got {x.shape}"
         )
-    if len(params) != cfg.stages:
+    if len(params) != len(cfg.channels):
         raise ConfigError(
-            f"encoder has {cfg.stages} stages but {len(params)} parameter sets"
+            f"encoder has {len(cfg.channels)} stages but {len(params)} parameter sets"
         )
-    pyramid = FeaturePyramid()
+    pyramid = []
     cur = x
     for sp, stride, kernel in zip(params, cfg.strides, cfg.kernels):
         tokens, spatial = overlap_patch_embed(cur, sp.embed, stride, kernel)
@@ -134,5 +75,5 @@ def encoder_forward(x: Tensor, cfg: EncoderConfig, params: list) -> FeaturePyram
             tokens = dual_attention_block(tokens, spatial, bp)
         tokens = layernorm(tokens, sp.out_gamma, sp.out_beta, axis=-1)
         cur = tokens_to_volume(tokens, spatial)
-        pyramid.stages.append(cur)
+        pyramid.append(cur)
     return pyramid

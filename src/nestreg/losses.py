@@ -12,12 +12,15 @@ volumes reach loss 0 only up to the floor.
 
 The five window sums are separable cumulative-sum box sums
 (``tensor.box_sum``), O(N) in the window size and accumulated in float64.
+``composite_loss`` reads the window, the floor and the smoothness weight from
+the ``ModelConfig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import ModelConfig
 from .errors import ShapeError
 from .tensor import Tensor, box_sum, tmean
 from .warp import DeformationField, Volume, warp_trilinear
@@ -28,23 +31,6 @@ _PER_PAIR = (-4, -3, -2, -1)
 
 
 @dataclass
-class LossConfig:
-    ncc_window: int = 5      # 9 at full scale
-    ncc_eps: float = 1e-5
-    smooth_weight: float = 1.0
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.ncc_window < 3 or self.ncc_window % 2 == 0:
-            problems.append(f"ncc_window must be odd and >= 3, got {self.ncc_window}")
-        if self.ncc_eps <= 0:
-            problems.append(f"ncc_eps must be positive, got {self.ncc_eps}")
-        if self.smooth_weight < 0:
-            problems.append(f"smooth_weight must be >= 0, got {self.smooth_weight}")
-        return problems
-
-
-@dataclass
 class CompositeLoss:
     total: Tensor
     similarity: Tensor
@@ -52,37 +38,36 @@ class CompositeLoss:
     warped: Volume
 
 
-def ncc_loss(fixed: Volume, warped: Volume, cfg: LossConfig | None = None) -> Tensor:
-    """1 - mean local squared NCC over valid windows. Range [0, 1].
+def ncc_loss(fixed: Volume, warped: Volume, *, window: int = 5, eps: float = 1e-5) -> Tensor:
+    """1 - mean local squared NCC over valid cubic windows of side ``window``,
+    with variance floor ``eps``. Range [0, 1].
 
     Batched volumes [B, 1, ...] give one loss per pair, of shape [B].
     """
-    cfg = cfg or LossConfig()
     f = fixed.values
     w = warped.values
     if f.shape != w.shape:
         raise ShapeError(f"ncc_loss: volume shapes differ, {f.shape} vs {w.shape}")
     if f.shape[-4] != 1:
         raise ShapeError(f"ncc_loss expects single-channel volumes, got {f.shape}")
-    k = cfg.ncc_window
-    if any(e < k for e in f.shape[-3:]):
+    if any(e < window for e in f.shape[-3:]):
         raise ShapeError(
-            f"ncc_loss: extents {f.shape[-3:]} smaller than window {k}"
+            f"ncc_loss: extents {f.shape[-3:]} smaller than window {window}"
         )
     if w.dtype != f.dtype:
         raise ShapeError(f"ncc_loss: dtype mismatch {f.dtype.name} vs {w.dtype.name}")
-    n = float(k ** 3)
+    n = float(window ** 3)
 
-    sf = box_sum(f, k)
-    sw = box_sum(w, k)
-    sff = box_sum(f * f, k)
-    sww = box_sum(w * w, k)
-    sfw = box_sum(f * w, k)
+    sf = box_sum(f, window)
+    sw = box_sum(w, window)
+    sff = box_sum(f * f, window)
+    sww = box_sum(w * w, window)
+    sfw = box_sum(f * w, window)
 
     cross = sfw - sf * sw * (1.0 / n)
     var_f = sff - sf * sf * (1.0 / n)
     var_w = sww - sw * sw * (1.0 / n)
-    cc = (cross * cross) / (var_f * var_w + cfg.ncc_eps)
+    cc = (cross * cross) / (var_f * var_w + eps)
     return 1.0 - tmean(cc, axis=_PER_PAIR)
 
 
@@ -111,13 +96,14 @@ def composite_loss(
     fixed: Volume,
     moving: Volume,
     field: DeformationField,
-    cfg: LossConfig | None = None,
+    cfg: ModelConfig | None = None,
 ) -> CompositeLoss:
-    """ncc_loss(fixed, warp(moving, field)) + smooth_weight * smoothness(field);
-    each term has shape [B] for batched inputs [B, ...]."""
-    cfg = cfg or LossConfig()
+    """ncc_loss(fixed, warp(moving, field)) + smooth_weight * smoothness(field),
+    settings from ``cfg`` (the defaults if None); each term has shape [B] for
+    batched inputs [B, ...]."""
+    cfg = cfg or ModelConfig()
     warped = warp_trilinear(moving, field)
-    sim = ncc_loss(fixed, warped, cfg)
+    sim = ncc_loss(fixed, warped, window=cfg.ncc_window, eps=cfg.ncc_eps)
     smooth = smoothness_loss(field)
     total = sim + smooth * cfg.smooth_weight
     return CompositeLoss(total=total, similarity=sim, smoothness=smooth, warped=warped)

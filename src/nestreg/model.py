@@ -1,5 +1,6 @@
-"""Model assembly: configuration, deterministic parameter initialization,
-the end-to-end registration network, and parameter accounting.
+"""Model assembly: deterministic parameter initialization from a
+``ModelConfig``, the end-to-end registration network, and parameter
+accounting.
 
 The registration network concatenates moving and fixed volumes on channels,
 encodes them into a feature pyramid, decodes with fusion against the skips,
@@ -10,122 +11,17 @@ freshly built model computes the identity transform.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import AttentionParams, DualBlockParams, LayerNormParams, MixFfnParams
-from .decoder import (
-    DecoderConfig,
-    DecoderHeadParams,
-    DecoderStageParams,
-    FusionParams,
-    LkaParams,
-    decoder_forward,
-)
-from .encoder import EncoderConfig, EncoderStageParams, PatchEmbedParams, encoder_forward
-from .errors import ConfigError, ContractError, ShapeError
+from .config import ModelConfig
+from .decoder import DecoderHeadParams, DecoderStageParams, FusionParams, LkaParams, decoder_forward
+from .encoder import EncoderStageParams, PatchEmbedParams, encoder_forward
+from .errors import ContractError, ShapeError
 from .tensor import DTYPES, Parameter, Tensor, concat
-from .losses import LossConfig
 from .warp import DeformationField, Volume
-
-
-@dataclass
-class ModelConfig:
-    """Everything needed to rebuild a model and its training run."""
-
-    # architecture
-    channels: tuple = (8, 16, 32, 64)
-    strides: tuple = (4, 2, 2, 2)
-    kernels: tuple = (7, 3, 3, 3)
-    blocks_per_stage: int = 1
-    heads: int = 2
-    patch_kernel: int = 3
-    use_efficient: bool = True
-    use_channel: bool = True
-    dae_blocks: int = 2
-    lka_blocks: int = 2
-    in_channels: int = 2
-    # loss
-    ncc_window: int = 5
-    ncc_eps: float = 1e-5
-    smooth_weight: float = 1.0
-    # optimizer / training (full-scale reference: lr 1e-4, wd 3e-5, 100 epochs,
-    # batch 4). The desk-scale lr sits in the measured stable band of plain SGD
-    # on 32^3 synthetic pairs: 0.1 diverges, 0.03 under-converges in 50 epochs.
-    lr: float = 0.05
-    weight_decay: float = 3e-5
-    epochs: int = 50
-    batch_size: int = 2
-    # numerics
-    precision: int = 32
-    seed: int = 0
-    init_std: float = 0.02
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            in_channels=self.in_channels,
-            channels=tuple(self.channels),
-            strides=tuple(self.strides),
-            kernels=tuple(self.kernels),
-            blocks_per_stage=self.blocks_per_stage,
-            heads=self.heads,
-            ffn_kernel=self.patch_kernel,
-            use_efficient=self.use_efficient,
-            use_channel=self.use_channel,
-        )
-
-    def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(dae_blocks=self.dae_blocks, lka_blocks=self.lka_blocks)
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            ncc_window=self.ncc_window,
-            ncc_eps=self.ncc_eps,
-            smooth_weight=self.smooth_weight,
-        )
-
-    def validate(self) -> list[str]:
-        problems = self.encoder_config().validate()
-        problems += self.decoder_config().validate(encoder_stages=len(self.channels))
-        problems += self.loss_config().validate()
-        if self.lr <= 0:
-            problems.append(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            problems.append(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.precision not in DTYPES:
-            problems.append(f"precision must be 32 or 64, got {self.precision}")
-        if self.init_std <= 0:
-            problems.append(f"init_std must be positive, got {self.init_std}")
-        return problems
-
-    def validated(self) -> "ModelConfig":
-        problems = self.validate()
-        if problems:
-            raise ConfigError(problems)
-        return self
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("channels", "strides", "kernels"):
-            out[key] = list(out[key])
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError([f"unknown config key {k!r}" for k in unknown])
-        kwargs = dict(data)
-        for key in ("channels", "strides", "kernels"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +111,6 @@ class _Builder:
             dw_b=self.zeros(f"{prefix}.dw_b", (hidden,)),
             w2=self.weight(f"{prefix}.w2", (hidden, width)),
             b2=self.zeros(f"{prefix}.b2", (width,)),
-            kernel=k,
         )
 
     def dual_block(self, prefix: str, width: int) -> DualBlockParams:
@@ -264,7 +159,6 @@ class _Builder:
             inner_b=self.zeros(f"{prefix}.inner_b", (width,)),
             outer_w=self.weight(f"{prefix}.outer_w", (width, width, 1, 1, 1)),
             outer_b=self.zeros(f"{prefix}.outer_b", (width,)),
-            kernel=k,
         )
 
 
@@ -305,12 +199,12 @@ def _build(cfg: ModelConfig, rng: np.random.Generator | None):
         if i < cfg.dae_blocks:
             dae_seen += 1
             prefix = f"decoder.dae{dae_seen}"
-            kind, block = "dae", b.dual_block(prefix, width)
+            block = b.dual_block(prefix, width)
         else:
             lka_seen += 1
             prefix = f"decoder.lka{lka_seen}"
-            kind, block = "lka", b.lka(prefix, width)
-        sp = DecoderStageParams(kind=kind, block=block)
+            block = b.lka(prefix, width)
+        sp = DecoderStageParams(block=block)
         if stage_idx > 0:
             target = channels[stage_idx - 1]
             sp.proj_w = b.weight(f"decoder.proj{i + 1}.w", (target, width, 1, 1, 1))
@@ -369,14 +263,8 @@ class RegistrationModel:
         if m.shape != f.shape:
             raise ShapeError(f"moving shape {m.shape} != fixed shape {f.shape}")
         x = concat([m, f], axis=-4)
-        pyramid = encoder_forward(x, self.config.encoder_config(), self.enc_stages)
-        u = decoder_forward(
-            pyramid,
-            self.config.encoder_config(),
-            self.config.decoder_config(),
-            self.dec_stages,
-            self.head,
-        )
+        pyramid = encoder_forward(x, self.config, self.enc_stages)
+        u = decoder_forward(pyramid, self.config, self.dec_stages, self.head)
         return DeformationField(u)
 
     # -- state ---------------------------------------------------------------
@@ -424,7 +312,7 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     moving = moving.astype(model.config.precision)
     fixed = fixed.astype(model.config.precision)
     field = model.forward(moving, fixed)
-    out = composite_loss(fixed, moving, field, model.config.loss_config())
+    out = composite_loss(fixed, moving, field, model.config)
     warped = out.warped
     jac = sdlogj(field)
     # One batch [moving, warped] against the fixed volume: its terms once.

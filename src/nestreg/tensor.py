@@ -204,9 +204,16 @@ class GradTape:
             if g is None:
                 continue
             parts = vjp(g)
+            kept = []
             for t, part in zip(inputs, parts):
                 if part is None or not t.requires_grad:
                     continue
+                # A vjp may hand one array to two inputs (add returns
+                # (g, g)); accumulating into one must not change the other.
+                # The copy keeps the layout, so later matmuls round alike.
+                if any(np.may_share_memory(part, k) for k in kept):
+                    part = np.copy(part, order="K")
+                kept.append(part)
                 slot = grads.get(id(t))
                 if slot is None:
                     grads[id(t)] = part

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ContractError, NumericError, ShapeError
-from .losses import CompositeLoss, LossConfig, composite_loss
+from .losses import CompositeLoss, composite_loss
 from .metrics import ssim
-from .model import ModelConfig, RegistrationModel, _build
+from .model import RegistrationModel, _build
 from .model import build_model  # noqa: F401  (perfbench/spans.py times the builder through this name)
 from .tensor import GradTape, Tensor, tmean
 from .volio import atomic_write_bytes
@@ -116,14 +117,14 @@ def _check_one_shape(pairs, what: str) -> None:
                 )
 
 
-def _chunk_loss(model: RegistrationModel, pairs, chunk, loss_cfg: LossConfig) -> CompositeLoss:
+def _chunk_loss(model: RegistrationModel, pairs, chunk) -> CompositeLoss:
     """One forward and composite loss for the pairs ``chunk`` indexes, stacked
     on a batch axis; every loss term has shape [len(chunk)]."""
     mv, fx = (
         Volume(values=Tensor(np.stack([pairs[int(i)][k].values.data for i in chunk])))
         for k in (0, 1)
     )
-    return composite_loss(fx, mv, model.forward(mv, fx), loss_cfg)
+    return composite_loss(fx, mv, model.forward(mv, fx), model.config)
 
 
 def _pair_ssims(out: CompositeLoss, pairs, chunk) -> list:
@@ -156,7 +157,6 @@ def train(
         raise ContractError("train needs non-empty train and val pair lists")
     _check_one_shape(train_pairs, "train")
     _check_one_shape(val_pairs, "validation")
-    loss_cfg = cfg.loss_config()
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     start_epoch = 0
@@ -180,7 +180,7 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             chunk = order[lo:lo + cfg.batch_size]
             with GradTape() as tape:
-                out = _chunk_loss(model, train_pairs, chunk, loss_cfg)
+                out = _chunk_loss(model, train_pairs, chunk)
                 batch_loss = tmean(out.total)
                 tape.backward(batch_loss)
             value = batch_loss.item()
@@ -199,7 +199,7 @@ def train(
         val_losses, val_ssims = [], []
         for lo in range(0, len(val_pairs), cfg.batch_size):
             chunk = range(lo, min(lo + cfg.batch_size, len(val_pairs)))
-            out = _chunk_loss(model, val_pairs, chunk, loss_cfg)
+            out = _chunk_loss(model, val_pairs, chunk)
             val_losses.extend(map(float, out.total.data))
             val_ssims.extend(_pair_ssims(out, val_pairs, chunk))
         row = EpochStats(

@@ -24,9 +24,9 @@ import tempfile
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import BadMagicError, ShapeError, TruncatedFileError, UnknownDtypeError
 from .metrics import RegistrationReport
-from .model import ModelConfig
 from .tensor import Tensor
 from .warp import DeformationField, Volume
 

@@ -197,7 +197,7 @@ def fusion_ref(x1, x2, p):
         "norm_gamma", "norm_beta", "sel_w", "sel_b",
         "inner_w", "inner_b", "outer_w", "outer_b",
     )}
-    k = p.kernel
+    k = p.fe_dw_w.shape[-1]
     c = x1.shape[0]
     pad_1 = (k - 1) // 2, k - 1 - (k - 1) // 2
     pad_2 = (k - 1), (k - 1)  # dilation 2 of the same kernel

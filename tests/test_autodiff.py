@@ -40,6 +40,35 @@ def test_fanout_accumulates_gradient(rng):
     npt.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-15)
 
 
+@pytest.mark.parametrize("join", [
+    lambda a, b: a + b,
+    lambda a, b: nr.make_op(a.data + b.data, (a, b), lambda g: (g, g)),  # an extension op
+], ids=["add", "make_op"])
+def test_one_array_handed_to_two_inputs_accumulates_into_each_alone(join):
+    """The vjp returns one array for both inputs; a later part for ``a`` must
+    not reach ``b``'s gradient."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with GradTape() as tape:
+        z = a * 2.0
+        y = join(a, b)
+        tape.backward(nr.tsum(y) + nr.tsum(z))
+    npt.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+    npt.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_the_copy_of_a_shared_part_keeps_its_memory_layout():
+    """Later matmuls round by operand layout, so a C-ordered copy would change
+    the model's gradients in the last bits."""
+    a = Tensor(np.ones((3, 4)), requires_grad=True)
+    b = Tensor(np.ones((3, 4)), requires_grad=True)
+    with GradTape() as tape:
+        y = nr.make_op(a.data + b.data, (a, b), lambda g: (np.asfortranarray(g),) * 2)
+        tape.backward(nr.tsum(y))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert b.grad.flags.f_contiguous and not b.grad.flags.c_contiguous
+
+
 def test_matmul_grads_match_closed_form(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4, 2)

@@ -14,7 +14,7 @@ import pytest
 import nestreg as nr
 from nestreg import GradTape, Tensor
 from nestreg.diagnostics import _offgrid_field, _tiny_model
-from nestreg.losses import LossConfig, composite_loss, ncc_loss, smoothness_loss
+from nestreg.losses import composite_loss, ncc_loss, smoothness_loss
 from nestreg.train import Checkpoint, model_from_checkpoint
 from oracles import warp_gather_ref
 from test_backward_kernels import CONV_CASES
@@ -71,7 +71,7 @@ PRIMITIVES = {
         True,
     ),
     "ncc": (
-        lambda f, w: ncc_loss(nr.Volume(f), nr.Volume(w), LossConfig(ncc_window=5)),
+        lambda f, w: ncc_loss(nr.Volume(f), nr.Volume(w), window=5),
         [(1, 7, 7, 7), (1, 7, 7, 7)],
         False,
     ),
@@ -116,7 +116,7 @@ def _step(model, moving, fixed):
     stacked pairs, with the loss the mean of the per-pair totals as in train."""
     with GradTape() as tape:
         mv, fx = nr.Volume(Tensor(moving)), nr.Volume(Tensor(fixed))
-        out = composite_loss(fx, mv, model.forward(mv, fx), LossConfig(ncc_window=5))
+        out = composite_loss(fx, mv, model.forward(mv, fx), model.config)
         loss = nr.tmean(out.total)
         tape.backward(loss)
     grads = {k: p.grad.copy() for k, p in model.parameters().items()}
@@ -173,5 +173,5 @@ def test_batch_of_one_and_of_two_record_the_same_tape(rng):
     two = _step(model, np.stack([m1, m2]), np.stack([f1, f2]))[3]
     with GradTape() as tape:
         fld = model.forward(Tensor(m1), Tensor(f1))
-        composite_loss(nr.Volume(Tensor(f1)), nr.Volume(Tensor(m1)), fld, LossConfig(ncc_window=5))
+        composite_loss(nr.Volume(Tensor(f1)), nr.Volume(Tensor(m1)), fld, model.config)
     assert one == two == len(tape) + 1  # the batch mean is one more record

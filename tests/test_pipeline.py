@@ -68,12 +68,58 @@ def test_invalid_configs_are_rejected_with_all_problems():
         nr.build_model(small_cfg(dae_blocks=3), seed=0)  # 3+1 != 2 stages
 
 
+# One problem each: the stage-count fields follow the stage lists, so only
+# the named value is wrong.
+ONE_STAGE = dict(dae_blocks=1, lka_blocks=0)
+TWO_STAGES = dict(dae_blocks=1, lka_blocks=1)
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    pytest.param(dict(channels=(8,), strides=(2,), kernels=(2,), **ONE_STAGE),
+                 "patch kernel 2 must exceed stride 2", id="kernel-not-above-stride"),
+    pytest.param(dict(channels=(7, 14), strides=(2, 2), kernels=(3, 3), heads=2, **TWO_STAGES),
+                 "channels 7 not divisible by heads 2", id="channels-not-divisible-by-heads"),
+    pytest.param(dict(channels=(8, 16), strides=(2,), kernels=(3, 3), **TWO_STAGES),
+                 "lengths differ: 2/1/2", id="stage-lists-differ"),
+    pytest.param(dict(use_efficient=False, use_channel=False),
+                 "at least one of use_efficient/use_channel", id="no-attention-branch"),
+    pytest.param(dict(blocks_per_stage=0), "blocks_per_stage must be >= 1", id="no-blocks"),
+    pytest.param(dict(ncc_window=4), "ncc_window must be odd", id="even-ncc-window"),
+    pytest.param(dict(ncc_eps=0.0), "ncc_eps must be positive", id="zero-ncc-eps"),
+    pytest.param(dict(smooth_weight=-1.0), "smooth_weight must be >= 0",
+                 id="negative-smooth-weight"),
+    pytest.param(dict(heads=2.5), "heads must be an int, got 2.5", id="float-heads"),
+    pytest.param(dict(epochs=True), "epochs must be an int", id="bool-epochs"),
+    pytest.param(dict(lr=None), "lr must be a real number", id="null-lr"),
+    pytest.param(dict(use_channel=1), "use_channel must be a bool", id="int-flag"),
+    pytest.param(dict(channels=8), "channels must be a sequence of ints", id="scalar-channels"),
+    pytest.param(dict(strides=(4, 2, 2, 2.0)), "strides must be a sequence of ints",
+                 id="float-stride"),
+])
+def test_model_config_validation_reports_each_problem(overrides, problem):
+    problems = ModelConfig(**overrides).validate()
+    assert len(problems) == 1 and problem in problems[0], problems
+
+
+def test_defaults_and_values_of_the_right_kind_pass_validation():
+    assert ModelConfig().validate() == []
+    cfg = ModelConfig(channels=[8, 16, 32, 64], lr=1, seed=np.int64(3), init_std=np.float32(0.1))
+    assert cfg.validate() == []
+
+
 def test_config_dict_roundtrip_and_unknown_keys():
     cfg = small_cfg(lr=0.07, smooth_weight=0.5)
     again = ModelConfig.from_dict(cfg.to_dict())
     assert again == cfg
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"learning_rate": 0.1})
+
+
+def test_export_list_resolves_without_repeats_or_removed_names():
+    assert [name for name in nr.__all__ if not hasattr(nr, name)] == []
+    assert len(set(nr.__all__)) == len(nr.__all__)
+    for gone in ("EncoderConfig", "DecoderConfig", "LossConfig", "FeaturePyramid"):
+        assert gone not in nr.__all__ and not hasattr(nr, gone)
 
 
 def test_config_hash_tracks_content_not_identity():
