@@ -147,9 +147,12 @@ class ModelConfig:
         return self
 
     def to_dict(self) -> dict:
+        """The fields as JSON-ready values: the stage sequences as lists. A
+        field of the wrong kind is kept as it is, for ``validate`` to name."""
         out = asdict(self)
         for key in _SEQUENCES:
-            out[key] = list(out[key])
+            if isinstance(out[key], (list, tuple)):
+                out[key] = list(out[key])
         return out
 
     @classmethod

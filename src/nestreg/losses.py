@@ -10,8 +10,9 @@ serves as the cross-modality surrogate.  ``eps`` is a variance floor: a
 constant window contributes zero correlation, and identical non-constant
 volumes reach loss 0 only up to the floor.
 
-The five window sums are separable cumulative-sum box sums
-(``tensor.box_sum``), O(N) in the window size and accumulated in float64.
+The five window sums are ``tensor.box_sum``s: separable window sums by
+log-step doubling (about log2(window) adds per voxel and axis), one
+cache-sized z-slab at a time, accumulated in float64.
 ``composite_loss`` reads the window, the floor and the smoothness weight from
 the ``ModelConfig``.
 """

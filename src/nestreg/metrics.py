@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ShapeError, UndefinedMetricError
-from .tensor import Tensor
+from .tensor import Tensor, _along, _by_z_slabs
 from .warp import DeformationField, Volume
 
 
@@ -41,25 +41,34 @@ def _gaussian_window(extent: int, sigma: float) -> np.ndarray:
 
 
 def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
-    """Separable Gaussian-weighted mean over valid window positions only.
+    """Separable Gaussian-weighted mean of a float64 volume over valid window
+    positions only.
 
-    The axis-0 pass sums whole contiguous z-slabs in the order scipy's
-    ``correlate1d`` uses for a symmetric kernel, so the two agree bit for bit
+    One z-slab at a time (``tensor._by_z_slabs``), the slab is filtered along
+    z, y and x in turn, each pass cropped to its valid positions. A pass sums
+    whole shifted slices in the order scipy's ``correlate1d`` uses for a
+    symmetric kernel: the centre term first, then the pairs, outermost
+    first. So the result equals ``correlate1d`` along each axis bit for bit,
     as long as the kernel is symmetric, which the Gaussian window always is.
-    Axes 1 and 2 run ``correlate1d``, each cropped to ``[r:-r]`` before the
-    next pass; a 1-D pass reads only its own line, so the kept values equal
-    filtering the whole volume along every axis and cropping once at the end.
     """
     r = (kern1d.size - 1) // 2
-    n = a.shape[0] - 2 * r
-    out = a[r:r + n] * kern1d[r]
-    for j in range(r, 0, -1):
-        out += (a[r - j:r - j + n] + a[r + j:r + j + n]) * kern1d[r + j]
-    for axis in (1, 2):
-        out = ndimage.correlate1d(out, kern1d, axis=axis, mode="constant")
-        if r:
-            out = out[(slice(None),) * axis + (slice(r, -r),)]
-    return out
+
+    def symmetric_pass(s, axis):
+        n = s.shape[axis] - 2 * r
+        out = s[_along(3, axis, r, n)] * kern1d[r]
+        pair = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(s[_along(3, axis, r - j, n)], s[_along(3, axis, r + j, n)], out=pair)
+            pair *= kern1d[r + j]
+            out += pair
+        return out
+
+    def kernel(slab):
+        for axis in (0, 1, 2):
+            slab = symmetric_pass(slab, axis)
+        return slab
+
+    return _by_z_slabs(a, 2 * r, kernel)
 
 
 def ssim(a, b, window: int = 7, sigma: float = 1.5):

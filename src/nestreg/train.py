@@ -289,7 +289,10 @@ def read_curve_csv(path) -> TrainingCurve:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Parameters verbatim (bit-exact) as one flat buffer ``__params__`` of their
-    shared dtype; the JSON ``__meta__`` lists each name and shape in order."""
+    shared dtype; the JSON ``__meta__`` lists each name and shape in order.
+    A config that fails ``validate()`` raises ``ConfigError`` naming every
+    problem, and nothing is written."""
+    ckpt.config.validated()
     dtypes = {str(p.dtype) for p in ckpt.params.values()}
     if len(dtypes) > 1:
         raise ContractError(f"save_checkpoint: parameters mix dtypes {sorted(dtypes)}")

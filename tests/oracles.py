@@ -453,6 +453,25 @@ def ssim_pair_ref(a, b, window=7, sigma=1.5):
     return float(np.mean(num / den))
 
 
+def box_sum_prefix_ref(x, k):
+    """Valid k-wide window sums over the last three axes by float64 prefix
+    sums, one axis at a time, each differenced at distance k, cast back to
+    x's dtype: the kernel that the engine's log-step doubling replaced."""
+    def along(ax, sl):
+        key = [slice(None)] * x.ndim
+        key[ax] = sl
+        return tuple(key)
+
+    out = x.astype(np.float64, copy=False)
+    for ax in (-3, -2, -1):
+        shape = list(out.shape)
+        shape[ax] += 1
+        c = np.zeros(shape)  # c[i] = sum of the first i planes
+        np.cumsum(out, axis=ax, out=c[along(ax, slice(1, None))])
+        out = c[along(ax, slice(k, None))] - c[along(ax, slice(None, -k))]
+    return out.astype(x.dtype)
+
+
 def depthwise_shift_ref(x, w, padding, dilation=1):
     """Depthwise stride-1 conv3d as a sum of shifted slices of the padded
     input, one slice per kernel offset in row-major offset order, in the

@@ -232,6 +232,27 @@ def test_backward_rules_pass_finite_difference_check(name):
     assert results[0].passed, results[0].line()
 
 
+@pytest.mark.parametrize("window", [5, 9])
+@pytest.mark.parametrize("out_planes", [1, 5])
+def test_box_sum_and_ncc_adjoints_across_slab_edges_pass_finite_differences(rng, monkeypatch, window, out_planes):
+    """Slabs of ``out_planes`` output planes of the adjoint, which sums the
+    zero-padded gradient (the forward's smaller planes get more per slab).
+    One-plane slabs put an edge between every pair of planes; five split
+    the adjoint's window + 3 planes unevenly. ``box_sum`` is checked through
+    a random projection, ``ncc_loss`` on a batch of 2."""
+    shape = (2, 1, window + 3, window + 1, window + 2)
+    padded = (shape[-2] + window - 1) * (shape[-1] + window - 1)  # values per plane
+    monkeypatch.setattr(T, "_SLAB_BYTES", (window - 1 + out_planes) * padded * 8)
+    x = leaf(rng, *shape)
+    r = Tensor(rng.normal(size=shape[:2] + (4, 2, 3)))
+    err, _ = nr.check_gradients(lambda: nr.tsum(nr.box_sum(x, window) * r), {"x": x}, max_coords=96)
+    assert err < 1e-6
+    f, w = leaf(rng, *shape), leaf(rng, *shape)
+    loss = lambda: nr.tsum(nr.ncc_loss(nr.Volume(values=f), nr.Volume(values=w), window=window))
+    err, _ = nr.check_gradients(loss, {"f": f, "w": w}, max_coords=96)
+    assert err < 1e-4
+
+
 def _max_pooled_top_two_gaps(model, fx, mv, monkeypatch):
     """Top-two gap, per sample and channel, of every input that the model's
     forward max-pools (one-voxel inputs have no kink and are left out)."""

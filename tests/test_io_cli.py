@@ -322,11 +322,21 @@ def test_cli_train_then_register_end_to_end(tmp_path, capsys):
     assert report["metrics"]["ssim"] == payload["ssim"]
 
 
+def _write_parameterless_checkpoint(path, cfg):
+    """A checkpoint file that records ``cfg`` as it is. ``save_checkpoint``
+    refuses an invalid config, so this writes the layout directly, as an
+    edited or foreign file would arrive."""
+    meta = {"config": cfg.to_dict(), "epoch": 1, "rng_state": {}, "params": []}
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             __params__=np.empty(0))
+
+
 def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_path, capsys):
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     cfg = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=3)
     ckpt = tmp_path / "bad.npz"
-    nr.save_checkpoint(ckpt, nr.Checkpoint(config=cfg, params={}, epoch=1, rng_state={}))
+    _write_parameterless_checkpoint(ckpt, cfg)
+    assert nr.load_checkpoint(ckpt).config == cfg
     capsys.readouterr()
     rc = main([
         "register", "--checkpoint", str(ckpt),

@@ -4,12 +4,15 @@ log-Jacobian spread."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
+import nestreg.tensor as nt
 from nestreg import ShapeError, Tensor, UndefinedMetricError, Volume, metrics
 from oracles import (
     hd95_edt_ref,
@@ -202,16 +205,22 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
 
 @pytest.mark.parametrize("window", [3, 5, 7, 9])
 @pytest.mark.parametrize("sigma", [0.8, 1.5])
-def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, window, sigma):
-    """The axis-0 slab sums reproduce ``correlate1d``'s symmetric-kernel order
-    bit for bit, on anisotropic volumes whose axis-0 extent can equal the
-    window (one output plane) and on a non-contiguous transposed view."""
+def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, monkeypatch, window, sigma):
+    """The slab passes reproduce ``correlate1d``'s symmetric-kernel order on
+    every axis bit for bit, on anisotropic volumes whose extents can equal
+    the window (one output plane) and on a non-contiguous transposed view,
+    with slabs of one output plane, of two (an uneven last slab where the
+    output extent is odd) and at the default size."""
     kern = metrics._gaussian_window(window, sigma)
     assert np.array_equal(kern, kern[::-1])
     shapes = [(window, 13, 17), (window + 6, window, 11), (2 * window + 1, 16, window + 2)]
+    default = nt._SLAB_BYTES
     for shape in shapes:
         v = rng.normal(loc=1.0, scale=3.0, size=shape)
-        for vol in (v, v.transpose(0, 2, 1)):
+        for vol, out_planes in product((v, v.transpose(0, 2, 1)), (None, 1, 2)):
+            plane_bytes = vol.shape[1] * vol.shape[2] * 8
+            budget = default if out_planes is None else (window - 1 + out_planes) * plane_bytes
+            monkeypatch.setattr(nt, "_SLAB_BYTES", budget)
             got = metrics._windowed_mean(vol, kern)
             want = windowed_mean_correlate_ref(vol, kern)
             assert got.shape == want.shape == tuple(e - window + 1 for e in vol.shape)

@@ -115,6 +115,13 @@ def test_config_dict_roundtrip_and_unknown_keys():
         ModelConfig.from_dict({"learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("field", ["channels", "strides", "kernels"])
+def test_config_to_dict_keeps_a_non_sequence_stage_field_for_validate_to_name(field):
+    cfg = ModelConfig(**{field: 8})
+    assert cfg.to_dict()[field] == 8
+    assert f"{field} must be a sequence of ints, got 8" in cfg.validate()
+
+
 def test_export_list_resolves_without_repeats_or_removed_names():
     assert [name for name in nr.__all__ if not hasattr(nr, name)] == []
     assert len(set(nr.__all__)) == len(nr.__all__)
@@ -524,6 +531,17 @@ def test_save_checkpoint_rejects_mixed_parameter_dtypes(tmp_path):
     path = tmp_path / "ckpt.npz"
     with pytest.raises(ContractError, match="mix dtypes"):
         nr.save_checkpoint(path, nr.Checkpoint(small_cfg(), state, 1, {}))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    (dict(channels=8), "channels must be a sequence of ints, got 8"),
+    (dict(heads=3), "not divisible by heads 3"),
+])
+def test_save_checkpoint_refuses_an_invalid_config_naming_its_problems(tmp_path, overrides, problem):
+    path = tmp_path / "ckpt.npz"
+    with pytest.raises(ConfigError, match=problem):
+        nr.save_checkpoint(path, nr.Checkpoint(small_cfg(**overrides), {}, 1, {}))
     assert not path.exists()
 
 

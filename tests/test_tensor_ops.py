@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 from scipy.special import softmax as sp_softmax
 
 import nestreg as nr
+import nestreg.tensor as nt
 from nestreg import ConfigError, ShapeError, Tensor
 from oracles import (
+    box_sum_prefix_ref,
     box_sum_ref,
     conv3d_ref,
     gelu_ref,
@@ -223,6 +225,57 @@ def test_box_sum_float32_within_one_ulp_of_float64_at_full_window(rng):
     want = nr.box_sum(Tensor(x.astype(np.float64)), 9).data
     assert got.dtype == np.float32
     assert np.max(np.abs(got - want) / np.abs(want)) < np.finfo(np.float32).eps
+
+
+def test_box_sum_float32_within_one_ulp_of_the_prefix_sum_kernel(rng):
+    """Both kernels sum in float64 and cast once, so their float32 results
+    differ by at most one float32 ulp. On heavy-tailed volumes like these
+    (64^3 k9 and 32^3 B=2 k5, five seeds) no voxel differed at all."""
+    for shape, k in [((1, 64, 64, 64), 9), ((2, 1, 32, 32, 32), 5)]:
+        x = (rng.normal(size=shape) * np.exp(rng.normal(size=shape))).astype(np.float32)
+        got = nr.box_sum(Tensor(x), k).data
+        want = box_sum_prefix_ref(x, k)
+        assert got.dtype == want.dtype == np.float32
+        assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+
+
+def _record_slab_extents(monkeypatch):
+    """Record the z extent of every slab the box-sum kernel sums."""
+    seen, window_sums = [], nt._window_sums
+
+    def recording(s, k, axis):
+        if axis == 0:
+            seen.append(s.shape[0])
+        return window_sums(s, k, axis)
+
+    monkeypatch.setattr(nt, "_window_sums", recording)
+    return seen
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+@pytest.mark.parametrize("split", ["one_plane", "uneven", "single"])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_box_sum_slab_edges_match_the_loop_oracle(rng, monkeypatch, k, split, batch):
+    """Five output z-planes split into slabs of 1 (five slabs), of 2 (2, 2, 1)
+    or one slab; the x extent equals k, and a second volume has z extent k
+    (one output plane). Window sums stay within 1e-12 of the window's
+    absolute sum of the loop oracle."""
+    seen = _record_slab_extents(monkeypatch)
+    for spatial in [(k + 4, k + 1, k), (k, k + 2, k + 3)]:
+        x = rng.normal(size=batch + (2,) + spatial)
+        nz = spatial[0] - k + 1
+        out_planes = {"one_plane": 1, "uneven": 2, "single": nz}[split]
+        plane_bytes = spatial[1] * spatial[2] * 8
+        monkeypatch.setattr(nt, "_SLAB_BYTES", (k - 1 + out_planes) * plane_bytes)
+        seen.clear()
+        got = nr.box_sum(Tensor(x), k).data
+        slabs = [min(out_planes, nz - z0) for z0 in range(0, nz, out_planes)]
+        assert seen == [p + k - 1 for p in slabs] * (x.size // np.prod(spatial))
+        for b in np.ndindex(batch):
+            want = box_sum_ref(x[b], k)
+            scale = box_sum_ref(np.abs(x[b]), k)
+            assert got[b].shape == want.shape
+            assert (np.abs(got[b] - want) <= 1e-12 * scale).all()
 
 
 def test_box_sum_rejects_bad_shapes_and_windows(rng):
