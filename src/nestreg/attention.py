@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .tensor import (
     Tensor,
-    concat,
     conv3d,
     exp,
     gelu,
@@ -91,12 +90,24 @@ def _swap_last(t: Tensor) -> Tensor:
     return transpose(t, tuple(range(k)) + (k + 1, k))
 
 
-def _head_slices(x: Tensor, heads: int):
-    dh = x.shape[-1] // heads
-    return [x[..., i * dh:(i + 1) * dh] for i in range(heads)]
+def _split_heads(t: Tensor, heads: int) -> Tensor:
+    """[..., N, H*dh] -> [..., H, N, dh]."""
+    k = t.ndim - 2
+    n, dm = t.shape[-2:]
+    t = reshape(t, t.shape[:k] + (n, heads, dm // heads))
+    return transpose(t, tuple(range(k)) + (k + 1, k, k + 2))
 
 
-def _check_proj(x: Tensor, p: AttentionParams, what: str) -> None:
+def _merge_heads(t: Tensor) -> Tensor:
+    """[..., H, N, dh] -> [..., N, H*dh]; inverse of _split_heads."""
+    k = t.ndim - 3
+    heads, n, dh = t.shape[-3:]
+    t = transpose(t, tuple(range(k)) + (k + 1, k, k + 2))
+    return reshape(t, t.shape[:k] + (n, heads * dh))
+
+
+def _project_heads(x: Tensor, p: AttentionParams, what: str):
+    """Check the projections, then return Q, K and V, each [..., H, N, dh]."""
     dm = x.shape[-1]
     if dm % p.heads:
         raise ShapeError(f"{what}: d_model {dm} not divisible by heads {p.heads}")
@@ -105,28 +116,20 @@ def _check_proj(x: Tensor, p: AttentionParams, what: str) -> None:
             raise ShapeError(
                 f"{what}: {name} shape {w.shape} != ({dm}, {dm}) for input {x.shape}"
             )
+    return tuple(_split_heads(matmul(x, w), p.heads) for w in (p.wq, p.wk, p.wv))
 
 
 def efficient_attention(x: Tensor, p: AttentionParams) -> Tensor:
-    """rho_q(Q) @ (rho_k(K)^T @ V) per head, concatenated, output-projected.
+    """rho_q(Q) @ (rho_k(K)^T @ V) per head, heads merged, output-projected.
 
     rho_q: softmax over the head-channel axis (each position); rho_k: softmax
-    over the token axis (each channel).
+    over the token axis (each channel).  The heads run as one batch axis.
     """
-    _check_proj(x, p, "efficient_attention")
-    q = matmul(x, p.wq)
-    k = matmul(x, p.wk)
-    v = matmul(x, p.wv)
-    outs = []
-    for qh, kh, vh in zip(
-        _head_slices(q, p.heads), _head_slices(k, p.heads), _head_slices(v, p.heads)
-    ):
-        rq = softmax(qh, axis=-1)
-        rk = softmax(kh, axis=-2)
-        context = matmul(_swap_last(rk), vh)  # [..., dh, dh]
-        outs.append(matmul(rq, context))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-    return matmul(merged, p.wo)
+    q, k, v = _project_heads(x, p, "efficient_attention")
+    rq = softmax(q, axis=-1)
+    rk = softmax(k, axis=-2)
+    context = matmul(_swap_last(rk), v)  # [..., H, dh, dh]
+    return matmul(_merge_heads(matmul(rq, context)), p.wo)
 
 
 def channel_attention(x: Tensor, p: AttentionParams) -> Tensor:
@@ -134,26 +137,17 @@ def channel_attention(x: Tensor, p: AttentionParams) -> Tensor:
 
     The softmax normalizes each column of the [dh, dh] channel-mixing matrix,
     so every output channel is a convex mix of value channels (pre-projection).
+    The heads run as one batch axis, each divided by its own tau.
     """
-    _check_proj(x, p, "channel_attention")
     if p.log_tau is None or p.log_tau.shape != (p.heads,):
         raise ShapeError(
             f"channel_attention needs log_tau of shape ({p.heads},), got "
             f"{None if p.log_tau is None else p.log_tau.shape}"
         )
-    q = matmul(x, p.wq)
-    k = matmul(x, p.wk)
-    v = matmul(x, p.wv)
-    tau = exp(p.log_tau)
-    outs = []
-    for h, (qh, kh, vh) in enumerate(
-        zip(_head_slices(q, p.heads), _head_slices(k, p.heads), _head_slices(v, p.heads))
-    ):
-        scores = matmul(_swap_last(kh), qh) / tau[h:h + 1]
-        mix = softmax(scores, axis=-2)
-        outs.append(matmul(vh, mix))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-    return matmul(merged, p.wo)
+    q, k, v = _project_heads(x, p, "channel_attention")
+    tau = reshape(exp(p.log_tau), (p.heads, 1, 1))
+    mix = softmax(matmul(_swap_last(k), q) / tau, axis=-2)
+    return matmul(_merge_heads(matmul(v, mix)), p.wo)
 
 
 def mix_ffn(x: Tensor, spatial, p: MixFfnParams) -> Tensor:

@@ -271,6 +271,16 @@ def _check_dual_block(seed, h, max_coords):
     return check_gradients(fn, leaves, h=h, max_coords=max_coords)
 
 
+def _check_dual_block_batched(seed, h, max_coords):
+    rng = _rng(seed, 27)
+    x = _leaf(rng, (2, 12, 4), 0.7)
+    p, params = random_block(rng, "dual_block", 4, heads=2)
+    r = _proj(rng, (2, 12, 4))
+    leaves = {"x": x, **params}
+    fn = lambda: tsum(att.dual_attention_block(x, (2, 2, 3), p) * r)
+    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
+
+
 def _check_lka(seed, h, max_coords):
     rng = _rng(seed, 14)
     x = _leaf(rng, (3, 4, 4, 5), 0.7)
@@ -434,6 +444,7 @@ _CHECKS = [
     ("channel_attention", _check_channel_attention, 24),
     ("mix_ffn", _check_mix_ffn, 24),
     ("dual_attention_block", _check_dual_block, 12),
+    ("dual_attention_block_batched", _check_dual_block_batched, 12),
     ("lka_block", _check_lka, 24),
     ("nested_attention_fusion", _check_fusion, 12),
     ("warp_trilinear", _check_warp, 48),

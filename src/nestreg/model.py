@@ -382,22 +382,9 @@ def count_params(cfg: ModelConfig) -> ParamTable:
     cfg.validated()
     _, _, _, registry = _build(cfg, rng=None)
     counts: dict[str, int] = {}
-    order: list[str] = []
     for name, p in registry.items():
         g = _group_of(name)
-        if g not in counts:
-            counts[g] = 0
-            order.append(g)
-        counts[g] += p.size
-    # stable presentation order: Encoder, DAE-Former i, LKA-Former i, Other
-    def key(g: str):
-        if g == "Encoder":
-            return (0, 0)
-        if g.startswith("DAE-Former"):
-            return (1, int(g.split()[-1]))
-        if g.startswith("LKA-Former"):
-            return (2, int(g.split()[-1]))
-        return (3, 0)
-
-    table = ParamTable(rows=[(g, counts[g]) for g in sorted(order, key=key)])
-    return table
+        counts[g] = counts.get(g, 0) + p.size
+    # The registry lists Encoder, DAE-Former i, LKA-Former i in build order,
+    # with skip projections ("Other") between them; a stable sort puts Other last.
+    return ParamTable(rows=sorted(counts.items(), key=lambda row: row[0] == "Other"))

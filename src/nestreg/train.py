@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +141,17 @@ def _snapshot(model: RegistrationModel, rng, epoch: int) -> Checkpoint:
     )
 
 
+def _check_resume_config(saved: ModelConfig, run: ModelConfig) -> None:
+    """A resumed run continues the checkpoint's run, so only ``epochs`` may
+    differ between the checkpoint's config and the run's."""
+    theirs, ours = saved.to_dict(), run.to_dict()
+    differ = [f"{k} {theirs[k]!r} in the checkpoint, {ours[k]!r} in the run"
+              for k in ours if k != "epochs" and theirs[k] != ours[k]]
+    if differ:
+        raise ContractError("resume checkpoint's config differs from the run's: "
+                            + "; ".join(differ))
+
+
 def train(
     model: RegistrationModel,
     train_pairs,
@@ -161,6 +173,7 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     start_epoch = 0
     if resume is not None:
+        _check_resume_config(resume.config, cfg)
         model.load_state(resume.params)
         rng.bit_generator.state = copy.deepcopy(resume.rng_state)
         start_epoch = resume.epoch
@@ -311,12 +324,27 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parameters come back as reshaped views of the file's one buffer. Files
-    without ``__params__``, the older layout, hold one member per name."""
-    with np.load(path) as data:
-        if "__meta__" not in data:
-            raise ContractError(f"{path} is not a checkpoint (missing metadata)")
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        params = {k: data[k] for k in data.files if k != "__meta__"}
+    without ``__params__``, the older layout, hold one member per name. A file
+    that is no readable npz archive, or whose ``__meta__`` is not a JSON object
+    with objects ``config`` and ``rng_state`` and an int ``epoch``, raises
+    ``ContractError``."""
+    try:
+        with np.load(path) as data:  # a .npy array is no context manager: TypeError
+            if "__meta__" not in data:
+                raise ContractError(f"{path} is not a checkpoint (missing metadata)")
+            raw = bytes(data["__meta__"])
+            params = {k: data[k] for k in data.files if k != "__meta__"}
+    except (ValueError, EOFError, TypeError, zipfile.BadZipFile) as e:
+        raise ContractError(f"{path} is not a readable checkpoint archive: {e}") from e
+    try:
+        meta = json.loads(raw.decode())
+    except ValueError as e:
+        raise ContractError(f"{path}: checkpoint metadata is not JSON: {e}") from e
+    kinds = {"config": dict, "epoch": int, "rng_state": dict}
+    bad = [k for k, kind in kinds.items()
+           if not isinstance(meta, dict) or not isinstance(meta.get(k), kind)]
+    if bad:
+        raise ContractError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
     if "__params__" in params:
         flat, index = params.pop("__params__"), meta.get("params", [])
         ends = np.cumsum([0] + [np.prod(shape, dtype=int) for _, shape in index])
@@ -328,7 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=ModelConfig.from_dict(meta["config"]),
         params=params,
-        epoch=int(meta["epoch"]),
+        epoch=meta["epoch"],
         rng_state=_unjsonable(meta["rng_state"]),
     )
 

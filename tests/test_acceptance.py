@@ -30,8 +30,10 @@ per criterion.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -79,6 +81,7 @@ def test_c1_gradient_integrity():
         "warp_trilinear", "ncc_loss", "smoothness_loss", "composite_loss",
         "full_model", "box_sum", "conv3d_depthwise", "conv3d_pointwise",
         "conv3d_batched", "warp_batched", "full_model_batched",
+        "dual_attention_block_batched",
     } <= names
     worst = max(r.max_rel_error for r in results)
     failures = [r.line() for r in results if not r.passed]
@@ -330,29 +333,17 @@ def test_c5_training_sanity(tmp_path):
 # 6. Ablation-grid liveness
 # ---------------------------------------------------------------------------
 
-# 16-cube footprint for the grid: four stride-2 stages so every row divides
-# evenly (the desk default's stride-4 front stage would shrink 16^3 past
-# stage 3). "layers {4, 8}" means total dual-attention blocks spread evenly
-# over the four stages, i.e. blocks_per_stage {1, 2}.
-_GRID_BASE = dict(strides=(2, 2, 2, 2), kernels=(3, 3, 3, 3), epochs=1)
+def _ablation_grid():
+    """``scripts/ablation_grid.py``, loaded by path, so the gate trains exactly
+    the rows (and the 16-cube base) that the script sweeps."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ablation_grid.py"
+    spec = importlib.util.spec_from_file_location("ablation_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-_GRID_ROWS = [
-    ("batch 2", dict(batch_size=2)),
-    ("batch 8", dict(batch_size=8)),
-    ("heads 1", dict(heads=1)),
-    ("heads 8", dict(heads=8)),
-    ("patch 3", dict(patch_kernel=3)),
-    ("patch 6", dict(patch_kernel=6)),
-    ("layers 4", dict(blocks_per_stage=1)),
-    ("layers 8", dict(blocks_per_stage=2)),
-    ("EA only", dict(use_channel=False)),
-    ("CA only", dict(use_efficient=False)),
-    ("DAE/LKA 0/4", dict(dae_blocks=0, lka_blocks=4)),
-    ("DAE/LKA 1/3", dict(dae_blocks=1, lka_blocks=3)),
-    ("DAE/LKA 2/2", dict(dae_blocks=2, lka_blocks=2)),
-    ("DAE/LKA 3/1", dict(dae_blocks=3, lka_blocks=1)),
-    ("DAE/LKA 4/0", dict(dae_blocks=4, lka_blocks=0)),
-]
+
+_GRID = _ablation_grid()
 
 
 def _arch_signature(cfg: ModelConfig) -> tuple:
@@ -371,8 +362,8 @@ def test_c6_ablation_grid_liveness():
     ]
     totals_by_sig: dict[tuple, int] = {}
     lines = []
-    for label, overrides in _GRID_ROWS:
-        cfg = ModelConfig(**_GRID_BASE, **overrides)
+    for label, overrides in _GRID.ROWS:
+        cfg = ModelConfig(**_GRID.BASE, epochs=1, **overrides)
         assert cfg.validate() == [], f"{label}: {cfg.validate()}"
         total = nr.count_params(cfg).total
         sig = _arch_signature(cfg)
@@ -389,7 +380,7 @@ def test_c6_ablation_grid_liveness():
     totals = list(totals_by_sig.values())
     assert len(set(totals)) == len(totals), "param totals collide across architectures"
     _verdict(6, "ablation grid liveness",
-             f"{len(_GRID_ROWS)} rows trained, {len(totals)} distinct architectures, "
+             f"{len(_GRID.ROWS)} rows trained, {len(totals)} distinct architectures, "
              "all totals distinct")
 
 
@@ -485,7 +476,7 @@ _COUNT_CASES = [
 @pytest.mark.parametrize("cfg,frozen", _COUNT_CASES, ids=["A", "B", "C"])
 def test_c8_parameter_accounting(cfg, frozen):
     table = nr.count_params(cfg)
-    assert dict(table.rows) == frozen
+    assert table.rows == list(frozen.items())  # Encoder, DAE i, LKA i, Other
     assert table.total == sum(frozen.values())
     assert nr.build_model(cfg, seed=0).num_params == table.total
     _verdict(8, "parameter accounting",

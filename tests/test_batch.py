@@ -13,7 +13,7 @@ import pytest
 
 import nestreg as nr
 from nestreg import GradTape, Tensor
-from nestreg.diagnostics import _offgrid_field, _tiny_model
+from nestreg.diagnostics import _offgrid_field, _tiny_model, random_block
 from nestreg.losses import composite_loss, ncc_loss, smoothness_loss
 from nestreg.train import Checkpoint, model_from_checkpoint
 from oracles import warp_gather_ref
@@ -58,6 +58,10 @@ def test_conv3d_on_a_batch_equals_stacked_per_sample_calls(rng, case):
     )
 
 
+# Fixed float64 attention parameters with two heads, shared by every sample.
+_EA, _ = random_block(np.random.default_rng(41), "attention", 6, heads=2, with_tau=False)
+_CA, _ = random_block(np.random.default_rng(42), "attention", 6, heads=2, with_tau=True)
+
 # The window sums, the resampling, the pooling and the warp treat each sample
 # alone with the same operations, so their forward is bitwise equal.
 PRIMITIVES = {
@@ -76,6 +80,8 @@ PRIMITIVES = {
         False,
     ),
     "smoothness": (lambda u: smoothness_loss(nr.DeformationField(u)), [(3, 4, 5, 4)], False),
+    "efficient_attention": (lambda x: nr.efficient_attention(x, _EA), [(12, 6)], False),
+    "channel_attention": (lambda x: nr.channel_attention(x, _CA), [(12, 6)], False),
 }
 
 

@@ -402,6 +402,62 @@ def test_cli_register_gives_the_same_bytes_from_a_packed_and_a_per_name_checkpoi
         assert (packed / name).read_bytes() == (legacy / name).read_bytes()
 
 
+def _train_tiny(tmp_path, data, out, *extra, **overrides):
+    cfg_file = tmp_path / f"{out}.json"
+    cfg_file.write_text(json.dumps({**TINY_CFG.to_dict(), **overrides}))
+    return main(["train", "--data", str(data), "--out", str(tmp_path / out),
+                 "--config", str(cfg_file), *extra])
+
+
+def test_cli_train_resume_with_a_different_config_is_a_data_error(tmp_path, capsys):
+    main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
+    assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "1", ncc_window=3) == 0
+    ckpt = tmp_path / "run" / "checkpoint_last.npz"
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    rc = _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "3", "--resume", str(ckpt))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "ncc_window 3 in the checkpoint, 5 in the run" in err
+    assert ckpt.read_bytes() == before
+    assert [r.epoch for r in nr.read_curve_csv(tmp_path / "run" / "curve.csv").rows] == [1]
+
+
+def _truncated_checkpoint(path):
+    nr.save_checkpoint(path, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, {}))
+    path.write_bytes(path.read_bytes()[:300])
+
+
+def _checkpoint_with_meta(raw: bytes):
+    return lambda path: np.savez(path, __meta__=np.frombuffer(raw, dtype=np.uint8),
+                                 __params__=np.empty(0, dtype=np.float32))
+
+
+@pytest.mark.parametrize("command", ["register", "train"])
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"not an npz archive\n"),
+    _truncated_checkpoint,
+    _checkpoint_with_meta(b"{not json"),
+    _checkpoint_with_meta(json.dumps({"rng_state": {}, "params": []}).encode()),
+    _checkpoint_with_meta(json.dumps({"config": 5, "epoch": "1", "rng_state": {}}).encode()),
+], ids=["not-npz", "truncated", "meta-not-json", "meta-lacks-config-and-epoch",
+        "meta-config-and-epoch-of-the-wrong-kind"])
+def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, write):
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    ckpt = tmp_path / "ckpt.npz"
+    write(ckpt)
+    capsys.readouterr()
+    if command == "register":
+        rc = _register(tmp_path, ckpt, tmp_path)
+    else:
+        rc = _train_tiny(tmp_path, tmp_path, "run", "--resume", str(ckpt))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(ckpt) in err and "Traceback" not in err
+    assert not (tmp_path / "field.nmv").exists() and not (tmp_path / "run").exists()
+
+
 def test_cli_train_with_empty_data_dir_is_a_data_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

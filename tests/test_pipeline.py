@@ -451,6 +451,23 @@ def test_resume_past_the_end_is_rejected():
         nr.train(model, tr, va, resume=done.last)
 
 
+def test_resume_with_a_config_that_differs_beyond_epochs_is_rejected():
+    """A resumed run continues the checkpoint's objective and numerics; only
+    epochs may change, and the error names each other differing field."""
+    tr, va = nr.split_pairs(small_pairs(2))
+    part = nr.train(nr.build_model(small_cfg(epochs=1, ncc_window=3), seed=0), tr, va)
+    changed = nr.build_model(small_cfg(epochs=3, precision=32), seed=0)
+    before = changed.state()
+    with pytest.raises(ContractError) as err:
+        nr.train(changed, tr, va, resume=part.last)
+    msg = str(err.value)
+    assert "ncc_window 3 in the checkpoint, 5 in the run" in msg
+    assert "precision 64 in the checkpoint, 32 in the run" in msg
+    assert "epochs" not in msg
+    for name, arr in before.items():
+        npt.assert_array_equal(changed.state()[name], arr, err_msg=name)
+
+
 def test_checkpoint_roundtrip_preserves_forward_bit_for_bit(tmp_path, rng):
     model = nr.build_model(small_cfg(epochs=1, seed=1))
     tr, va = nr.split_pairs(small_pairs(2))
