@@ -1,16 +1,20 @@
 """Finite-difference verification of every differentiable block.
 
-Each check builds a float64 fixture from the seed, scalarizes the block
-output through a fixed random projection, and compares tape gradients with
-central differences (h = 1e-4) for every leaf — inputs and parameters.
-Shared by the test suite and the ``gradcheck`` CLI subcommand.
+The checks are one table, ``_ROWS``: each row draws float64 leaves from the
+seed, scalarizes the block output through a fixed random projection, and
+compares tape gradients with central differences (h = 1e-4) for every leaf —
+inputs and parameters. Two full-model checks follow the table. Shared by the
+test suite and the ``gradcheck`` CLI subcommand.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,14 +64,6 @@ def _rng(seed, salt):
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
-def _leaf(rng, shape, scale=1.0):
-    return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
-
-
-def _proj(rng, shape):
-    return Tensor(rng.normal(size=shape))
-
-
 def _offgrid_field(rng, shape) -> np.ndarray:
     """Displacements whose sample positions stay >= 0.15 voxel away from
     lattice planes and clamp boundaries (the warp has derivative kinks there)."""
@@ -95,260 +91,165 @@ def random_block(rng, kind: str, width: int, heads: int = 1, **kwargs):
     return params, b.registry
 
 
-# --- individual checks ------------------------------------------------------
+# --- the table of block checks -----------------------------------------------
 
 
-def _check_matmul(seed, h, max_coords):
-    rng = _rng(seed, 1)
-    x = _leaf(rng, (4, 5))
-    w = _leaf(rng, (5, 3))
-    r = _proj(rng, (4, 3))
-    return check_gradients(lambda: tsum(matmul(x, w) * r), {"x": x, "w": w}, h=h)
+def _n(*shape, scale=1.0, shift=0.0):
+    """Leaf draw: N(shift, scale) entries of ``shape``."""
+    return lambda rng: rng.normal(size=shape) * scale + shift
 
 
-def _check_activations(seed, h, max_coords):
-    rng = _rng(seed, 2)
-    x = _leaf(rng, (3, 4, 5))
-    r = _proj(rng, (3, 4, 5))
-    fn = lambda: tsum((sigmoid(x) + gelu(x) + tanh(x)) * r)
-    return check_gradients(fn, {"x": x}, h=h)
+def _field(*shape):
+    """Leaf draw: an off-grid displacement field of ``shape``, ``([B,] 3, D, H, W)``."""
+    return lambda rng: np.moveaxis(_offgrid_field(rng, shape[:-4] + shape[-3:]), 0, -4)
 
 
-def _check_softmax(seed, h, max_coords):
-    rng = _rng(seed, 3)
-    x = _leaf(rng, (5, 4))
-    r0 = _proj(rng, (5, 4))
-    r1 = _proj(rng, (5, 4))
-    fn = lambda: tsum(softmax(x, axis=0) * r0) + tsum(softmax(x, axis=1) * r1)
-    return check_gradients(fn, {"x": x}, h=h)
+def _warped(m, u):
+    return warp_trilinear(Volume(values=m), DeformationField(u=u)).values
 
 
-def _check_layernorm(seed, h, max_coords):
-    rng = _rng(seed, 4)
-    x = _leaf(rng, (6, 5))
-    gamma = Tensor(1.0 + 0.2 * rng.normal(size=(5,)), requires_grad=True)
-    beta = Tensor(0.2 * rng.normal(size=(5,)), requires_grad=True)
-    r = _proj(rng, (6, 5))
-    fn = lambda: tsum(layernorm(x, gamma, beta, axis=1) * r)
-    return check_gradients(fn, {"x": x, "gamma": gamma, "beta": beta}, h=h)
+_COMPOSITE_CONFIG = ModelConfig(ncc_window=5)
 
 
-def _check_conv3d_plain(seed, h, max_coords):
-    rng = _rng(seed, 5)
-    x = _leaf(rng, (2, 4, 5, 4))
-    w = _leaf(rng, (3, 2, 3, 3, 3), 0.3)
-    b = _leaf(rng, (3,))
-    r = _proj(rng, (3, 4, 5, 4))
-    fn = lambda: tsum(conv3d(x, w, b, padding=1) * r)
-    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
+@dataclass(frozen=True)
+class _Row:
+    """One finite-difference check: the leaves drawn from ``_rng(seed, salt)``
+    in order, then the parameters of ``block`` (``(kind, width, kwargs)`` for
+    ``random_block``, appended to ``call``'s arguments), then one projection
+    per output of ``call``, whose projected sum is the checked scalar (a
+    scalar output is checked as it is)."""
+
+    name: str
+    salt: int
+    leaves: dict
+    call: Callable
+    block: tuple | None = None
+    max_coords: int | None = None
+
+    def draw_block(self, rng):
+        """``(extra call arguments, {name: leaf})`` of the row's block."""
+        if self.block is None:
+            return (), {}
+        kind, width, kwargs = self.block
+        params, registry = random_block(rng, kind, width, **kwargs)
+        return (params,), registry
+
+    def outputs(self, *args):
+        out = self.call(*args)
+        return out if isinstance(out, tuple) else (out,)
+
+    def run(self, seed, h):
+        rng = _rng(seed, self.salt)
+        leaves = {k: Tensor(draw(rng), requires_grad=True) for k, draw in self.leaves.items()}
+        extra, registry = self.draw_block(rng)
+        args = (*leaves.values(), *extra)
+        leaves.update(registry)
+        proj = [Tensor(rng.normal(size=o.shape)) for o in self.outputs(*args) if o.shape != ()]
+
+        def fn():
+            outs = self.outputs(*args)
+            if not proj:
+                return outs[0]
+            return functools.reduce(operator.add, (tsum(o * r) for o, r in zip(outs, proj)))
+
+        return check_gradients(fn, leaves, h=h, max_coords=self.max_coords)
 
 
-def _check_conv3d_strided(seed, h, max_coords):
-    rng = _rng(seed, 6)
-    x = _leaf(rng, (2, 7, 8, 9))
-    w = _leaf(rng, (3, 2, 2, 3, 2), 0.3)
-    b = _leaf(rng, (3,))
-    out_shape = conv3d(
-        x.detach(), w.detach(), stride=(2, 2, 3), padding=(2, 1, 2), dilation=(2, 1, 3)
-    ).shape
-    r = _proj(rng, out_shape)
-    fn = lambda: tsum(
-        conv3d(x, w, b, stride=(2, 2, 3), padding=(2, 1, 2), dilation=(2, 1, 3)) * r
-    )
-    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
-
-
-def _check_conv3d_grouped(seed, h, max_coords):
-    rng = _rng(seed, 7)
-    x = _leaf(rng, (4, 4, 4, 4))
-    w = _leaf(rng, (6, 2, 3, 3, 3), 0.3)
-    r = _proj(rng, (6, 4, 4, 4))
-    fn = lambda: tsum(conv3d(x, w, padding=1, groups=2) * r)
-    return check_gradients(fn, {"x": x, "w": w}, h=h)
-
-
-def _check_conv3d_depthwise(seed, h, max_coords):
-    rng = _rng(seed, 23)
-    x = _leaf(rng, (3, 4, 5, 4))
-    w = _leaf(rng, (3, 1, 3, 3, 3), 0.3)
-    b = _leaf(rng, (3,))
-    r = _proj(rng, (3, 4, 5, 4))
-    fn = lambda: tsum(conv3d(x, w, b, padding=2, dilation=2, groups=3) * r)
-    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
-
-
-def _check_conv3d_pointwise(seed, h, max_coords):
-    rng = _rng(seed, 24)
-    x = _leaf(rng, (4, 3, 4, 5))
-    w = _leaf(rng, (3, 4, 1, 1, 1), 0.3)
-    b = _leaf(rng, (3,))
-    r = _proj(rng, (3, 3, 4, 5))
-    fn = lambda: tsum(conv3d(x, w, b) * r)
-    return check_gradients(fn, {"x": x, "w": w, "b": b}, h=h)
-
-
-def _check_conv3d_batched(seed, h, max_coords):
+_ROWS = (
+    _Row("matmul", 1, {"x": _n(4, 5), "w": _n(5, 3)}, matmul),
+    _Row("activations", 2, {"x": _n(3, 4, 5)}, lambda x: sigmoid(x) + gelu(x) + tanh(x)),
+    _Row("softmax", 3, {"x": _n(5, 4)}, lambda x: (softmax(x, axis=0), softmax(x, axis=1))),
+    _Row(
+        "layernorm", 4,
+        {"x": _n(6, 5), "gamma": _n(5, scale=0.2, shift=1.0), "beta": _n(5, scale=0.2)},
+        lambda x, gamma, beta: layernorm(x, gamma, beta, axis=1),
+    ),
+    _Row(
+        "conv3d", 5, {"x": _n(2, 4, 5, 4), "w": _n(3, 2, 3, 3, 3, scale=0.3), "b": _n(3)},
+        lambda x, w, b: conv3d(x, w, b, padding=1),
+    ),
+    _Row(
+        "conv3d_strided_dilated", 6,
+        {"x": _n(2, 7, 8, 9), "w": _n(3, 2, 2, 3, 2, scale=0.3), "b": _n(3)},
+        lambda x, w, b: conv3d(x, w, b, stride=(2, 2, 3), padding=(2, 1, 2), dilation=(2, 1, 3)),
+    ),
+    _Row(
+        "conv3d_grouped", 7, {"x": _n(4, 4, 4, 4), "w": _n(6, 2, 3, 3, 3, scale=0.3)},
+        lambda x, w: conv3d(x, w, padding=1, groups=2),
+    ),
+    _Row(
+        "conv3d_depthwise", 23, {"x": _n(3, 4, 5, 4), "w": _n(3, 1, 3, 3, 3, scale=0.3), "b": _n(3)},
+        lambda x, w, b: conv3d(x, w, b, padding=2, dilation=2, groups=3),
+    ),
+    _Row(
+        "conv3d_pointwise", 24, {"x": _n(4, 3, 4, 5), "w": _n(3, 4, 1, 1, 1, scale=0.3), "b": _n(3)},
+        lambda x, w, b: conv3d(x, w, b),
+    ),
     # A batch of two through each kernel kind: dense, depthwise, pointwise.
-    rng = _rng(seed, 25)
-    x = _leaf(rng, (2, 3, 4, 5, 4))
-    wd = _leaf(rng, (2, 3, 3, 3, 3), 0.3)
-    wdw = _leaf(rng, (3, 1, 3, 3, 3), 0.3)
-    wp = _leaf(rng, (2, 3, 1, 1, 1), 0.3)
-    b = _leaf(rng, (2,))
-    r0, r1, r2 = (_proj(rng, (2, c, 4, 5, 4)) for c in (2, 3, 2))
-
-    def fn():
-        return (
-            tsum(conv3d(x, wd, b, padding=1) * r0)
-            + tsum(conv3d(x, wdw, padding=2, dilation=2, groups=3) * r1)
-            + tsum(conv3d(x, wp, b) * r2)
-        )
-
-    return check_gradients(fn, {"x": x, "wd": wd, "wdw": wdw, "wp": wp, "b": b}, h=h)
-
-
-def _check_upsample(seed, h, max_coords):
-    rng = _rng(seed, 8)
-    x = _leaf(rng, (2, 3, 4, 5))
-    r = _proj(rng, (2, 6, 12, 5))
-    fn = lambda: tsum(upsample_trilinear(x, (2, 3, 1)) * r)
-    return check_gradients(fn, {"x": x}, h=h)
-
-
-def _check_box_sum(seed, h, max_coords):
-    rng = _rng(seed, 22)
-    x = _leaf(rng, (2, 4, 5, 6))
-    r = _proj(rng, (2, 2, 3, 4))
-    return check_gradients(lambda: tsum(box_sum(x, 3) * r), {"x": x}, h=h)
-
-
-def _check_global_pool(seed, h, max_coords):
-    rng = _rng(seed, 9)
-    x = _leaf(rng, (3, 3, 4, 2))
-    r0 = _proj(rng, (3,))
-    r1 = _proj(rng, (3,))
-    fn = lambda: tsum(global_pool(x, "avg") * r0) + tsum(global_pool(x, "max") * r1)
-    return check_gradients(fn, {"x": x}, h=h)
-
-
-def _check_efficient_attention(seed, h, max_coords):
-    rng = _rng(seed, 10)
-    x = _leaf(rng, (10, 6), 0.7)
-    p, params = random_block(rng, "attention", 6, heads=2, with_tau=False)
-    leaves = {"x": x, **params}
-    r = _proj(rng, (10, 6))
-    fn = lambda: tsum(att.efficient_attention(x, p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_channel_attention(seed, h, max_coords):
-    rng = _rng(seed, 11)
-    x = _leaf(rng, (10, 6), 0.7)
-    p, params = random_block(rng, "attention", 6, heads=2, with_tau=True)
-    leaves = {"x": x, **params}
-    r = _proj(rng, (10, 6))
-    fn = lambda: tsum(att.channel_attention(x, p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_mix_ffn(seed, h, max_coords):
-    rng = _rng(seed, 12)
-    x = _leaf(rng, (24, 4), 0.7)
-    p, params = random_block(rng, "mix_ffn", 4)
-    r = _proj(rng, (24, 4))
-    leaves = {"x": x, **params}
-    fn = lambda: tsum(att.mix_ffn(x, (2, 3, 4), p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
+    _Row(
+        "conv3d_batched", 25,
+        {
+            "x": _n(2, 3, 4, 5, 4),
+            "wd": _n(2, 3, 3, 3, 3, scale=0.3),
+            "wdw": _n(3, 1, 3, 3, 3, scale=0.3),
+            "wp": _n(2, 3, 1, 1, 1, scale=0.3),
+            "b": _n(2),
+        },
+        lambda x, wd, wdw, wp, b: (
+            conv3d(x, wd, b, padding=1),
+            conv3d(x, wdw, padding=2, dilation=2, groups=3),
+            conv3d(x, wp, b),
+        ),
+    ),
+    _Row("box_sum", 22, {"x": _n(2, 4, 5, 6)}, lambda x: box_sum(x, 3)),
+    _Row("upsample_trilinear", 8, {"x": _n(2, 3, 4, 5)}, lambda x: upsample_trilinear(x, (2, 3, 1))),
+    _Row(
+        "global_pool", 9, {"x": _n(3, 3, 4, 2)},
+        lambda x: (global_pool(x, "avg"), global_pool(x, "max")),
+    ),
+    _Row(
+        "efficient_attention", 10, {"x": _n(10, 6, scale=0.7)}, att.efficient_attention,
+        ("attention", 6, {"heads": 2, "with_tau": False}), 24,
+    ),
+    _Row(
+        "channel_attention", 11, {"x": _n(10, 6, scale=0.7)}, att.channel_attention,
+        ("attention", 6, {"heads": 2, "with_tau": True}), 24,
+    ),
+    _Row(
+        "mix_ffn", 12, {"x": _n(24, 4, scale=0.7)}, lambda x, p: att.mix_ffn(x, (2, 3, 4), p),
+        ("mix_ffn", 4, {}), 24,
+    ),
+    _Row(
+        "dual_attention_block", 13, {"x": _n(12, 4, scale=0.7)},
+        lambda x, p: att.dual_attention_block(x, (2, 2, 3), p), ("dual_block", 4, {"heads": 2}), 12,
+    ),
+    _Row(
+        "dual_attention_block_batched", 27, {"x": _n(2, 12, 4, scale=0.7)},
+        lambda x, p: att.dual_attention_block(x, (2, 2, 3), p), ("dual_block", 4, {"heads": 2}), 12,
+    ),
+    _Row("lka_block", 14, {"x": _n(3, 4, 4, 5, scale=0.7)}, dec.lka_block, ("lka", 3, {}), 24),
+    _Row(
+        "nested_attention_fusion", 15, {"x1": _n(4, 3, 4, 5, scale=0.7), "x2": _n(4, 3, 4, 5, scale=0.7)},
+        dec.nested_attention_fusion, ("fusion", 4, {}), 12,
+    ),
+    _Row("warp_trilinear", 16, {"m": _n(2, 6, 5, 7), "u": _field(3, 6, 5, 7)}, _warped, max_coords=48),
+    _Row("warp_batched", 26, {"m": _n(2, 1, 6, 5, 7), "u": _field(2, 3, 6, 5, 7)}, _warped, max_coords=48),
+    _Row(
+        "ncc_loss", 17, {"f": _n(1, 7, 7, 7), "w": _n(1, 7, 7, 7)},
+        lambda f, w: ncc_loss(Volume(values=f), Volume(values=w), window=5), max_coords=48,
+    ),
+    _Row("smoothness_loss", 18, {"u": _n(3, 4, 5, 4)}, lambda u: smoothness_loss(DeformationField(u=u))),
+    _Row(
+        "composite_loss", 19, {"fixed": _n(1, 8, 8, 8), "moving": _n(1, 8, 8, 8), "u": _field(3, 8, 8, 8)},
+        lambda fx, mv, u: composite_loss(
+            Volume(values=fx), Volume(values=mv), DeformationField(u=u), _COMPOSITE_CONFIG
+        ).total,
+        max_coords=32,
+    ),
+)
 
 
-def _check_dual_block(seed, h, max_coords):
-    rng = _rng(seed, 13)
-    x = _leaf(rng, (12, 4), 0.7)
-    p, params = random_block(rng, "dual_block", 4, heads=2)
-    r = _proj(rng, (12, 4))
-    leaves = {"x": x, **params}
-    fn = lambda: tsum(att.dual_attention_block(x, (2, 2, 3), p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_dual_block_batched(seed, h, max_coords):
-    rng = _rng(seed, 27)
-    x = _leaf(rng, (2, 12, 4), 0.7)
-    p, params = random_block(rng, "dual_block", 4, heads=2)
-    r = _proj(rng, (2, 12, 4))
-    leaves = {"x": x, **params}
-    fn = lambda: tsum(att.dual_attention_block(x, (2, 2, 3), p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_lka(seed, h, max_coords):
-    rng = _rng(seed, 14)
-    x = _leaf(rng, (3, 4, 4, 5), 0.7)
-    p, params = random_block(rng, "lka", 3)
-    r = _proj(rng, (3, 4, 4, 5))
-    leaves = {"x": x, **params}
-    fn = lambda: tsum(dec.lka_block(x, p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_fusion(seed, h, max_coords):
-    rng = _rng(seed, 15)
-    x1 = _leaf(rng, (4, 3, 4, 5), 0.7)
-    x2 = _leaf(rng, (4, 3, 4, 5), 0.7)
-    p, params = random_block(rng, "fusion", 4)
-    r = _proj(rng, (4, 3, 4, 5))
-    leaves = {"x1": x1, "x2": x2, **params}
-    fn = lambda: tsum(dec.nested_attention_fusion(x1, x2, p) * r)
-    return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-
-def _check_warp(seed, h, max_coords):
-    rng = _rng(seed, 16)
-    m = _leaf(rng, (1, 6, 5, 7))
-    u = Tensor(_offgrid_field(rng, (6, 5, 7)), requires_grad=True)
-    r = _proj(rng, (1, 6, 5, 7))
-    fn = lambda: tsum(
-        warp_trilinear(Volume(values=m), DeformationField(u=u)).values * r
-    )
-    return check_gradients(fn, {"m": m, "u": u}, h=h, max_coords=max_coords)
-
-
-def _check_warp_batched(seed, h, max_coords):
-    rng = _rng(seed, 26)
-    m = _leaf(rng, (2, 1, 6, 5, 7))
-    u = Tensor(np.moveaxis(_offgrid_field(rng, (2, 6, 5, 7)), 0, 1), requires_grad=True)
-    r = _proj(rng, (2, 1, 6, 5, 7))
-    fn = lambda: tsum(
-        warp_trilinear(Volume(values=m), DeformationField(u=u)).values * r
-    )
-    return check_gradients(fn, {"m": m, "u": u}, h=h, max_coords=max_coords)
-
-
-def _check_ncc(seed, h, max_coords):
-    rng = _rng(seed, 17)
-    f = _leaf(rng, (1, 7, 7, 7))
-    w = _leaf(rng, (1, 7, 7, 7))
-    fn = lambda: ncc_loss(Volume(values=f), Volume(values=w), window=5)
-    return check_gradients(fn, {"f": f, "w": w}, h=h, max_coords=max_coords)
-
-
-def _check_smoothness(seed, h, max_coords):
-    rng = _rng(seed, 18)
-    u = _leaf(rng, (3, 4, 5, 4))
-    fn = lambda: smoothness_loss(DeformationField(u=u))
-    return check_gradients(fn, {"u": u}, h=h, max_coords=max_coords)
-
-
-def _check_composite(seed, h, max_coords):
-    rng = _rng(seed, 19)
-    fx = _leaf(rng, (1, 8, 8, 8))
-    mv = _leaf(rng, (1, 8, 8, 8))
-    u = Tensor(_offgrid_field(rng, (8, 8, 8)), requires_grad=True)
-    cfg = ModelConfig(ncc_window=5)
-    fn = lambda: composite_loss(
-        Volume(values=fx), Volume(values=mv), DeformationField(u=u), cfg
-    ).total
-    return check_gradients(fn, {"u": u, "moving": mv}, h=h, max_coords=max_coords)
+_TINY_MODEL_SALT = 20
 
 
 def _tiny_model(seed):
@@ -368,7 +269,7 @@ def _tiny_model(seed):
         init_std=0.2,
     )
     model = build_model(cfg)
-    rng = _rng(seed, 20)
+    rng = _rng(seed, _TINY_MODEL_SALT)
     # A zero head keeps every sample position exactly on the lattice, where the
     # warp is non-differentiable; randomize it so the check runs off-grid.
     head_w = model.registry["head.w"]
@@ -406,65 +307,37 @@ def _full_model_inputs(seed: int, salt: int, shape):
             return model, fx, mv
 
 
-def _full_model_check(salt: int, shape):
+def _full_model_check(salt: int, shape, seed, h):
     """The tiny model's composite loss on fixed/moving leaves of ``shape``
     ([1, 8, 8, 8] for one pair, [B, 1, 8, 8, 8] for a batch, whose loss is
-    the mean of the per-pair totals)."""
+    the mean of the per-pair totals), 3 sampled coordinates per leaf."""
+    model, fx, mv = _full_model_inputs(seed, salt, shape)
 
-    def check(seed, h, max_coords):
-        model, fx, mv = _full_model_inputs(seed, salt, shape)
+    def fn():
+        field = model.forward(mv, fx)
+        out = composite_loss(Volume(values=fx), Volume(values=mv), field, model.config)
+        return tmean(out.total)
 
-        def fn():
-            field = model.forward(mv, fx)
-            out = composite_loss(Volume(values=fx), Volume(values=mv), field, model.config)
-            return tmean(out.total)
-
-        leaves = {"moving": mv, "fixed": fx}
-        leaves.update(model.parameters())
-        return check_gradients(fn, leaves, h=h, max_coords=max_coords)
-
-    return check
+    leaves = {"moving": mv, "fixed": fx}
+    leaves.update(model.parameters())
+    return check_gradients(fn, leaves, h=h, max_coords=3)
 
 
-_CHECKS = [
-    ("matmul", _check_matmul, None),
-    ("activations", _check_activations, None),
-    ("softmax", _check_softmax, None),
-    ("layernorm", _check_layernorm, None),
-    ("conv3d", _check_conv3d_plain, None),
-    ("conv3d_strided_dilated", _check_conv3d_strided, None),
-    ("conv3d_grouped", _check_conv3d_grouped, None),
-    ("conv3d_depthwise", _check_conv3d_depthwise, None),
-    ("conv3d_pointwise", _check_conv3d_pointwise, None),
-    ("conv3d_batched", _check_conv3d_batched, None),
-    ("box_sum", _check_box_sum, None),
-    ("upsample_trilinear", _check_upsample, None),
-    ("global_pool", _check_global_pool, None),
-    ("efficient_attention", _check_efficient_attention, 24),
-    ("channel_attention", _check_channel_attention, 24),
-    ("mix_ffn", _check_mix_ffn, 24),
-    ("dual_attention_block", _check_dual_block, 12),
-    ("dual_attention_block_batched", _check_dual_block_batched, 12),
-    ("lka_block", _check_lka, 24),
-    ("nested_attention_fusion", _check_fusion, 12),
-    ("warp_trilinear", _check_warp, 48),
-    ("warp_batched", _check_warp_batched, 48),
-    ("ncc_loss", _check_ncc, 48),
-    ("smoothness_loss", _check_smoothness, None),
-    ("composite_loss", _check_composite, 32),
-    ("full_model", _full_model_check(21, (1, 8, 8, 8)), 3),
-    ("full_model_batched", _full_model_check(30, (2, 1, 8, 8, 8)), 3),
-]
+# (name, salt, input shape) of the checks that run after the table's rows.
+_FULL_MODEL_CHECKS = (("full_model", 21, (1, 8, 8, 8)), ("full_model_batched", 30, (2, 1, 8, 8, 8)))
 
 
 def run_gradcheck_suite(seed: int = 0, h: float = 1e-4, tol: float = 1e-4, names=None):
     """Run every block check; returns a list of CheckResult."""
+    checks = [(row.name, row.run) for row in _ROWS] + [
+        (name, functools.partial(_full_model_check, salt, shape)) for name, salt, shape in _FULL_MODEL_CHECKS
+    ]
     results = []
-    for name, fnc, max_coords in _CHECKS:
+    for name, check in checks:
         if names is not None and name not in names:
             continue
         started = time.perf_counter()
-        worst, _per_leaf = fnc(seed, h, max_coords)
+        worst, _per_leaf = check(seed, h)
         results.append(
             CheckResult(
                 name=name,

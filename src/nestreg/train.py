@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import copy
 import io
+import itertools
 import json
 import logging
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -175,7 +177,10 @@ def train(
     if resume is not None:
         _check_resume_config(resume.config, cfg)
         model.load_state(resume.params)
-        rng.bit_generator.state = copy.deepcopy(resume.rng_state)
+        try:
+            rng.bit_generator.state = copy.deepcopy(resume.rng_state)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ContractError(f"resume checkpoint's rng_state is no PCG64 state: {e!r}") from e
         start_epoch = resume.epoch
         if start_epoch >= cfg.epochs:
             raise ContractError(
@@ -280,23 +285,24 @@ def write_curve_csv(path, curve: TrainingCurve) -> None:
 
 
 def read_curve_csv(path) -> TrainingCurve:
+    """The rows of a ``write_curve_csv`` file. A wrong header, or a row that is
+    not an int epoch and four floats, raises ``ContractError`` naming the file
+    (and the row); bytes that are not UTF-8 decode to U+FFFD, which neither
+    passes."""
     with open(path, "rb") as fh:
-        text = fh.read().decode()
+        text = fh.read().decode(errors="replace")
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != ",".join(CURVE_COLUMNS):
         raise ContractError(f"curve file {path} has unexpected header")
     curve = TrainingCurve()
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
-        curve.append(
-            EpochStats(
-                epoch=int(cells[0]),
-                train_loss=float(cells[1]),
-                val_loss=float(cells[2]),
-                train_ssim=float(cells[3]),
-                val_ssim=float(cells[4]),
-            )
-        )
+        try:
+            if len(cells) != len(CURVE_COLUMNS):
+                raise ValueError(f"{len(cells)} fields, expected {len(CURVE_COLUMNS)}")
+            curve.append(EpochStats(int(cells[0]), *map(float, cells[1:])))
+        except ValueError as e:
+            raise ContractError(f"curve file {path}: row {row} ({ln!r}) is malformed: {e}") from e
     return curve
 
 
@@ -327,7 +333,9 @@ def load_checkpoint(path) -> Checkpoint:
     without ``__params__``, the older layout, hold one member per name. A file
     that is no readable npz archive, or whose ``__meta__`` is not a JSON object
     with objects ``config`` and ``rng_state`` and an int ``epoch``, raises
-    ``ContractError``."""
+    ``ContractError``; so does a ``params`` index that is not a list of
+    ``[name, list of ints >= 0]`` with unique names whose extents sum to the
+    buffer, and an encoded ``rng_state`` array that does not decode."""
     try:
         with np.load(path) as data:  # a .npy array is no context manager: TypeError
             if "__meta__" not in data:
@@ -347,17 +355,32 @@ def load_checkpoint(path) -> Checkpoint:
         raise ContractError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
     if "__params__" in params:
         flat, index = params.pop("__params__"), meta.get("params", [])
-        ends = np.cumsum([0] + [np.prod(shape, dtype=int) for _, shape in index])
+        if not (isinstance(index, list) and all(map(_is_index_entry, index))):
+            raise ContractError(f"{path}: checkpoint parameter index is not a list of "
+                                f"[name, list of extents >= 0] pairs")
+        ends = list(itertools.accumulate((math.prod(shape) for _, shape in index), initial=0))
         if ends[-1] != flat.size or len(dict(index)) != len(index):
             raise ContractError(f"{path}: index of {len(index)} parameters ({ends[-1]} values) "
                                 f"does not match its {flat.size}-value buffer or repeats a name")
         params = {name: flat[lo:hi].reshape(shape)
                   for (name, shape), lo, hi in zip(index, ends, ends[1:])}
+    try:
+        rng_state = _unjsonable(meta["rng_state"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ContractError(f"{path}: checkpoint rng_state holds a malformed array: {e!r}") from e
     return Checkpoint(
         config=ModelConfig.from_dict(meta["config"]),
         params=params,
         epoch=meta["epoch"],
-        rng_state=_unjsonable(meta["rng_state"]),
+        rng_state=rng_state,
+    )
+
+
+def _is_index_entry(entry) -> bool:
+    """``[name, shape]`` with a str name and a list of ints >= 0 as its shape."""
+    return (
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])
     )
 
 

@@ -41,6 +41,7 @@ import pytest
 
 import nestreg as nr
 from nestreg import DeformationField, ModelConfig, Tensor, Volume
+from nestreg.diagnostics import _FULL_MODEL_CHECKS, _ROWS
 
 from conftest import block
 from oracles import (
@@ -74,15 +75,7 @@ def test_c1_gradient_integrity():
     for r in results:
         print("  ", r.line())
 
-    names = {r.name for r in results}
-    assert {
-        "efficient_attention", "channel_attention", "mix_ffn",
-        "dual_attention_block", "nested_attention_fusion", "lka_block",
-        "warp_trilinear", "ncc_loss", "smoothness_loss", "composite_loss",
-        "full_model", "box_sum", "conv3d_depthwise", "conv3d_pointwise",
-        "conv3d_batched", "warp_batched", "full_model_batched",
-        "dual_attention_block_batched",
-    } <= names
+    assert [r.name for r in results] == [row.name for row in _ROWS] + [n for n, _, _ in _FULL_MODEL_CHECKS]
     worst = max(r.max_rel_error for r in results)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)

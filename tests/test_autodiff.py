@@ -13,7 +13,14 @@ import nestreg as nr
 import nestreg.decoder
 import nestreg.tensor as T
 from nestreg import ContractError, GradTape, NumericError, Tensor
-from nestreg.diagnostics import MAX_POOL_MARGIN, _full_model_inputs, _rng
+from nestreg.diagnostics import (
+    _FULL_MODEL_CHECKS,
+    _ROWS,
+    _TINY_MODEL_SALT,
+    MAX_POOL_MARGIN,
+    _full_model_inputs,
+    _rng,
+)
 
 
 def leaf(rng, *shape, scale=1.0):
@@ -211,25 +218,24 @@ def test_gradcheck_passes_on_smooth_composite(rng):
     assert err < 1e-6
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "softmax",
-        "layernorm",
-        "conv3d_strided_dilated",
-        "conv3d_grouped",
-        "conv3d_depthwise",
-        "conv3d_pointwise",
-        "box_sum",
-        "upsample_trilinear",
-        "global_pool",
-        "warp_trilinear",
-    ],
-)
+@pytest.mark.parametrize("name", [row.name for row in _ROWS])
 def test_backward_rules_pass_finite_difference_check(name):
     results = nr.run_gradcheck_suite(seed=3, names=[name])
     assert len(results) == 1
     assert results[0].passed, results[0].line()
+
+
+def test_gradcheck_rows_have_unique_names_and_salts_and_no_leaf_named_like_a_parameter():
+    """Salts include the full-model checks' and the tiny model's. A row's run
+    merges its block's registry into its leaves, so a leaf that shares a
+    parameter's name would drop out of the check without a word."""
+    names = [row.name for row in _ROWS] + [name for name, _, _ in _FULL_MODEL_CHECKS]
+    salts = [row.salt for row in _ROWS] + [salt for _, salt, _ in _FULL_MODEL_CHECKS] + [_TINY_MODEL_SALT]
+    assert len(set(names)) == len(names)
+    assert len(set(salts)) == len(salts)
+    for row in _ROWS:
+        _, registry = row.draw_block(np.random.default_rng(0))
+        assert not set(row.leaves) & set(registry), row.name
 
 
 @pytest.mark.parametrize("window", [5, 9])

@@ -13,11 +13,13 @@ import pytest
 
 import nestreg as nr
 from nestreg import GradTape, Tensor
-from nestreg.diagnostics import _offgrid_field, _tiny_model, random_block
-from nestreg.losses import composite_loss, ncc_loss, smoothness_loss
+from nestreg.diagnostics import _ROWS, _offgrid_field, _tiny_model
+from nestreg.losses import composite_loss
 from nestreg.train import Checkpoint, model_from_checkpoint
 from oracles import warp_gather_ref
 from test_backward_kernels import CONV_CASES
+
+ROWS = {row.name: row for row in _ROWS}
 
 
 def _value_and_grads(fn, arrays, g):
@@ -58,41 +60,46 @@ def test_conv3d_on_a_batch_equals_stacked_per_sample_calls(rng, case):
     )
 
 
-# Fixed float64 attention parameters with two heads, shared by every sample.
-_EA, _ = random_block(np.random.default_rng(41), "attention", 6, heads=2, with_tau=False)
-_CA, _ = random_block(np.random.default_rng(42), "attention", 6, heads=2, with_tau=True)
-
-# The window sums, the resampling, the pooling and the warp treat each sample
-# alone with the same operations, so their forward is bitwise equal.
-PRIMITIVES = {
-    "box_sum": (lambda x: nr.box_sum(x, 3), [(2, 4, 5, 6)], True),
-    "upsample": (lambda x: nr.upsample_trilinear(x, (2, 3, 1)), [(2, 3, 4, 5)], True),
-    "global_pool_avg": (lambda x: nr.global_pool(x, "avg"), [(3, 3, 4, 2)], True),
-    "global_pool_max": (lambda x: nr.global_pool(x, "max"), [(3, 3, 4, 2)], True),
-    "warp": (
-        lambda m, u: nr.warp_trilinear(nr.Volume(m), nr.DeformationField(u)).values,
-        [(2, 6, 5, 7), "field"],
-        True,
-    ),
-    "ncc": (
-        lambda f, w: ncc_loss(nr.Volume(f), nr.Volume(w), window=5),
-        [(1, 7, 7, 7), (1, 7, 7, 7)],
-        False,
-    ),
-    "smoothness": (lambda u: smoothness_loss(nr.DeformationField(u)), [(3, 4, 5, 4)], False),
-    "efficient_attention": (lambda x: nr.efficient_attention(x, _EA), [(12, 6)], False),
-    "channel_attention": (lambda x: nr.channel_attention(x, _CA), [(12, 6)], False),
+# The gradcheck rows whose leaves all take a leading batch axis, and whether
+# their batched forward is bitwise equal to the per-sample calls: the window
+# sums, the resampling, the pooling and the warp treat each sample alone with
+# the same operations.
+BATCHABLE = {
+    "matmul": False,
+    "activations": False,
+    "box_sum": True,
+    "upsample_trilinear": True,
+    "global_pool": True,
+    "efficient_attention": False,
+    "channel_attention": False,
+    "mix_ffn": False,
+    "dual_attention_block": False,
+    "lka_block": False,
+    "nested_attention_fusion": False,
+    "warp_trilinear": True,
+    "ncc_loss": False,
+    "smoothness_loss": False,
+    "composite_loss": False,
 }
 
 
-@pytest.mark.parametrize("case", list(PRIMITIVES))
-def test_volume_primitive_on_a_batch_equals_stacked_per_sample_calls(rng, case):
-    fn, shapes, exact = PRIMITIVES[case]
-    batched = [
-        np.stack([_offgrid_field(rng, (6, 5, 7)) for _ in range(2)]) if s == "field" else rng.normal(size=(2,) + s)
-        for s in shapes
-    ]
-    _check_batch_equals_loop(rng, fn, batched, [], exact)
+# Ids drop the rows' ``_loss``/``_trilinear`` suffixes (``ncc``, ``warp``), the
+# names these cases have kept in the suite's history.
+@pytest.mark.parametrize(
+    "name", list(BATCHABLE), ids=lambda name: name.removesuffix("_loss").removesuffix("_trilinear")
+)
+def test_volume_primitive_on_a_batch_equals_stacked_per_sample_calls(rng, name):
+    """Each leaf drawn twice and stacked; the block's parameters are shared
+    by both samples, and tuple outputs are concatenated."""
+    row = ROWS[name]
+    batched = [np.stack([draw(rng), draw(rng)]) for draw in row.leaves.values()]
+    extra, _ = row.draw_block(rng)
+
+    def fn(*leaves):
+        outs = row.outputs(*leaves, *extra)
+        return outs[0] if len(outs) == 1 else nr.concat(outs, axis=-1)
+
+    _check_batch_equals_loop(rng, fn, batched, [], BATCHABLE[name])
 
 
 @pytest.mark.parametrize("batch", [None, 1, 2])

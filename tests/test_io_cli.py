@@ -441,8 +441,10 @@ def _checkpoint_with_meta(raw: bytes):
     _checkpoint_with_meta(b"{not json"),
     _checkpoint_with_meta(json.dumps({"rng_state": {}, "params": []}).encode()),
     _checkpoint_with_meta(json.dumps({"config": 5, "epoch": "1", "rng_state": {}}).encode()),
+    _checkpoint_with_meta(json.dumps({"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {},
+                                      "params": [["w", [2, "a"]]]}).encode()),
 ], ids=["not-npz", "truncated", "meta-not-json", "meta-lacks-config-and-epoch",
-        "meta-config-and-epoch-of-the-wrong-kind"])
+        "meta-config-and-epoch-of-the-wrong-kind", "meta-index-extent-not-an-int"])
 def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, write):
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     ckpt = tmp_path / "ckpt.npz"
@@ -456,6 +458,31 @@ def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, wri
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(ckpt) in err and "Traceback" not in err
     assert not (tmp_path / "field.nmv").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("row", ["1,0.5,abc,0.9,0.9", "1,0.5,0.5,0.9", "1.5,0.5,0.5,0.9,0.9"],
+                         ids=["non-numeric-field", "short-row", "non-integer-epoch"])
+def test_cli_train_resume_into_a_run_with_a_malformed_curve_is_a_data_error(tmp_path, capsys, row):
+    main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
+    assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "1") == 0
+    curve = tmp_path / "run" / "curve.csv"
+    curve.write_text(curve.read_text().splitlines()[0] + "\n" + row + "\n")  # the header kept
+    capsys.readouterr()
+    ckpt = tmp_path / "run" / "checkpoint_last.npz"
+    assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "2", "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{curve}: row 1" in err and "Traceback" not in err
+
+
+def test_cli_train_resume_from_a_checkpoint_without_a_generator_state_is_a_data_error(tmp_path, capsys):
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    ckpt = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, {}))
+    capsys.readouterr()
+    assert _train_tiny(tmp_path, tmp_path, "run", "--epochs", "2", "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "rng_state" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_train_with_empty_data_dir_is_a_data_error(tmp_path, capsys):

@@ -4,12 +4,14 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 import nestreg as nr
 from nestreg import ConfigError, ContractError, ModelConfig, Parameter, Tensor
@@ -539,6 +541,56 @@ def test_checkpoint_without_parameters_round_trips(tmp_path):
     nr.save_checkpoint(path, nr.Checkpoint(small_cfg(), {}, 0, {}))
     loaded = nr.load_checkpoint(path)
     assert loaded.params == {} and loaded.config == small_cfg() and loaded.epoch == 0
+
+
+def _checkpoint_bytes(params, rng_state=None):
+    """An npz of a valid config and epoch, the given ``params`` index and
+    ``rng_state``, and a 4-value parameter buffer."""
+    meta = {"config": small_cfg().to_dict(), "epoch": 1, "rng_state": rng_state or {}, "params": params}
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             __params__=np.zeros(4))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("params, rng_state", [
+    ([["w", [2, "a"]]], None),
+    ([["w"]], None),
+    ("abc", None),
+    (None, None),
+    ([["w", [2.0, 2]]], None),
+    ([["w", [-2, -2]]], None),
+    ([["w", [2, 2]]], {"seed": {"__ndarray__": "<u8"}}),
+], ids=["str-extent", "no-shape", "str-index", "null-index", "float-extent", "negative-extents",
+        "encoded-array-without-values"])
+def test_load_checkpoint_with_a_malformed_index_or_rng_state_names_the_file(tmp_path, params, rng_state):
+    path = tmp_path / "ckpt.npz"
+    path.write_bytes(_checkpoint_bytes(params, rng_state))
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        nr.load_checkpoint(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+_INDEX = st.lists(st.tuples(st.text(max_size=1), st.lists(st.integers(0, 2), max_size=2)).map(list),
+                  max_size=3)
+_NEAR_INDEX = st.lists(st.lists(st.text(max_size=1) | st.lists(st.integers(-2, 4) | _JSON, max_size=3),
+                                max_size=3), max_size=3)
+
+
+@given(params=_INDEX | _NEAR_INDEX | _JSON)
+def test_load_checkpoint_of_any_parameter_index_loads_or_raises_contract_error(params):
+    """Indices mix lists, strings, ints, floats and null at any depth; one
+    that loads splits the 4-value buffer among unique names."""
+    try:
+        loaded = nr.load_checkpoint(io.BytesIO(_checkpoint_bytes(params)))
+    except ContractError:
+        return
+    assert [name for name, _ in params] == list(loaded.params)
+    assert sum(a.size for a in loaded.params.values()) == 4
 
 
 def test_save_checkpoint_rejects_mixed_parameter_dtypes(tmp_path):
