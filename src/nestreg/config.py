@@ -26,6 +26,7 @@ _BOUNDS = (
     ("epochs", ">= 1", lambda v: v >= 1),
     ("batch_size", ">= 1", lambda v: v >= 1),
     ("init_std", "positive", lambda v: v > 0),
+    ("seed", ">= 0", lambda v: v >= 0),
 )
 
 

@@ -10,9 +10,9 @@ serves as the cross-modality surrogate.  ``eps`` is a variance floor: a
 constant window contributes zero correlation, and identical non-constant
 volumes reach loss 0 only up to the floor.
 
-The five window sums are ``tensor.box_sum``s: separable window sums by
-log-step doubling (about log2(window) adds per voxel and axis), one
-cache-sized z-slab at a time, accumulated in float64.
+The five window sums are ``tensor.box_sum``s: three float64 BLAS matrix
+products per volume, one per axis, with a band of ones; their adjoint is the
+same products with the bands transposed.
 ``composite_loss`` reads the window, the floor and the smoothness weight from
 the ``ModelConfig``.
 """

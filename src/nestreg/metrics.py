@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ShapeError, UndefinedMetricError
-from .tensor import Tensor, _along, _by_z_slabs
+from .tensor import Tensor, _band, _banded_passes
 from .warp import DeformationField, Volume
 
 
@@ -42,33 +42,14 @@ def _gaussian_window(extent: int, sigma: float) -> np.ndarray:
 
 def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     """Separable Gaussian-weighted mean of a float64 volume over valid window
-    positions only.
+    positions only: a product with a band of the taps along each axis
+    (``tensor._banded_passes``), the box sums' kernel.
 
-    One z-slab at a time (``tensor._by_z_slabs``), the slab is filtered along
-    z, y and x in turn, each pass cropped to its valid positions. A pass sums
-    whole shifted slices in the order scipy's ``correlate1d`` uses for a
-    symmetric kernel: the centre term first, then the pairs, outermost
-    first. So the result equals ``correlate1d`` along each axis bit for bit,
-    as long as the kernel is symmetric, which the Gaussian window always is.
+    BLAS sums each window in its own order, so the result differs from
+    scipy's ``correlate1d`` passes by a few float64 roundings of the
+    window's weighted sum of absolute values, not bit for bit.
     """
-    r = (kern1d.size - 1) // 2
-
-    def symmetric_pass(s, axis):
-        n = s.shape[axis] - 2 * r
-        out = s[_along(3, axis, r, n)] * kern1d[r]
-        pair = np.empty_like(out)
-        for j in range(r, 0, -1):
-            np.add(s[_along(3, axis, r - j, n)], s[_along(3, axis, r + j, n)], out=pair)
-            pair *= kern1d[r + j]
-            out += pair
-        return out
-
-    def kernel(slab):
-        for axis in (0, 1, 2):
-            slab = symmetric_pass(slab, axis)
-        return slab
-
-    return _by_z_slabs(a, 2 * r, kernel)
+    return _banded_passes(a, tuple(_band(e, kern1d) for e in a.shape))
 
 
 def ssim(a, b, window: int = 7, sigma: float = 1.5):

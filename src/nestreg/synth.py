@@ -108,6 +108,8 @@ def synth_pair(
         raise ConfigError(f"synth_pair needs a 3-D shape with extents >= 3, got {shape}")
     if amplitude < 0:
         raise ConfigError(f"amplitude must be >= 0, got {amplitude}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5AB1E]))
 
     fixed = _phantom(rng, shape)

@@ -29,11 +29,6 @@ DTYPES = {32: np.float32, 64: np.float64}
 # small enough to stay in a core's L2 cache.
 _DEPTHWISE_BLOCK_BYTES = 1 << 20
 
-# Bytes of float64 input planes that a window-sum kernel (box sums, SSIM's
-# windowed means) works on at a time. At 64^3 with window 9, 512 KB holds 16
-# planes, 8 of them output; 256 KB (one output plane) and 2 MB ran slower.
-_SLAB_BYTES = 1 << 19
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -840,81 +835,48 @@ def _depthwise_columns(x, w, pads, dils, out_ext, need_gx):
     return out, kernel_vjp
 
 
-def _along(ndim: int, axis: int, lo: int, n: int) -> tuple:
-    """The index of entries lo .. lo+n-1 along ``axis`` of an ndim array."""
-    key = [slice(None)] * ndim
-    key[axis] = slice(lo, lo + n)
-    return tuple(key)
+def _band(n: int, taps: np.ndarray) -> np.ndarray:
+    """The [n, n - k + 1] float64 matrix whose column j holds the k taps in
+    rows j .. j + k - 1, zeros elsewhere: ``v @ band`` is the valid
+    correlation of a length-n line v with the taps, and ``u @ band.T`` its
+    adjoint."""
+    m = n - taps.size + 1
+    band = np.zeros((n, m))
+    cols = np.arange(m)
+    for t, tap in enumerate(taps):
+        band[cols + t, cols] = tap
+    return band
 
 
-def _by_z_slabs(x: np.ndarray, halo: int, kernel: Callable) -> np.ndarray:
-    """Apply a window kernel to each [D, H, W] volume of x [..., D, H, W], one
-    z-slab at a time: out[..., z0:z1, :, :] = kernel(x[..., z0:z1 + halo, :, :]),
-    where kernel maps a slab [P, H, W] to [P - halo, H - halo, W - halo],
-    stored in x's dtype.
+def _banded_passes(x: np.ndarray, bands) -> np.ndarray:
+    """x [..., D, H, W] times one matrix per spatial axis, bands = (bz, by,
+    bx) each [extent in, extent out]: three float64 matrix products, along z,
+    y and x in turn. Returns a fresh float64 [..., D', H', W'].
 
-    A slab holds at most _SLAB_BYTES of float64 planes, halo included (at
-    least one output plane), so a kernel's intermediates stay in a core's L2
-    cache. Every output value reads only its own window, so the slab edges
-    do not change it.
+    x is made contiguous float64 first, so every product goes to BLAS and
+    the result does not depend on x's dtype or memory layout.
     """
-    d, h, w = x.shape[-3:]
-    flat = x.reshape((-1, d, h, w))
-    nz = d - halo
-    step = max(1, _SLAB_BYTES // (h * w * 8) - halo)
-    out = np.empty((flat.shape[0], nz, h - halo, w - halo), x.dtype)
-    for v in range(flat.shape[0]):
-        for z0 in range(0, nz, step):
-            z1 = min(nz, z0 + step)
-            out[v, z0:z1] = kernel(flat[v, z0:z1 + halo])
-    return out.reshape(x.shape[:-3] + out.shape[1:])
-
-
-def _window_sums(s: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Sums of every k consecutive entries along ``axis``, by log-step
-    doubling: s2[i] = s[i] + s[i+1], s4[i] = s2[i] + s2[i+2], ..., and one
-    more add for each further set bit of k (k = 9: s8[i] + s[i+8])."""
-    n = s.shape[axis] - k + 1
-    out, offset, width = None, 0, 1
-    while True:
-        if k & width:
-            part = s[_along(s.ndim, axis, offset, n)]
-            out = part if out is None else out + part
-            offset += width
-        if 2 * width > k:
-            return out
-        m = s.shape[axis] - width
-        s = s[_along(s.ndim, axis, 0, m)] + s[_along(s.ndim, axis, width, m)]
-        width *= 2
-
-
-def _valid_box_sums(x: np.ndarray, k: int) -> np.ndarray:
-    """Valid k-wide window sums over the last three axes, in float64, cast
-    back to x's dtype.
-
-    Each z-slab is cast to float64 and summed along z, y and x in turn by
-    log-step doubling. A window's sum is built from partial sums of its own
-    values only, never as a difference of running sums along the line, so
-    its error stays within a few float64 roundings of the window's own
-    absolute sum, whatever the rest of the volume holds.
-    """
-    def kernel(slab):
-        slab = slab.astype(np.float64, copy=False)
-        for ax in (0, 1, 2):
-            slab = _window_sums(slab, k, ax)
-        return slab
-
-    return _by_z_slabs(x, k - 1, kernel)
+    bz, by, bx = bands
+    (d, h, w), lead = x.shape[-3:], x.shape[:-3]
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    a = np.matmul(bz.T, a.reshape((-1, d, h * w)))
+    a = np.matmul(by.T, a.reshape((-1, h, w)))
+    a = a.reshape((-1, w)) @ bx
+    return a.reshape(lead + (bz.shape[1], by.shape[1], bx.shape[1]))
 
 
 def box_sum(a: Tensor, k: int) -> Tensor:
     """Sum of every valid k x k x k window of [C, D, H, W] or [B, C, D, H, W],
     per channel.
 
-    Equal to ``conv3d`` with a ones kernel applied to each channel alone, in
-    O(N log k) adds instead of O(N k^3) (k = 9: four adds per voxel and
-    axis). Output extent per axis: ext - k + 1. Sums accumulate in float64
-    and are cast back to the input dtype.
+    Equal to ``conv3d`` with a ones kernel applied to each channel alone, as
+    three BLAS matrix products with a band of ones (``_band``), one per
+    axis. Output extent per axis: ext - k + 1. Sums accumulate in float64
+    and are cast back to the input dtype. A window's sum adds only its own
+    values (the band's zeros add exact zeros), so its error stays within a
+    few float64 roundings of the window's absolute sum. A non-finite input
+    value makes every sum of its channel non-finite, not only its windows'
+    (0 * inf is NaN).
     """
     if a.ndim not in (4, 5):
         raise ShapeError(f"box_sum expects [C,D,H,W] or [B,C,D,H,W], got {a.data.shape}")
@@ -923,11 +885,13 @@ def box_sum(a: Tensor, k: int) -> Tensor:
     if any(e < k for e in a.data.shape[-3:]):
         raise ShapeError(f"box_sum: extents {a.data.shape[-3:]} smaller than window {k}")
 
-    def vjp(g):
-        # The adjoint of a valid box sum is a full one: pad by k-1, sum again.
-        return (_valid_box_sums(_zero_pad(g, ((k - 1, k - 1),) * 3), k),)
+    bands = tuple(_band(e, np.ones(k)) for e in a.data.shape[-3:])
 
-    return make_op(_valid_box_sums(a.data, k), (a,), vjp)
+    def vjp(g):
+        # The adjoint of a valid box sum: the same products, bands transposed.
+        return (_banded_passes(g, tuple(b.T for b in bands)).astype(g.dtype, copy=False),)
+
+    return make_op(_banded_passes(a.data, bands).astype(a.data.dtype, copy=False), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

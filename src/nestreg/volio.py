@@ -4,8 +4,8 @@ Binary volume format ("NMV1"):
     bytes 0-3   magic b"NMV1"
     byte  4     dtype code (1 = float32, 2 = float64)
     byte  5     rank (3 or 4)
-    then rank little-endian u32 extents, then the payload little-endian,
-    C (row-major) order, exactly prod(extents) elements.
+    then rank little-endian u32 extents, each >= 1, then the payload
+    little-endian, C (row-major) order, exactly prod(extents) elements.
 
 Rank-4 with leading extent 3 is a deformation field; rank-3, or rank-4 with
 leading extent 1, is an intensity volume.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -25,7 +26,13 @@ import tempfile
 import numpy as np
 
 from .config import ModelConfig
-from .errors import BadMagicError, ShapeError, TruncatedFileError, UnknownDtypeError
+from .errors import (
+    BadMagicError,
+    ShapeError,
+    TruncatedFileError,
+    UnknownDtypeError,
+    VolumeFormatError,
+)
 from .metrics import RegistrationReport
 from .tensor import Tensor
 from .warp import DeformationField, Volume
@@ -60,8 +67,10 @@ def _payload_array(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
-    if arr.ndim not in (3, 4):
-        raise ShapeError(f"volume files hold rank 3 or 4 arrays, got rank {arr.ndim}")
+    if arr.ndim not in (3, 4) or 0 in arr.shape:
+        raise ShapeError(
+            f"volume files hold rank 3 or 4 arrays of at least one voxel, got shape {arr.shape}"
+        )
     return arr
 
 
@@ -90,8 +99,10 @@ def load_volume(path) -> np.ndarray:
     if len(blob) < need:
         raise TruncatedFileError(f"{path}: header truncated")
     extents = struct.unpack_from(f"<{rank}I", blob, 6)
+    if 0 in extents:
+        raise VolumeFormatError(f"{path}: extents {extents} hold no voxels")
     dtype = _DTYPE_OF[code]
-    n = int(np.prod(extents))
+    n = math.prod(extents)  # Python ints: extents near 2**32 must not wrap
     expected = need + n * dtype.itemsize
     if len(blob) != expected:
         raise TruncatedFileError(

@@ -6,9 +6,9 @@ on purpose; call them only on tiny inputs.  All work happens in float64.
 
 The last two sections are the exception. Full-volume formulations of metric
 steps that the engine now runs on less data are fast enough for 64^3 inputs
-and are compared with ``==``, because the engine's results must not move.
-Earlier formulations of restructured kernels run in the input's dtype, so
-that float32 results can be compared bit for bit.
+and are compared with ``==`` or a stated float64 bound. Earlier
+formulations of restructured kernels run in the input's dtype, so that
+float32 results can be compared bit for bit or to the ulp.
 """
 
 from __future__ import annotations
@@ -470,6 +470,18 @@ def box_sum_prefix_ref(x, k):
         np.cumsum(out, axis=ax, out=c[along(ax, slice(1, None))])
         out = c[along(ax, slice(k, None))] - c[along(ax, slice(None, -k))]
     return out.astype(x.dtype)
+
+
+def box_sum_adjoint_pad_ref(g, k):
+    """The adjoint of a valid k-wide box sum over the last three axes: g
+    zero-padded by k-1 on every side, then summed over every valid window,
+    one axis at a time as k shifted slices, in float64, cast back to g's
+    dtype: the kernel that the engine's transposed band products replaced."""
+    out = np.pad(g.astype(np.float64), ((0, 0),) * (g.ndim - 3) + ((k - 1, k - 1),) * 3)
+    for ax in (-3, -2, -1):
+        n = out.shape[ax] - k + 1
+        out = sum(np.take(out, np.arange(t, t + n), axis=ax) for t in range(k))
+    return out.astype(g.dtype)
 
 
 def depthwise_shift_ref(x, w, padding, dilation=1):

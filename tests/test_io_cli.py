@@ -4,18 +4,25 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, strategies as st
 
 import nestreg as nr
 import nestreg.diagnostics
-from nestreg import ModelConfig, ShapeError, Tensor, VolumeFormatError
-from nestreg.cli import main
+from nestreg import ConfigError, ModelConfig, ShapeError, Tensor, VolumeFormatError
+from nestreg.cli import _load_config, main
 from nestreg.errors import BadMagicError, TruncatedFileError, UnknownDtypeError
-from nestreg.volio import ENGINE_VERSION, report_payload
+from nestreg.volio import ENGINE_VERSION, MAGIC, report_payload
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +99,66 @@ def test_load_volume_rejects_corrupt_files(tmp_path, rng):
     assert issubclass(BadMagicError, VolumeFormatError)
     assert issubclass(UnknownDtypeError, VolumeFormatError)
     assert issubclass(TruncatedFileError, VolumeFormatError)
+
+
+def _nmv_header(code, extents):
+    rank = len(extents)
+    return MAGIC + struct.pack("<BB", code, rank) + struct.pack(f"<{rank}I", *extents)
+
+
+def test_load_volume_counts_elements_without_wrapping(tmp_path):
+    """2**21 * 2**21 * 2**22 elements wrap to 0 in int64: a header-only file
+    must not pass the length check."""
+    path = tmp_path / "huge.nmv"
+    path.write_bytes(_nmv_header(1, (2**21, 2**21, 2**22)))
+    with pytest.raises(TruncatedFileError, match="expected 73786976294838206464"):
+        nr.load_volume(path)
+
+
+def test_volume_files_hold_at_least_one_voxel(tmp_path):
+    path = tmp_path / "empty.nmv"
+    path.write_bytes(_nmv_header(1, (0, 4, 4)))
+    with pytest.raises(VolumeFormatError, match="hold no voxels"):
+        nr.load_volume(path)
+    with pytest.raises(ShapeError):
+        nr.save_volume(path, np.zeros((0, 4, 4)))
+
+
+_U32 = (st.integers(0, 4) | st.integers(0, 32).map(lambda p: min(2**p, 2**32 - 1))
+        | st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _nmv_blobs(draw):
+    """A header (the magic, a dtype code and rank that are mostly valid, any
+    u32 extents), then a payload of the size the header promises when that
+    is small, or of any small size, and perhaps a cut anywhere."""
+    magic = draw(st.just(MAGIC) | st.binary(max_size=4))
+    code = draw(st.sampled_from([1, 2]) | st.integers(0, 255))
+    extents = draw(st.lists(_U32, max_size=5))
+    rank = draw(st.just(len(extents)) | st.sampled_from([3, 4]) | st.integers(0, 255))
+    header = magic + bytes([code, rank]) + b"".join(struct.pack("<I", e) for e in extents)
+    promised = math.prod(extents) * (8 if code == 2 else 4)
+    sizes = st.integers(0, 64)
+    size = draw(st.just(promised) | sizes if promised <= 4096 else sizes)
+    blob = header + draw(st.binary(min_size=size, max_size=size))
+    return blob[:draw(st.none() | st.integers(0, len(blob)))]
+
+
+@given(blob=_nmv_blobs())
+@example(blob=_nmv_header(1, (2**21, 2**21, 2**22)))
+@example(blob=_nmv_header(2, (0, 2**32 - 1, 2**32 - 1)))
+def test_load_volume_of_any_header_and_payload_loads_or_raises_a_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("nmv") / "v.nmv"
+    path.write_bytes(blob)
+    try:
+        arr = nr.load_volume(path)
+    except VolumeFormatError:
+        return
+    rank = blob[5]
+    assert arr.shape == struct.unpack_from(f"<{rank}I", blob, 6)
+    assert arr.dtype == {1: np.float32, 2: np.float64}[blob[4]]
+    assert arr.nbytes == len(blob) - 6 - 4 * rank
 
 
 def test_typed_readers_enforce_leading_extent(tmp_path, rng):
@@ -262,6 +329,28 @@ def test_cli_rejects_bad_config_files(tmp_path, capsys):
     assert main(["params", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=8,
+)
+
+
+@given(data=st.dictionaries(st.sampled_from([f.name for f in fields(ModelConfig)]), _CONFIG_VALUES))
+def test_load_config_of_any_json_object_validates_or_raises_config_error(tmp_path_factory, data):
+    """Any JSON object over ModelConfig's keys, with values of any kind,
+    mostly small ints and lists of them. Only parsed and validated: a valid
+    config can still ask for a model too large to build."""
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(data))
+    try:
+        cfg = _load_config(str(path))
+    except ConfigError:
+        return
+    assert cfg.validate() == []
+    assert cfg == ModelConfig.from_dict({**ModelConfig().to_dict(), **data})
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"channels": 8}, "channels"),
     ({"epochs": "5"}, "epochs"),
@@ -276,6 +365,32 @@ def test_cli_config_values_of_the_wrong_kind_exit_1(tmp_path, capsys, overrides,
     assert main(["params", "--config", str(cfg_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{field} must be" in err
+
+
+def test_cli_volume_whose_element_count_overflows_int64_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.nmv"
+    path.write_bytes(_nmv_header(1, (2**21, 2**21, 2**22)))
+    assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train-config", "train-flag", "synth", "params"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": -1}))
+    argv = {
+        "train-config": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                         "--config", str(cfg_file)],
+        "train-flag": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                       "--seed", "-1"],
+        "synth": ["synth", "--out", str(tmp_path / "pair"), "--shape", "8", "--seed", "-1"],
+        "params": ["params", "--config", str(cfg_file)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "pair").exists()
 
 
 def test_cli_train_then_register_end_to_end(tmp_path, capsys):
@@ -526,3 +641,37 @@ def test_cli_gradcheck_exit_codes_follow_the_suite(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "FAILED" in captured.err
+
+
+def test_cli_metrics_and_an_untrained_register_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """SSIM's windowed means and NCC's box sums are BLAS products. Each run in
+    its own process, under OPENBLAS_NUM_THREADS=1 and =2: ``metrics`` on a
+    64^3 pair prints the same bytes, and ``register`` with an untrained
+    default checkpoint (its zero-initialised head predicts an exactly zero
+    field) writes the same field, warped volume and report. A trained
+    network's float32 field is not thread-count independent: the patch
+    embed's matrix product already differs in the last bits."""
+    main(["synth", "--out", str(tmp_path), "--shape", "64", "--seed", "3"])
+    cfg = ModelConfig()
+    nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(cfg, nr.build_model(cfg).state(), 1, {}))
+    src = Path(nr.__file__).resolve().parents[1]
+    pair = ["--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv")]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        commands = [
+            ["metrics", "--a", str(tmp_path / "moving.nmv"), "--b", str(tmp_path / "fixed.nmv"),
+             "--field", str(tmp_path / "truth_field.nmv")],
+            ["register", "--checkpoint", str(tmp_path / "ckpt.npz"), *pair,
+             "--out-field", str(out / "field.nmv"), "--out-warped", str(out / "warped.nmv"),
+             "--report", str(out / "report.json")],
+        ]
+        printed = [subprocess.run([sys.executable, "-m", "nestreg", *argv], env=env, check=True,
+                                  capture_output=True).stdout for argv in commands]
+        written = [(out / name).read_bytes() for name in ("field.nmv", "warped.nmv", "report.json")]
+        outputs.append((printed[0], written))
+    assert outputs[0] == outputs[1]
+    assert 0.0 < json.loads(outputs[0][0])["ssim"] < 1.0

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-import nestreg.tensor as nt
 from nestreg import ShapeError, Tensor, UndefinedMetricError, Volume, metrics
 from oracles import (
     hd95_edt_ref,
@@ -30,6 +29,21 @@ from oracles import (
 # ---------------------------------------------------------------------------
 # SSIM
 # ---------------------------------------------------------------------------
+
+
+# The band products sum each window in BLAS's order, not correlate1d's. A
+# windowed mean stays within this many float64 epsilons of the reference's,
+# relative to the window's weighted sum of absolute values (3.4 measured on
+# 64^3 synthetic pairs); an SSIM score within SSIM_BOUND (2.8e-15 measured).
+WINDOWED_MEAN_ULPS = 8
+SSIM_BOUND = 1e-12
+
+
+def _assert_windowed_mean_bound(got, v, kern, ref):
+    want = ref(v, kern)
+    assert got.shape == want.shape
+    scale = ref(np.abs(v), kern)
+    assert (np.abs(got - want) <= WINDOWED_MEAN_ULPS * np.finfo(np.float64).eps * scale).all()
 
 
 def test_ssim_matches_window_loop_oracle(rng):
@@ -196,36 +210,36 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
     x, y = x.astype(np.float64), y.astype(np.float64)
     kern = metrics._gaussian_window(7, 1.5)
     for v in (x, y, x * y):
-        npt.assert_array_equal(metrics._windowed_mean(v, kern), windowed_mean_full_ref(v, kern))
+        got = metrics._windowed_mean(v, kern)
+        _assert_windowed_mean_bound(got, v, kern, windowed_mean_full_ref)
     got = nr.ssim(x, y)
-    assert got == ssim_pair_ref(x, y)
+    assert abs(got - ssim_pair_ref(x, y)) <= SSIM_BOUND
     monkeypatch.setattr(metrics, "_windowed_mean", windowed_mean_full_ref)
-    assert nr.ssim(x, y) == got
+    assert abs(nr.ssim(x, y) - got) <= SSIM_BOUND
 
 
 @pytest.mark.parametrize("window", [3, 5, 7, 9])
 @pytest.mark.parametrize("sigma", [0.8, 1.5])
-def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, monkeypatch, window, sigma):
-    """The slab passes reproduce ``correlate1d``'s symmetric-kernel order on
-    every axis bit for bit, on anisotropic volumes whose extents can equal
+def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, window, sigma):
+    """The band products equal ``correlate1d``'s passes to float64 rounding
+    (``WINDOWED_MEAN_ULPS``), on anisotropic volumes whose extents can equal
     the window (one output plane) and on a non-contiguous transposed view,
-    with slabs of one output plane, of two (an uneven last slab where the
-    output extent is odd) and at the default size."""
+    taken whole and z-slab by z-slab (slabs of one output plane, or of two
+    with an uneven last slab where the output extent is odd) and stitched at
+    the slab edges: each output reads its own window and nothing else."""
     kern = metrics._gaussian_window(window, sigma)
     assert np.array_equal(kern, kern[::-1])
     shapes = [(window, 13, 17), (window + 6, window, 11), (2 * window + 1, 16, window + 2)]
-    default = nt._SLAB_BYTES
     for shape in shapes:
         v = rng.normal(loc=1.0, scale=3.0, size=shape)
-        for vol, out_planes in product((v, v.transpose(0, 2, 1)), (None, 1, 2)):
-            plane_bytes = vol.shape[1] * vol.shape[2] * 8
-            budget = default if out_planes is None else (window - 1 + out_planes) * plane_bytes
-            monkeypatch.setattr(nt, "_SLAB_BYTES", budget)
-            got = metrics._windowed_mean(vol, kern)
-            want = windowed_mean_correlate_ref(vol, kern)
-            assert got.shape == want.shape == tuple(e - window + 1 for e in vol.shape)
-            assert got.dtype == want.dtype == np.float64
-            assert (got == want).all()
+        for vol, step in product((v, v.transpose(0, 2, 1)), (None, 1, 2)):
+            nz = vol.shape[0] - window + 1
+            step = step or nz
+            slabs = [vol[z0:z0 + step + window - 1] for z0 in range(0, nz, step)]
+            got = np.concatenate([metrics._windowed_mean(slab, kern) for slab in slabs])
+            assert got.shape == tuple(e - window + 1 for e in vol.shape)
+            assert got.dtype == np.float64
+            _assert_windowed_mean_bound(got, vol, kern, windowed_mean_correlate_ref)
 
 
 def test_hd95_identity_and_symmetry(rng):
@@ -270,7 +284,7 @@ def test_batched_ssim_members_equal_their_single_calls(rng):
     batch = np.stack(members)[:, None]
     want = [nr.ssim(m, b) for m in members]
     assert nr.ssim(batch, b) == want
-    assert want == [ssim_pair_ref(m, b) for m in members]
+    npt.assert_allclose(want, [ssim_pair_ref(m, b) for m in members], rtol=0, atol=SSIM_BOUND)
     assert nr.ssim(Volume(values=Tensor(batch)), Volume(values=Tensor(b))) == want
     assert nr.ssim(batch.astype(np.float32), b) == [nr.ssim(m.astype(np.float32), b) for m in members]
     assert nr.ssim(batch, b, window=5, sigma=0.8) == [nr.ssim(m, b, window=5, sigma=0.8) for m in members]

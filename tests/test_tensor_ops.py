@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from scipy.special import softmax as sp_softmax
 
 import nestreg as nr
-import nestreg.tensor as nt
 from nestreg import ConfigError, ShapeError, Tensor
 from oracles import (
+    box_sum_adjoint_pad_ref,
     box_sum_prefix_ref,
     box_sum_ref,
     conv3d_ref,
@@ -239,43 +239,71 @@ def test_box_sum_float32_within_one_ulp_of_the_prefix_sum_kernel(rng):
         assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
 
 
-def _record_slab_extents(monkeypatch):
-    """Record the z extent of every slab the box-sum kernel sums."""
-    seen, window_sums = [], nt._window_sums
+def test_box_sum_adjoint_float32_within_one_ulp_of_the_padded_kernel(rng):
+    """The transposed band products and the zero-padded window sums both sum
+    in float64 and cast once: at most one float32 ulp apart. On heavy-tailed
+    gradients like these (64^3 k9 and 32^3 B=2 k5) no voxel differed."""
+    for shape, k in [((1, 64, 64, 64), 9), ((2, 1, 32, 32, 32), 5)]:
+        x = rng.normal(size=shape).astype(np.float32)
+        out_shape = shape[:-3] + tuple(e - k + 1 for e in shape[-3:])
+        g = (rng.normal(size=out_shape) * np.exp(rng.normal(size=out_shape))).astype(np.float32)
+        got = _box_sum_adjoint(x, k, g)
+        want = box_sum_adjoint_pad_ref(g, k)
+        assert got.dtype == want.dtype == np.float32
+        assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
 
-    def recording(s, k, axis):
-        if axis == 0:
-            seen.append(s.shape[0])
-        return window_sums(s, k, axis)
 
-    monkeypatch.setattr(nt, "_window_sums", recording)
-    return seen
+def _box_sum_adjoint(x, k, g):
+    """The gradient that ``box_sum``'s vjp hands to x for output gradient g."""
+    xt = Tensor(x, requires_grad=True)
+    with nr.GradTape() as tape:
+        tape.backward(nr.tsum(nr.box_sum(xt, k) * Tensor(g)))
+    return xt.grad
+
+
+def _band_edge_volumes(rng, k, batch):
+    """Two channels of volumes at the band's edges: anisotropic with x extent
+    k, z extent k (one output plane), and the first as a non-contiguous
+    view with its z and x axes swapped."""
+    x = rng.normal(size=batch + (2, k + 4, k + 1, k))
+    return [x, rng.normal(size=batch + (2, k, k + 2, k + 3)), np.swapaxes(x, -1, -3)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_box_sum_adjoint_matches_the_padded_oracle_and_the_inner_product(rng, k, batch):
+    """At float64, the vjp is within 1e-12 of the zero-padded window sums'
+    absolute sum, and <box_sum(x), g> = <x, vjp(g)> within 1e-12 of
+    <|x|, vjp(|g|)>."""
+    for x in _band_edge_volumes(rng, k, batch):
+        y = nr.box_sum(Tensor(x), k).data
+        g = rng.normal(size=y.shape)
+        got = _box_sum_adjoint(x, k, g)
+        assert got.shape == x.shape
+        scale = box_sum_adjoint_pad_ref(np.abs(g), k)
+        assert (np.abs(got - box_sum_adjoint_pad_ref(g, k)) <= 1e-12 * scale).all()
+        assert abs(np.vdot(y, g) - np.vdot(x, got)) <= 1e-12 * np.vdot(np.abs(x), scale)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 @pytest.mark.parametrize("split", ["one_plane", "uneven", "single"])
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_box_sum_slab_edges_match_the_loop_oracle(rng, monkeypatch, k, split, batch):
-    """Five output z-planes split into slabs of 1 (five slabs), of 2 (2, 2, 1)
-    or one slab; the x extent equals k, and a second volume has z extent k
-    (one output plane). Window sums stay within 1e-12 of the window's
-    absolute sum of the loop oracle."""
-    seen = _record_slab_extents(monkeypatch)
-    for spatial in [(k + 4, k + 1, k), (k, k + 2, k + 3)]:
-        x = rng.normal(size=batch + (2,) + spatial)
-        nz = spatial[0] - k + 1
-        out_planes = {"one_plane": 1, "uneven": 2, "single": nz}[split]
-        plane_bytes = spatial[1] * spatial[2] * 8
-        monkeypatch.setattr(nt, "_SLAB_BYTES", (k - 1 + out_planes) * plane_bytes)
-        seen.clear()
-        got = nr.box_sum(Tensor(x), k).data
-        slabs = [min(out_planes, nz - z0) for z0 in range(0, nz, out_planes)]
-        assert seen == [p + k - 1 for p in slabs] * (x.size // np.prod(spatial))
+def test_box_sum_slab_edges_match_the_loop_oracle(rng, k, split, batch):
+    """Box sums taken z-slab by z-slab and stitched at the slab edges: slabs
+    of 1 output plane, of 2 (an uneven last slab where the output extent is
+    odd) or one slab, on the band's edge volumes. Each slab's band spans
+    only the slab, so this checks that an output reads its own window and
+    nothing else: within 1e-12 of the window's absolute sum of the loop
+    oracle."""
+    for x in _band_edge_volumes(rng, k, batch):
+        nz = x.shape[-3] - k + 1
+        step = {"one_plane": 1, "uneven": 2, "single": nz}[split]
+        slabs = [x[..., z0:z0 + step + k - 1, :, :] for z0 in range(0, nz, step)]
+        got = np.concatenate([nr.box_sum(Tensor(slab), k).data for slab in slabs], axis=-3)
         for b in np.ndindex(batch):
             want = box_sum_ref(x[b], k)
-            scale = box_sum_ref(np.abs(x[b]), k)
             assert got[b].shape == want.shape
-            assert (np.abs(got[b] - want) <= 1e-12 * scale).all()
+            assert (np.abs(got[b] - want) <= 1e-12 * box_sum_ref(np.abs(x[b]), k)).all()
 
 
 def test_box_sum_rejects_bad_shapes_and_windows(rng):
