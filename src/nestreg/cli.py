@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .config import ModelConfig
 from .errors import (
     ConfigError,
@@ -217,17 +219,26 @@ def _cmd_register(args) -> int:
     return 0
 
 
+def _finite(path, data):
+    """``data``, or a data error naming ``path`` when it holds NaN or Inf."""
+    bad = data.size - np.count_nonzero(np.isfinite(data))
+    if bad:
+        raise UndefinedMetricError(f"{path}: {bad} non-finite values; the metrics are undefined")
+    return data
+
+
 def _cmd_metrics(args) -> int:
-    a = volume_from_file(args.a)
-    b = volume_from_file(args.b)
+    a = _finite(args.a, volume_from_file(args.a).values.data)
+    b = _finite(args.b, volume_from_file(args.b).values.data)
+    u = _finite(args.field, field_from_file(args.field).u.data) if args.field else None
     payload = {"ssim": ssim(a, b)}
     try:
         payload["hd95"] = hd95(mask_from_volume(a), mask_from_volume(b))
     except UndefinedMetricError as e:
         payload["hd95"] = None
         payload["hd95_undefined"] = str(e)
-    if args.field:
-        stats = sdlogj(field_from_file(args.field))
+    if u is not None:
+        stats = sdlogj(u)
         payload["sdlogj"] = stats.sdlogj
         payload["folding_fraction"] = stats.nonpositive_fraction
     print(json.dumps(payload, indent=2, sort_keys=True))

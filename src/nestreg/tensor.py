@@ -705,7 +705,11 @@ def conv3d(
             taps = [(Ellipsis,) + t for t in itertools.product(*per_axis)]
             gw = None
             for b in np.ndindex(lead):
-                part = go[b] @ np.swapaxes(_columns(xp[b], kern, dils, strides, groups), -1, -2)
+                cols_t = np.swapaxes(_columns(xp[b], kern, dils, strides, groups), -1, -2)
+                # One output voxel: numpy's matmul leaves BLAS for a slow loop at
+                # inner extent 1. The broadcast product is bit-equal once + 0.0
+                # turns its -0.0 products into the +0.0 that matmul's sum gives.
+                part = go[b] * cols_t + 0.0 if cols_t.shape[-2] == 1 else go[b] @ cols_t
                 gw = part if gw is None else gw + part
                 if need_gx:
                     gcols = (np.swapaxes(wg, -1, -2) @ go[b]).reshape((cin, len(taps)) + out_ext)

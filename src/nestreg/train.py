@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,17 @@ def _check_resume_config(saved: ModelConfig, run: ModelConfig) -> None:
                             + "; ".join(differ))
 
 
+def _generator_at(state: dict) -> np.random.Generator:
+    """A generator in a checkpoint's ``rng_state``; a state that PCG64 does
+    not take raises ``ContractError``."""
+    rng = np.random.default_rng(0)
+    try:
+        rng.bit_generator.state = copy.deepcopy(state)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ContractError(f"resume checkpoint's rng_state is no PCG64 state: {e!r}") from e
+    return rng
+
+
 def train(
     model: RegistrationModel,
     train_pairs,
@@ -177,10 +188,7 @@ def train(
     if resume is not None:
         _check_resume_config(resume.config, cfg)
         model.load_state(resume.params)
-        try:
-            rng.bit_generator.state = copy.deepcopy(resume.rng_state)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ContractError(f"resume checkpoint's rng_state is no PCG64 state: {e!r}") from e
+        rng = _generator_at(resume.rng_state)
         start_epoch = resume.epoch
         if start_epoch >= cfg.epochs:
             raise ContractError(
@@ -286,9 +294,9 @@ def write_curve_csv(path, curve: TrainingCurve) -> None:
 
 def read_curve_csv(path) -> TrainingCurve:
     """The rows of a ``write_curve_csv`` file. A wrong header, or a row that is
-    not an int epoch and four floats, raises ``ContractError`` naming the file
-    (and the row); bytes that are not UTF-8 decode to U+FFFD, which neither
-    passes."""
+    not its epoch (rows are epochs 1, 2, ...) and four finite floats, raises
+    ``ContractError`` naming the file (and the row): ``train`` writes no
+    other. Bytes that are not UTF-8 decode to U+FFFD, which neither passes."""
     with open(path, "rb") as fh:
         text = fh.read().decode(errors="replace")
     lines = [ln for ln in text.splitlines() if ln]
@@ -300,7 +308,12 @@ def read_curve_csv(path) -> TrainingCurve:
         try:
             if len(cells) != len(CURVE_COLUMNS):
                 raise ValueError(f"{len(cells)} fields, expected {len(CURVE_COLUMNS)}")
-            curve.append(EpochStats(int(cells[0]), *map(float, cells[1:])))
+            stats = EpochStats(int(cells[0]), *map(float, cells[1:]))
+            if stats.epoch != row:
+                raise ValueError(f"epoch {stats.epoch} where epoch {row} belongs")
+            if not all(map(math.isfinite, astuple(stats))):
+                raise ValueError("a value is not finite")
+            curve.append(stats)
         except ValueError as e:
             raise ContractError(f"curve file {path}: row {row} ({ln!r}) is malformed: {e}") from e
     return curve
@@ -332,10 +345,11 @@ def load_checkpoint(path) -> Checkpoint:
     """Parameters come back as reshaped views of the file's one buffer. Files
     without ``__params__``, the older layout, hold one member per name. A file
     that is no readable npz archive, or whose ``__meta__`` is not a JSON object
-    with objects ``config`` and ``rng_state`` and an int ``epoch``, raises
-    ``ContractError``; so does a ``params`` index that is not a list of
-    ``[name, list of ints >= 0]`` with unique names whose extents sum to the
-    buffer, and an encoded ``rng_state`` array that does not decode."""
+    with objects ``config`` and ``rng_state`` and an int ``epoch`` >= 0 (not
+    a bool), raises ``ContractError``; so does a ``params`` index that is not
+    a list of ``[name, list of ints >= 0]`` with unique names whose extents
+    sum to the buffer, and an encoded ``rng_state`` array that does not
+    decode."""
     try:
         with np.load(path) as data:  # a .npy array is no context manager: TypeError
             if "__meta__" not in data:
@@ -351,6 +365,8 @@ def load_checkpoint(path) -> Checkpoint:
     kinds = {"config": dict, "epoch": int, "rng_state": dict}
     bad = [k for k, kind in kinds.items()
            if not isinstance(meta, dict) or not isinstance(meta.get(k), kind)]
+    if "epoch" not in bad and (type(meta["epoch"]) is bool or meta["epoch"] < 0):
+        bad.append("epoch")
     if bad:
         raise ContractError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
     if "__params__" in params:
@@ -406,6 +422,9 @@ def _jsonable(obj):
 def _unjsonable(obj):
     if isinstance(obj, dict):
         if "__ndarray__" in obj:
-            return np.array(obj["values"], dtype=np.dtype(obj["__ndarray__"]))
+            dtype = np.dtype(obj["__ndarray__"])
+            if dtype.kind not in "biuf":  # a subarray dtype would let a few bytes ask for gigabytes
+                raise ValueError(f"encoded arrays hold plain numbers, not {dtype}")
+            return np.array(obj["values"], dtype=dtype)
         return {k: _unjsonable(v) for k, v in obj.items()}
     return obj

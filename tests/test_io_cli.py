@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -286,6 +287,26 @@ def test_cli_metrics_with_field_reports_jacobian_stats(tmp_path, capsys):
     assert payload["sdlogj"] >= 0.0
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b", "--field"])
+def test_cli_metrics_of_a_non_finite_input_is_a_data_error(tmp_path, capsys, flag):
+    """A NaN voxel in either volume or an infinite displacement: exit 2 with
+    the file named, and neither NaN in the output nor a warning."""
+    main(["synth", "--out", str(tmp_path), "--shape", "16", "--seed", "1"])
+    files = {"--a": tmp_path / "moving.nmv", "--b": tmp_path / "fixed.nmv", "--field": tmp_path / "truth_field.nmv"}
+    bad = nr.load_volume(files[flag])
+    bad.flat[bad.size // 2] = np.inf if flag == "--field" else np.nan
+    files[flag] = tmp_path / "bad.nmv"
+    nr.save_volume(files[flag], bad)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["metrics"] + [str(x) for kv in files.items() for x in kv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error:") and str(files[flag]) in err
+    assert "Traceback" not in err
+
+
 def test_cli_missing_file_is_a_data_error(tmp_path, capsys):
     rc = main(["metrics", "--a", str(tmp_path / "nope.nmv"), "--b", str(tmp_path / "nope.nmv")])
     assert rc == 2
@@ -558,8 +579,13 @@ def _checkpoint_with_meta(raw: bytes):
     _checkpoint_with_meta(json.dumps({"config": 5, "epoch": "1", "rng_state": {}}).encode()),
     _checkpoint_with_meta(json.dumps({"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {},
                                       "params": [["w", [2, "a"]]]}).encode()),
+    _checkpoint_with_meta(json.dumps({"config": TINY_CFG.to_dict(), "epoch": -1, "rng_state": {},
+                                      "params": []}).encode()),
+    _checkpoint_with_meta(json.dumps({"config": TINY_CFG.to_dict(), "epoch": True, "rng_state": {},
+                                      "params": []}).encode()),
 ], ids=["not-npz", "truncated", "meta-not-json", "meta-lacks-config-and-epoch",
-        "meta-config-and-epoch-of-the-wrong-kind", "meta-index-extent-not-an-int"])
+        "meta-config-and-epoch-of-the-wrong-kind", "meta-index-extent-not-an-int",
+        "meta-epoch-negative", "meta-epoch-a-bool"])
 def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, write):
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     ckpt = tmp_path / "ckpt.npz"
@@ -575,8 +601,10 @@ def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, wri
     assert not (tmp_path / "field.nmv").exists() and not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("row", ["1,0.5,abc,0.9,0.9", "1,0.5,0.5,0.9", "1.5,0.5,0.5,0.9,0.9"],
-                         ids=["non-numeric-field", "short-row", "non-integer-epoch"])
+@pytest.mark.parametrize("row", ["1,0.5,abc,0.9,0.9", "1,0.5,0.5,0.9", "1.5,0.5,0.5,0.9,0.9",
+                                 "1,nan,0.5,0.9,0.9", "2,0.5,0.5,0.9,0.9"],
+                         ids=["non-numeric-field", "short-row", "non-integer-epoch", "non-finite-value",
+                              "epoch-out-of-place"])
 def test_cli_train_resume_into_a_run_with_a_malformed_curve_is_a_data_error(tmp_path, capsys, row):
     main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
     assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "1") == 0
@@ -593,6 +621,19 @@ def test_cli_train_resume_from_a_checkpoint_without_a_generator_state_is_a_data_
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     ckpt = tmp_path / "ckpt.npz"
     nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, {}))
+    capsys.readouterr()
+    assert _train_tiny(tmp_path, tmp_path, "run", "--epochs", "2", "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "rng_state" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_resume_from_a_checkpoint_whose_generator_state_overflows_is_a_data_error(tmp_path, capsys):
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    state = np.random.default_rng(0).bit_generator.state
+    state["state"]["state"] = 2**130
+    ckpt = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, state))
     capsys.readouterr()
     assert _train_tiny(tmp_path, tmp_path, "run", "--epochs", "2", "--resume", str(ckpt)) == 2
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import nestreg as nr
 from nestreg import ShapeError, Tensor, UndefinedMetricError, Volume, metrics
@@ -268,6 +268,82 @@ def test_hd95_undefined_for_empty_mask():
         nr.hd95(a, b)
 
 
+@st.composite
+def _mask_pairs(draw):
+    """Two masks on one grid of extents 1-20 per axis, each a union of one to
+    three boxes less an optional box-shaped hole. A box may touch any face."""
+    shape = tuple(draw(st.integers(1, 20)) for _ in range(3))
+
+    def box():
+        lo = [draw(st.integers(0, e - 1)) for e in shape]
+        return tuple(slice(l, l + draw(st.integers(1, e - l))) for l, e in zip(lo, shape))
+
+    def mask():
+        m = np.zeros(shape, dtype=bool)
+        for _ in range(draw(st.integers(1, 3))):
+            m[box()] = True
+        if draw(st.booleans()):
+            m[box()] = False
+        return m
+
+    return mask(), mask()
+
+
+@given(masks=_mask_pairs())
+def test_hd95_equals_the_distance_transform_formulation_on_any_masks(masks):
+    """Exactly, on anisotropic grids and masks on the border, near or farther
+    apart than the reach; a batch equals its single calls; and on small
+    grids the all-pairs oracle agrees."""
+    a, b = masks
+    assume(a.any() and b.any())
+    want = hd95_edt_ref(a, b)
+    assert nr.hd95(a, b) == want
+    assert nr.hd95(b, a) == hd95_edt_ref(b, a)
+    assert nr.hd95(np.stack([a, b, a | b]), b) == [want, 0.0, nr.hd95(a | b, b)]
+    if a.size <= 1000:
+        assert want == hd95_ref(a, b)
+
+
+def _boxes(shape, *boxes):
+    m = np.zeros(shape, dtype=bool)
+    for box in boxes:
+        m[box] = True
+    return m
+
+
+_HOLLOW = _boxes((24, 24, 24), np.s_[2:22, 2:22, 2:22]) & ~_boxes((24, 24, 24), np.s_[4:20, 4:20, 4:20])
+
+
+@pytest.mark.parametrize("a, b, both", [
+    # A long bar beside a small block: the bar's far end is beyond the reach
+    # of the block's surface, while every block voxel is within it of the bar.
+    pytest.param(_boxes((6, 6, 30), np.s_[0:4, 2:4, 0:30]), _boxes((6, 6, 30), np.s_[4:6, 2:4, 0:3]),
+                 False, id="one-direction"),
+    # Two slabs 16 voxels apart: every voxel of either surface is beyond the reach.
+    pytest.param(_boxes((18, 20, 20), np.s_[0:2]), _boxes((18, 20, 20), np.s_[16:18]), True, id="both-directions"),
+    # Two single voxels 47.9 apart.
+    pytest.param(_boxes((28, 28, 30), np.s_[0, 0, 0]), _boxes((28, 28, 30), np.s_[27, 27, 29]),
+                 True, id="single-voxels"),
+    # A small cube inside a hollow box, 8 voxels from its inner surface: the
+    # cube lies inside the box's bounds and next to its blocks, so the
+    # cube's walk runs and finds nothing.
+    pytest.param(_HOLLOW, _boxes((24, 24, 24), np.s_[11:13, 11:13, 11:13]), True, id="hollow"),
+])
+def test_hd95_beyond_the_reach_takes_the_exact_fallback(monkeypatch, a, b, both):
+    """Surface voxels with nothing within the reach get their distances from
+    the fallback, in one direction or ``both``, and the result still equals
+    both oracles."""
+    calls = []
+    far = metrics._far_distances
+    monkeypatch.setattr(metrics, "_far_distances", lambda pts, dst: calls.append(len(dst.coords)) or far(pts, dst))
+    got = nr.hd95(a, b)
+    monkeypatch.undo()
+    assert got == hd95_ref(a, b) == hd95_edt_ref(a, b)
+    assert nr.hd95(b, a) == hd95_ref(b, a)
+    n_a, n_b = int(surface_ref(a).sum()), int(surface_ref(b).sum())
+    assert calls == ([n_b, n_a] if both else [n_b])
+
+
 # ---------------------------------------------------------------------------
 # A batch against one fixed volume or mask
 # ---------------------------------------------------------------------------
@@ -319,18 +395,23 @@ def test_batched_hd95_members_equal_their_single_calls(rng):
         assert nr.hd95(np.stack(members[:1]), mb) == [nr.hd95(members[0], mb)]
 
 
-def test_batched_hd95_union_box_is_exact():
-    """Members whose surfaces sit in opposite corners make the union box
-    larger than either pair's box; every distance is still exact."""
-    b = np.zeros((14, 16, 15), dtype=bool)
-    b[6:9, 7:10, 6:10] = True
+def test_batched_hd95_members_beyond_the_reach_equal_their_single_calls(monkeypatch):
+    """One member within the reach of ``b``'s surface and one in the opposite
+    corner, beyond it: only the far member's distances, in both directions,
+    come from the fallback, and each member equals its single call and the
+    distance transform formulation."""
+    b = np.zeros((40, 40, 40), dtype=bool)
+    b[20:36, 12:28, 12:28] = True
     near = np.zeros_like(b)
-    near[1:4, 0:3, 2:5] = True
+    near[21:37, 14:30, 11:27] = True
     far = np.zeros_like(b)
-    far[10:13, 12:16, 9:14] = True
-    for m in (near, far):
-        assert _surface_box(m, b) != _surface_box(near | far, b)
+    far[0:3, 0:4, 36:40] = True
+    fallback = []
+    real = metrics._far_distances
+    monkeypatch.setattr(metrics, "_far_distances", lambda pts, dst: fallback.append(len(pts)) or real(pts, dst))
     got = nr.hd95(np.stack([near, far]), b)
+    monkeypatch.undo()
+    assert fallback == [surface_ref(far).sum(), surface_ref(b).sum()]
     assert got == [hd95_edt_ref(near, b), hd95_edt_ref(far, b)]
     assert got == [nr.hd95(near, b), nr.hd95(far, b)]
 

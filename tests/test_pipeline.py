@@ -4,9 +4,12 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +18,7 @@ from hypothesis import given, strategies as st
 
 import nestreg as nr
 from nestreg import ConfigError, ContractError, ModelConfig, Parameter, Tensor
+from nestreg.train import CURVE_COLUMNS, _generator_at
 
 
 def small_cfg(**kw) -> ModelConfig:
@@ -546,7 +550,12 @@ def test_checkpoint_without_parameters_round_trips(tmp_path):
 def _checkpoint_bytes(params, rng_state=None):
     """An npz of a valid config and epoch, the given ``params`` index and
     ``rng_state``, and a 4-value parameter buffer."""
-    meta = {"config": small_cfg().to_dict(), "epoch": 1, "rng_state": rng_state or {}, "params": params}
+    return _meta_bytes({"config": small_cfg().to_dict(), "epoch": 1, "rng_state": rng_state or {},
+                        "params": params})
+
+
+def _meta_bytes(meta):
+    """An npz of the given ``__meta__`` and a 4-value parameter buffer."""
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              __params__=np.zeros(4))
@@ -561,8 +570,9 @@ def _checkpoint_bytes(params, rng_state=None):
     ([["w", [2.0, 2]]], None),
     ([["w", [-2, -2]]], None),
     ([["w", [2, 2]]], {"seed": {"__ndarray__": "<u8"}}),
+    ([["w", [2, 2]]], {"seed": {"__ndarray__": "(1000,1000)f8", "values": [1]}}),
 ], ids=["str-extent", "no-shape", "str-index", "null-index", "float-extent", "negative-extents",
-        "encoded-array-without-values"])
+        "encoded-array-without-values", "encoded-array-of-a-subarray-dtype"])
 def test_load_checkpoint_with_a_malformed_index_or_rng_state_names_the_file(tmp_path, params, rng_state):
     path = tmp_path / "ckpt.npz"
     path.write_bytes(_checkpoint_bytes(params, rng_state))
@@ -591,6 +601,63 @@ def test_load_checkpoint_of_any_parameter_index_loads_or_raises_contract_error(p
         return
     assert [name for name, _ in params] == list(loaded.params)
     assert sum(a.size for a in loaded.params.values()) == 4
+
+
+_HUGE = st.integers(-2**130, 2**130)
+_ANY = _JSON | st.dictionaries(st.text(max_size=3), _JSON, max_size=3)
+_CONFIG = small_cfg().to_dict()
+_CONFIGS = (
+    st.just(_CONFIG)
+    | st.builds(lambda k, v: {**_CONFIG, k: v}, st.sampled_from(sorted(_CONFIG)), _JSON | _HUGE)
+    | st.builds(lambda k: {**_CONFIG, k: 1}, st.text(min_size=1, max_size=3))
+)
+_STATE = np.random.default_rng(0).bit_generator.state  # a PCG64 state: str and ints
+_RNG_STATES = (
+    st.just(_STATE)
+    | st.builds(lambda k, v: {**_STATE, "state": {**_STATE["state"], k: v}},
+                st.sampled_from(["state", "inc"]), _HUGE | _JSON)
+    | st.builds(lambda k, v: {**_STATE, k: v}, st.sampled_from(sorted(_STATE)), _HUGE | _ANY)
+    | st.builds(lambda code, values: {**_STATE, "uinteger": {"__ndarray__": code, "values": values}},
+                st.sampled_from(["<u8", "<i4", "|b1", "<f8"]) | st.text(max_size=3), _JSON)
+)
+_NEAR = {
+    "config": _CONFIGS,
+    "epoch": st.integers(-3, 5) | st.booleans() | _HUGE,
+    "rng_state": _RNG_STATES,
+    "params": _INDEX | _NEAR_INDEX,
+}
+
+
+@st.composite
+def _metas(draw):
+    """A checkpoint ``__meta__`` with up to two of its entries changed: each
+    left out, changed in one place, or replaced by any JSON."""
+    meta = {"config": _CONFIG, "epoch": 1, "rng_state": _STATE, "params": [["w", [2, 2]]]}
+    for key in draw(st.lists(st.sampled_from(sorted(meta)), max_size=2, unique=True)):
+        how = draw(st.sampled_from(["near", "near", "leave out", "any"]))
+        if how == "leave out":
+            del meta[key]
+        else:
+            meta[key] = draw(_NEAR[key] if how == "near" else _ANY)
+    return meta
+
+
+@given(meta=_metas())
+def test_load_checkpoint_of_any_metadata_loads_or_raises_a_documented_error(meta):
+    """The whole ``__meta__`` at once. A checkpoint that loads has an epoch
+    >= 0 and the index's names; its config validates or raises
+    ``ConfigError``, and a resumed run takes its ``rng_state`` or raises
+    ``ContractError``."""
+    try:
+        loaded = nr.load_checkpoint(io.BytesIO(_meta_bytes(meta)))
+    except (ConfigError, ContractError):
+        return
+    assert type(loaded.epoch) is int and loaded.epoch >= 0
+    assert list(loaded.params) == [name for name, _ in meta["params"]]
+    with contextlib.suppress(ConfigError):
+        loaded.config.validated()
+    with contextlib.suppress(ContractError):
+        _generator_at(loaded.rng_state)
 
 
 def test_save_checkpoint_rejects_mixed_parameter_dtypes(tmp_path):
@@ -661,6 +728,41 @@ def test_curve_csv_roundtrip_preserves_float64_exactly(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("epoch,nope\n")
         nr.read_curve_csv(bad)
+
+
+_CELLS = st.sampled_from(["1", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999", "", " 2", "abc"]) | st.text(max_size=4)
+
+
+@st.composite
+def _curve_texts(draw):
+    """A curve file near a valid one: up to three valid rows, perhaps one
+    cell changed, perhaps a row of any cells after them, under the header or
+    any text."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[str(epoch)] + [repr(draw(finite)) for _ in range(4)] for epoch in range(1, draw(st.integers(0, 3)) + 1)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 4))] = draw(_CELLS)
+    if draw(st.booleans()):
+        rows.append(draw(st.lists(_CELLS, max_size=6)))
+    header = draw(st.just(",".join(CURVE_COLUMNS)) | st.text(max_size=8))
+    return "".join(line + "\n" for line in [header] + [",".join(r) for r in rows])
+
+
+@given(text=_curve_texts())
+def test_read_curve_csv_of_any_text_loads_or_raises_contract_error(tmp_path_factory, text):
+    """A curve that loads holds epochs 1, 2, ... with finite values, and
+    writes back to the same rows."""
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    path.write_bytes(text.encode())
+    try:
+        curve = nr.read_curve_csv(path)
+    except ContractError as e:
+        assert str(path) in str(e)
+        return
+    assert [r.epoch for r in curve.rows] == list(range(1, len(curve) + 1))
+    assert all(math.isfinite(v) for r in curve.rows for v in astuple(r)[1:])
+    nr.write_curve_csv(path, curve)
+    assert nr.read_curve_csv(path).rows == curve.rows
 
 
 def test_model_forward_enforces_precision_contract(rng):
