@@ -127,7 +127,6 @@ def _framed_surface(mask: np.ndarray, margin: int) -> np.ndarray:
 
 
 _REACH = 6  # voxels: hd95 walks lattice shells out to this length before its fallback
-_WALK_BUDGET = 4  # offsets a walk may test per voxel of the surfaces' common box
 
 
 def _lattice_shells(reach: int) -> list:
@@ -148,9 +147,7 @@ class _Surface:
     ``frame`` holds the surface padded by the reach, so every shell offset of
     a surface voxel stays inside it. ``flat`` and ``coords`` are the surface
     voxels' flat indices in the frame and their coordinates in the volume;
-    ``lo`` and ``hi`` are the corners of their bounding box. ``near`` marks
-    the reach-sized cubes that hold a surface voxel or touch one that does:
-    every voxel within the reach of the surface lies in one of them.
+    ``lo`` and ``hi`` are the corners of their bounding box.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -158,9 +155,6 @@ class _Surface:
         self.flat = np.flatnonzero(self.frame)
         self.coords = np.stack(np.unravel_index(self.flat, self.frame.shape), axis=1) - _REACH
         self.lo, self.hi = self.coords.min(axis=0), self.coords.max(axis=0)
-        blocks = np.zeros(tuple(-(-e // _REACH) for e in mask.shape), dtype=bool)
-        blocks[tuple((self.coords // _REACH).T)] = True
-        self.near = ndimage.maximum_filter(blocks, size=3, mode="constant")
 
 
 def _surface_distances(src: _Surface, dst: _Surface, steps: list) -> np.ndarray:
@@ -170,23 +164,18 @@ def _surface_distances(src: _Surface, dst: _Surface, steps: list) -> np.ndarray:
     Open voxels test one shell of offsets at a time (one gather from
     ``dst``'s frame) and close at the first shell that reaches ``dst``'s
     surface; every shorter offset was tested before, so the distance is that
-    shell's sqrt(s). A voxel outside ``dst.near``, or farther than the reach
-    from ``dst``'s bounding box, has nothing within the reach and skips the
-    walk. The walk stops early once it has tested
-    ``_WALK_BUDGET`` offsets per voxel of the box that holds both surfaces,
-    so voxels that find nothing cost a bounded share of the fallback. The
-    voxels left open take ``_far_distances``.
+    shell's sqrt(s). A voxel farther than the reach from ``dst``'s bounding
+    box has nothing within the reach and skips the walk. The voxels left
+    open take ``_far_distances``.
     """
     out = np.empty(len(src.flat))
     gap = np.maximum(dst.lo - src.coords, 0) + np.maximum(src.coords - dst.hi, 0)
-    walk = dst.near[tuple((src.coords // _REACH).T)] & ((gap * gap).sum(axis=1) <= _REACH * _REACH)
+    walk = (gap * gap).sum(axis=1) <= _REACH * _REACH
     idx = np.flatnonzero(walk)
     at = src.flat[idx]
     lookup = dst.frame.ravel()
-    budget = _WALK_BUDGET * np.prod(np.maximum(src.hi, dst.hi) - np.minimum(src.lo, dst.lo) + 1)
     for dist, step in steps:
-        budget -= idx.size * step.size
-        if not idx.size or budget < 0:
+        if not idx.size:
             break
         hit = lookup[at[:, None] + step].any(axis=1)
         out[idx[hit]] = dist

@@ -294,9 +294,12 @@ def write_curve_csv(path, curve: TrainingCurve) -> None:
 
 def read_curve_csv(path) -> TrainingCurve:
     """The rows of a ``write_curve_csv`` file. A wrong header, or a row that is
-    not its epoch (rows are epochs 1, 2, ...) and four finite floats, raises
-    ``ContractError`` naming the file (and the row): ``train`` writes no
-    other. Bytes that are not UTF-8 decode to U+FFFD, which neither passes."""
+    not an int epoch >= 1 above the row before it and four finite floats,
+    raises ``ContractError`` naming the file (and the row). ``train`` writes
+    no other: a run resumed into a directory keeps the rows up to its
+    checkpoint's epoch and adds the epochs after it, so a curve may start
+    past epoch 1 or skip epochs, but never repeats one. Bytes that are not
+    UTF-8 decode to U+FFFD, which neither passes."""
     with open(path, "rb") as fh:
         text = fh.read().decode(errors="replace")
     lines = [ln for ln in text.splitlines() if ln]
@@ -309,8 +312,9 @@ def read_curve_csv(path) -> TrainingCurve:
             if len(cells) != len(CURVE_COLUMNS):
                 raise ValueError(f"{len(cells)} fields, expected {len(CURVE_COLUMNS)}")
             stats = EpochStats(int(cells[0]), *map(float, cells[1:]))
-            if stats.epoch != row:
-                raise ValueError(f"epoch {stats.epoch} where epoch {row} belongs")
+            after = curve.rows[-1].epoch if curve.rows else 0
+            if stats.epoch <= after:
+                raise ValueError(f"epoch {stats.epoch} is not above epoch {after}")
             if not all(map(math.isfinite, astuple(stats))):
                 raise ValueError("a value is not finite")
             curve.append(stats)

@@ -601,20 +601,40 @@ def test_cli_malformed_checkpoint_is_a_data_error(tmp_path, capsys, command, wri
     assert not (tmp_path / "field.nmv").exists() and not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("row", ["1,0.5,abc,0.9,0.9", "1,0.5,0.5,0.9", "1.5,0.5,0.5,0.9,0.9",
-                                 "1,nan,0.5,0.9,0.9", "2,0.5,0.5,0.9,0.9"],
+@pytest.mark.parametrize("rows", ["1,0.5,abc,0.9,0.9", "1,0.5,0.5,0.9", "1.5,0.5,0.5,0.9,0.9",
+                                  "1,nan,0.5,0.9,0.9", "0,0.5,0.5,0.9,0.9",
+                                  "1,0.5,0.5,0.9,0.9\n1,0.5,0.5,0.9,0.9"],
                          ids=["non-numeric-field", "short-row", "non-integer-epoch", "non-finite-value",
-                              "epoch-out-of-place"])
-def test_cli_train_resume_into_a_run_with_a_malformed_curve_is_a_data_error(tmp_path, capsys, row):
+                              "epoch-zero", "epoch-repeated"])
+def test_cli_train_resume_into_a_run_with_a_malformed_curve_is_a_data_error(tmp_path, capsys, rows):
+    """The last of ``rows`` is the malformed one."""
     main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
     assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "1") == 0
     curve = tmp_path / "run" / "curve.csv"
-    curve.write_text(curve.read_text().splitlines()[0] + "\n" + row + "\n")  # the header kept
+    curve.write_text(curve.read_text().splitlines()[0] + "\n" + rows + "\n")  # the header kept
     capsys.readouterr()
     ckpt = tmp_path / "run" / "checkpoint_last.npz"
     assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "2", "--resume", str(ckpt)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and f"{curve}: row 1" in err and "Traceback" not in err
+    bad = f"{curve}: row {rows.count(chr(10)) + 1}"
+    assert err.startswith("data error:") and bad in err and "Traceback" not in err
+
+
+def test_cli_train_resumed_into_a_new_directory_resumes_there_again(tmp_path, capsys):
+    """A run resumed into a directory without a curve writes the epochs after
+    its checkpoint's, and a resume into that directory reads them back and
+    continues the curve."""
+    main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
+    assert _train_tiny(tmp_path, tmp_path / "data", "run1", "--epochs", "1") == 0
+    assert _train_tiny(tmp_path, tmp_path / "data", "run2", "--epochs", "2",
+                       "--resume", str(tmp_path / "run1" / "checkpoint_last.npz")) == 0
+    curve = tmp_path / "run2" / "curve.csv"
+    assert [r.epoch for r in nr.read_curve_csv(curve).rows] == [2]
+    capsys.readouterr()
+    assert _train_tiny(tmp_path, tmp_path / "data", "run2", "--epochs", "3",
+                       "--resume", str(tmp_path / "run2" / "checkpoint_last.npz")) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert [r.epoch for r in nr.read_curve_csv(curve).rows] == [2, 3]
 
 
 def test_cli_train_resume_from_a_checkpoint_without_a_generator_state_is_a_data_error(tmp_path, capsys):

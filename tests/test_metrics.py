@@ -325,8 +325,8 @@ _HOLLOW = _boxes((24, 24, 24), np.s_[2:22, 2:22, 2:22]) & ~_boxes((24, 24, 24), 
     pytest.param(_boxes((28, 28, 30), np.s_[0, 0, 0]), _boxes((28, 28, 30), np.s_[27, 27, 29]),
                  True, id="single-voxels"),
     # A small cube inside a hollow box, 8 voxels from its inner surface: the
-    # cube lies inside the box's bounds and next to its blocks, so the
-    # cube's walk runs and finds nothing.
+    # cube lies inside the box's bounds, so the cube's walk runs and finds
+    # nothing.
     pytest.param(_HOLLOW, _boxes((24, 24, 24), np.s_[11:13, 11:13, 11:13]), True, id="hollow"),
 ])
 def test_hd95_beyond_the_reach_takes_the_exact_fallback(monkeypatch, a, b, both):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -439,6 +440,21 @@ def test_resume_into_its_run_directory_keeps_the_earlier_best_and_curve(tmp_path
         npt.assert_array_equal(rest.best.params[name], arr, err_msg=name)
 
 
+def test_resume_past_the_end_of_a_directory_curve_skips_epochs_and_resumes_there_again(tmp_path):
+    """A resume from a later run's epoch-3 checkpoint into a directory whose
+    curve ends at epoch 1 keeps that row and writes epochs 4 on: the curve
+    skips epochs 2 and 3, loads, and a further resume there continues it."""
+    tr, va = nr.split_pairs(small_pairs(3, seed=0))
+    nr.train(nr.build_model(small_cfg(epochs=1, seed=0)), tr, va, out_dir=tmp_path)
+    later = nr.train(nr.build_model(small_cfg(epochs=3, seed=0)), tr, va)
+    nr.train(nr.build_model(small_cfg(epochs=4, seed=0)), tr, va, out_dir=tmp_path, resume=later.last)
+    curve = tmp_path / "curve.csv"
+    assert [r.epoch for r in nr.read_curve_csv(curve).rows] == [1, 4]
+    last = nr.load_checkpoint(tmp_path / "checkpoint_last.npz")
+    nr.train(nr.build_model(small_cfg(epochs=5, seed=0)), tr, va, out_dir=tmp_path, resume=last)
+    assert [r.epoch for r in nr.read_curve_csv(curve).rows] == [1, 4, 5]
+
+
 def test_resume_into_a_directory_whose_best_disagrees_with_its_curve_is_rejected(tmp_path):
     tr, va = nr.split_pairs(small_pairs(3, seed=0))
     first = nr.train(nr.build_model(small_cfg(epochs=2, seed=0)), tr, va, out_dir=tmp_path)
@@ -735,11 +751,12 @@ _CELLS = st.sampled_from(["1", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999", 
 
 @st.composite
 def _curve_texts(draw):
-    """A curve file near a valid one: up to three valid rows, perhaps one
-    cell changed, perhaps a row of any cells after them, under the header or
+    """A curve file near a valid one: up to three valid rows (epochs from 1
+    or 2, each one or two above the last), perhaps one cell changed, perhaps a row of any cells after them, under the header or
     any text."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    rows = [[str(epoch)] + [repr(draw(finite)) for _ in range(4)] for epoch in range(1, draw(st.integers(0, 3)) + 1)]
+    epochs = itertools.accumulate(draw(st.lists(st.integers(1, 2), max_size=3)))
+    rows = [[str(epoch)] + [repr(draw(finite)) for _ in range(4)] for epoch in epochs]
     if rows and draw(st.booleans()):
         rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 4))] = draw(_CELLS)
     if draw(st.booleans()):
@@ -750,8 +767,8 @@ def _curve_texts(draw):
 
 @given(text=_curve_texts())
 def test_read_curve_csv_of_any_text_loads_or_raises_contract_error(tmp_path_factory, text):
-    """A curve that loads holds epochs 1, 2, ... with finite values, and
-    writes back to the same rows."""
+    """A curve that loads holds increasing epochs from 1 on with finite
+    values, and writes back to the same rows."""
     path = tmp_path_factory.mktemp("curve") / "curve.csv"
     path.write_bytes(text.encode())
     try:
@@ -759,7 +776,8 @@ def test_read_curve_csv_of_any_text_loads_or_raises_contract_error(tmp_path_fact
     except ContractError as e:
         assert str(path) in str(e)
         return
-    assert [r.epoch for r in curve.rows] == list(range(1, len(curve) + 1))
+    epochs = [r.epoch for r in curve.rows]
+    assert all(e > after for e, after in zip(epochs, [0] + epochs))
     assert all(math.isfinite(v) for r in curve.rows for v in astuple(r)[1:])
     nr.write_curve_csv(path, curve)
     assert nr.read_curve_csv(path).rows == curve.rows
