@@ -52,46 +52,34 @@ def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     return _banded_passes(a, tuple(_band(e, kern1d) for e in a.shape))
 
 
-def ssim(a, b, window: int = 7, sigma: float = 1.5):
+def ssim(a, b, window: int = 7, sigma: float = 1.5) -> float:
     """Mean local SSIM with a 3-D Gaussian window.
 
     The stabilizers are C1=(0.01 L)^2, C2=(0.03 L)^2 with L the dynamic range
     of the pooled pair; two identical constant volumes (L = 0) score 1.
-
-    A batch ``a`` [B,1,D,H,W] against one ``b`` returns a list of one score
-    per member, each equal to its single call; ``b``'s windowed mean and
-    variance are computed once for the whole batch.
     """
-    arr = _unwrap(a)
-    xs = [_as_array(m) for m in arr] if arr.ndim == 5 else [_as_array(arr)]
-    y = _as_array(b)
-    for x in xs:
-        if x.shape != y.shape:
-            raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
+    x, y = _as_array(a), _as_array(b)
+    if x.shape != y.shape:
+        raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
     if window < 3 or window % 2 == 0:
         raise ShapeError(f"ssim: window must be odd and >= 3, got {window}")
     if any(e < window for e in y.shape):
         raise ShapeError(f"ssim: extents {y.shape} smaller than window {window}")
+    span = max(x.max(), y.max()) - min(x.min(), y.min())
+    if span == 0.0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    c1 = (0.01 * span) ** 2
+    c2 = (0.03 * span) ** 2
     k = _gaussian_window(window, sigma)
+    mu_x = _windowed_mean(x, k)
     mu_y = _windowed_mean(y, k)
     mu_yy = mu_y * mu_y
+    var_x = _windowed_mean(x * x, k) - mu_x * mu_x
     var_y = _windowed_mean(y * y, k) - mu_yy
-    lo_y, hi_y = y.min(), y.max()
-    scores = []
-    for x in xs:
-        span = max(x.max(), hi_y) - min(x.min(), lo_y)
-        if span == 0.0:
-            scores.append(1.0 if np.array_equal(x, y) else 0.0)
-            continue
-        c1 = (0.01 * span) ** 2
-        c2 = (0.03 * span) ** 2
-        mu_x = _windowed_mean(x, k)
-        var_x = _windowed_mean(x * x, k) - mu_x * mu_x
-        cov = _windowed_mean(x * y, k) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-        den = (mu_x * mu_x + mu_yy + c1) * (var_x + var_y + c2)
-        scores.append(float(np.mean(num / den)))
-    return scores if arr.ndim == 5 else scores[0]
+    cov = _windowed_mean(x * y, k) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_yy + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
 
 
 def mask_from_volume(v, rel_threshold: float = 0.1) -> np.ndarray:
@@ -199,13 +187,9 @@ def _far_distances(pts: np.ndarray, dst: _Surface) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=0))
 
 
-def hd95(mask_a: np.ndarray, mask_b: np.ndarray):
+def hd95(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     """95th percentile (linear interpolation) of pooled directed surface
     distances between the 6-neighbor surfaces of the two masks.
-
-    A batch ``mask_a`` [B,D,H,W] against one ``mask_b`` returns a list of one
-    distance per member, each equal to its single call; ``mask_b``'s surface
-    is set up once for the whole batch.
 
     Each surface voxel's distance to the other surface comes from a search
     over lattice shells of equal squared length s (0, 1, 2, 3, 4, 5, 6, 8,
@@ -217,25 +201,18 @@ def hd95(mask_a: np.ndarray, mask_b: np.ndarray):
     """
     a = np.asarray(mask_a, dtype=bool)
     b = np.asarray(mask_b, dtype=bool)
-    if b.ndim != 3:
-        raise ShapeError(f"hd95 expects 3-D masks, got {b.shape}")
-    batched = a.ndim == b.ndim + 1
-    members = list(a) if batched else [a]
-    for m in members:
-        if m.shape != b.shape:
-            raise ShapeError(f"hd95: mask shapes differ, {m.shape} vs {b.shape}")
-    if not b.any() or not all(m.any() for m in members):
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError(f"hd95 expects 3-D masks, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"hd95: mask shapes differ, {a.shape} vs {b.shape}")
+    if not a.any() or not b.any():
         raise UndefinedMetricError("hd95 is undefined for an empty mask")
-    surf_b = _Surface(b)
+    surf_a, surf_b = _Surface(a), _Surface(b)
     strides = np.array(surf_b.frame.strides)  # bool: one byte per voxel
     steps = [(dist, offsets @ strides) for dist, offsets in _SHELLS]
-    scores = []
-    for m in members:
-        surf_a = _Surface(m)
-        pooled = np.concatenate([_surface_distances(surf_a, surf_b, steps),
-                                 _surface_distances(surf_b, surf_a, steps)])
-        scores.append(float(np.percentile(pooled, 95)))
-    return scores if batched else scores[0]
+    pooled = np.concatenate([_surface_distances(surf_a, surf_b, steps),
+                             _surface_distances(surf_b, surf_a, steps)])
+    return float(np.percentile(pooled, 95))
 
 
 @dataclass

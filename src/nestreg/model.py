@@ -11,15 +11,18 @@ freshly built model computes the identity transform.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .attention import AttentionParams, DualBlockParams, LayerNormParams, MixFfnParams
 from .config import ModelConfig
 from .decoder import DecoderHeadParams, DecoderStageParams, FusionParams, LkaParams, decoder_forward
 from .encoder import EncoderStageParams, PatchEmbedParams, encoder_forward
 from .errors import ContractError, ShapeError
+from .losses import composite_loss
 from .tensor import DTYPES, Parameter, Tensor, concat
 from .warp import DeformationField, Volume
 
@@ -301,27 +304,38 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     """Predict the field for one pair and evaluate it.
 
     Returns (field, warped, report); runs without a tape (no gradients).
-    """
-    from .losses import composite_loss
-    from .metrics import RegistrationReport, hd95, mask_from_volume, sdlogj, ssim
 
+    One worker thread scores the pair beside the main thread: the
+    moving-vs-fixed SSIM and HD95 (they need no network) while the network
+    runs, and SDlogJ while the main thread scores the warped volume's SSIM.
+    Each metric runs the same code on the same inputs as one after the
+    other, so every value is the same; errors surface in that order too
+    (forward, loss, SDlogJ, SSIM, HD95). The worker is started and joined
+    within the call, one thread start per call.
+    """
     if not isinstance(moving, Volume):
         moving = Volume(values=moving)
     if not isinstance(fixed, Volume):
         fixed = Volume(values=fixed)
     moving = moving.astype(model.config.precision)
     fixed = fixed.astype(model.config.precision)
-    field = model.forward(moving, fixed)
-    out = composite_loss(fixed, moving, field, model.config)
-    warped = out.warped
-    jac = sdlogj(field)
-    # One batch [moving, warped] against the fixed volume: its terms once.
-    pair = np.stack([moving.values.data, warped.values.data])
-    ssim_initial, ssim_final = ssim(pair, fixed)
-    hd95_initial, hd95_final = hd95(
-        np.stack([mask_from_volume(v) for v in pair]), mask_from_volume(fixed)
-    )
-    report = RegistrationReport(
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # The metrics are looked up in nestreg.metrics per call (perfbench
+        # times them there). Each worker task ends inside a longer main-thread
+        # call: the first two inside the forward, SDlogJ inside the SSIM.
+        pending_ssim = worker.submit(metrics.ssim, moving, fixed)
+        pending_hd95 = worker.submit(_hd95_and_fixed_mask, moving, fixed)
+        field = model.forward(moving, fixed)
+        out = composite_loss(fixed, moving, field, model.config)
+        warped = out.warped
+        pending_jac = worker.submit(metrics.sdlogj, field)
+        try:
+            ssim_final = metrics.ssim(warped, fixed)
+        finally:  # an earlier metric's error wins over this one's
+            jac, ssim_initial = pending_jac.result(), pending_ssim.result()
+        hd95_initial, fixed_mask = pending_hd95.result()
+        hd95_final = metrics.hd95(metrics.mask_from_volume(warped), fixed_mask)
+    report = metrics.RegistrationReport(
         ssim_initial=ssim_initial,
         ssim=ssim_final,
         hd95_initial=hd95_initial,
@@ -335,6 +349,12 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     )
     report.validate()
     return field, warped, report
+
+
+def _hd95_and_fixed_mask(moving: Volume, fixed: Volume):
+    """``hd95`` of the two volumes' masks, and the fixed mask for reuse."""
+    fixed_mask = metrics.mask_from_volume(fixed)
+    return metrics.hd95(metrics.mask_from_volume(moving), fixed_mask), fixed_mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Every function here is a literal transcription of the defining equation,
 written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
 
-The last two sections are the exception. Full-volume formulations of metric
-steps that the engine now runs on less data are fast enough for 64^3 inputs
-and are compared with ``==`` or a stated float64 bound. Earlier
+The last three sections are the exception. Full-volume formulations of
+metric steps that the engine now runs on less data are fast enough for 64^3
+inputs and are compared with ``==`` or a stated float64 bound. Earlier
 formulations of restructured kernels run in the input's dtype, so that
-float32 results can be compared bit for bit or to the ulp.
+float32 results can be compared bit for bit or to the ulp. Sequential
+compositions of engine calls that the engine now overlaps on two threads
+call the engine itself, one step after another.
 """
 
 from __future__ import annotations
@@ -683,3 +685,42 @@ def warp_corner_index_ref(m, u):
         return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
 
     return out, vjp
+
+
+# ---------------------------------------------------------------------------
+# Sequential compositions (exact references for overlapped ones)
+# ---------------------------------------------------------------------------
+
+
+def register_ref(model, moving, fixed):
+    """``register`` of two Volumes one step after another on the calling
+    thread: the forward, the composite loss, SDlogJ, then SSIM and HD95 of
+    the moving and of the warped volume against the fixed one. Returns
+    (field, warped, report)."""
+    from nestreg import metrics
+    from nestreg.losses import composite_loss
+
+    moving = moving.astype(model.config.precision)
+    fixed = fixed.astype(model.config.precision)
+    field = model.forward(moving, fixed)
+    out = composite_loss(fixed, moving, field, model.config)
+    jac = metrics.sdlogj(field)
+    ssim_initial = metrics.ssim(moving, fixed)
+    ssim_final = metrics.ssim(out.warped, fixed)
+    fixed_mask = metrics.mask_from_volume(fixed)
+    hd95_initial = metrics.hd95(metrics.mask_from_volume(moving), fixed_mask)
+    hd95_final = metrics.hd95(metrics.mask_from_volume(out.warped), fixed_mask)
+    report = metrics.RegistrationReport(
+        ssim_initial=ssim_initial,
+        ssim=ssim_final,
+        hd95_initial=hd95_initial,
+        hd95=hd95_final,
+        sdlogj=jac.sdlogj,
+        folding_fraction=jac.nonpositive_fraction,
+        ncc=1.0 - out.similarity.item(),
+        loss_total=out.total.item(),
+        loss_similarity=out.similarity.item(),
+        loss_smoothness=out.smoothness.item(),
+    )
+    report.validate()
+    return field, out.warped, report

@@ -485,6 +485,22 @@ def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_pa
     assert not (tmp_path / "field.nmv").exists()
 
 
+def test_cli_register_of_an_all_zero_moving_volume_is_a_data_error(tmp_path, capsys):
+    """The forward, the loss, SDlogJ and SSIM all take an all-zero 64^3
+    moving volume; its empty mask makes HD95 undefined, exit 2."""
+    main(["synth", "--out", str(tmp_path), "--shape", "64", "--seed", "3"])
+    nr.save_volume(tmp_path / "zero.nmv", np.zeros_like(nr.load_volume(tmp_path / "moving.nmv")))
+    cfg = ModelConfig()
+    nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(cfg, nr.build_model(cfg).state(), 1, {}))
+    capsys.readouterr()
+    rc = main(["register", "--checkpoint", str(tmp_path / "ckpt.npz"),
+               "--moving", str(tmp_path / "zero.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
+               "--out-field", str(tmp_path / "field.nmv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "data error: hd95 is undefined for an empty mask\n"
+    assert not (tmp_path / "field.nmv").exists()
+
+
 TINY_CFG = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
                        dae_blocks=1, lka_blocks=1, precision=32)
 
@@ -711,28 +727,47 @@ def test_cli_metrics_and_an_untrained_register_write_the_same_bytes_at_one_and_t
     default checkpoint (its zero-initialised head predicts an exactly zero
     field) writes the same field, warped volume and report. A trained
     network's float32 field is not thread-count independent: the patch
-    embed's matrix product already differs in the last bits."""
+    embed's matrix product already differs in the last bits.
+
+    ``register`` scores on a worker thread beside the main thread. With a
+    noised head (a non-zero field) at one BLAS thread, a process pinned to
+    one CPU writes the same bytes as one free to use every CPU."""
     main(["synth", "--out", str(tmp_path), "--shape", "64", "--seed", "3"])
     cfg = ModelConfig()
-    nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(cfg, nr.build_model(cfg).state(), 1, {}))
+    untrained = nr.build_model(cfg)
+    nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(cfg, untrained.state(), 1, {}))
+    noised = untrained.state()
+    rng = np.random.default_rng(9)
+    for name in ("head.w", "head.b"):
+        noised[name] = rng.normal(0.0, 0.1, size=noised[name].shape).astype(noised[name].dtype)
+    nr.save_checkpoint(tmp_path / "noised.npz", nr.Checkpoint(cfg, noised, 1, {}))
     src = Path(nr.__file__).resolve().parents[1]
     pair = ["--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv")]
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    one_cpu = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "from nestreg.cli import main; sys.exit(main(sys.argv[1:]))")
+    outputs = {}
+    for run, threads, launch in [("1", "1", ["-m", "nestreg"]), ("2", "2", ["-m", "nestreg"]),
+                                 ("1-pinned", "1", ["-c", one_cpu])]:
+        out = tmp_path / f"threads{run}"
         out.mkdir()
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         commands = [
             ["metrics", "--a", str(tmp_path / "moving.nmv"), "--b", str(tmp_path / "fixed.nmv"),
              "--field", str(tmp_path / "truth_field.nmv")],
-            ["register", "--checkpoint", str(tmp_path / "ckpt.npz"), *pair,
-             "--out-field", str(out / "field.nmv"), "--out-warped", str(out / "warped.nmv"),
-             "--report", str(out / "report.json")],
+            *(["register", "--checkpoint", str(tmp_path / f"{ckpt}.npz"), *pair,
+               "--out-field", str(out / f"{ckpt}-field.nmv"), "--out-warped", str(out / f"{ckpt}-warped.nmv"),
+               "--report", str(out / f"{ckpt}-report.json")] for ckpt in ("ckpt", "noised")),
         ]
-        printed = [subprocess.run([sys.executable, "-m", "nestreg", *argv], env=env, check=True,
+        printed = [subprocess.run([sys.executable, *launch, *argv], env=env, check=True,
                                   capture_output=True).stdout for argv in commands]
-        written = [(out / name).read_bytes() for name in ("field.nmv", "warped.nmv", "report.json")]
-        outputs.append((printed[0], written))
-    assert outputs[0] == outputs[1]
-    assert 0.0 < json.loads(outputs[0][0])["ssim"] < 1.0
+        written = {ckpt: [(out / f"{ckpt}-{name}").read_bytes()
+                          for name in ("field.nmv", "warped.nmv", "report.json")]
+                   for ckpt in ("ckpt", "noised")}
+        outputs[run] = (printed[0], written)
+    assert outputs["1"][0] == outputs["2"][0] == outputs["1-pinned"][0]
+    assert outputs["1"][1]["ckpt"] == outputs["2"][1]["ckpt"] == outputs["1-pinned"][1]["ckpt"]
+    assert outputs["1"][1]["noised"] == outputs["1-pinned"][1]["noised"]
+    assert 0.0 < json.loads(outputs["1"][0])["ssim"] < 1.0
+    field = nr.load_volume(tmp_path / "threads1" / "noised-field.nmv")
+    assert np.abs(field).max() > 0.5

@@ -1,6 +1,6 @@
 """Evaluation metrics against loop oracles and closed forms: SSIM, 6-neighbor
-surface HD95 (each also as a batch against one fixed volume or mask), and the
-log-Jacobian spread."""
+surface HD95 (each of one volume or mask against another; a batch is
+refused), and the log-Jacobian spread."""
 
 from __future__ import annotations
 
@@ -66,13 +66,15 @@ def test_ssim_accepts_volume_tensor_and_array_inputs(rng):
     assert nr.ssim(Tensor(a[None]), b) == want
 
 
-def test_ssim_constant_volume_conventions():
+def test_ssim_constant_volume_conventions(rng):
     a = np.full((7, 7, 7), 0.3)
     assert nr.ssim(a, a.copy()) == 1.0            # zero dynamic range, equal
     b = np.full((7, 7, 7), 0.8)
     got = nr.ssim(a, b)                           # span 0.5, pure luminance shift
     npt.assert_allclose(got, ssim_ref(a, b), rtol=1e-12)
     assert got < 1.0
+    c = rng.uniform(0, 1, size=a.shape)           # a constant against a varying volume
+    assert abs(nr.ssim(a, c) - ssim_pair_ref(a, c)) <= SSIM_BOUND
 
 
 def test_ssim_decreases_with_noise(rng):
@@ -292,14 +294,12 @@ def _mask_pairs(draw):
 @given(masks=_mask_pairs())
 def test_hd95_equals_the_distance_transform_formulation_on_any_masks(masks):
     """Exactly, on anisotropic grids and masks on the border, near or farther
-    apart than the reach; a batch equals its single calls; and on small
-    grids the all-pairs oracle agrees."""
+    apart than the reach; and on small grids the all-pairs oracle agrees."""
     a, b = masks
     assume(a.any() and b.any())
     want = hd95_edt_ref(a, b)
     assert nr.hd95(a, b) == want
     assert nr.hd95(b, a) == hd95_edt_ref(b, a)
-    assert nr.hd95(np.stack([a, b, a | b]), b) == [want, 0.0, nr.hd95(a | b, b)]
     if a.size <= 1000:
         assert want == hd95_ref(a, b)
 
@@ -345,35 +345,8 @@ def test_hd95_beyond_the_reach_takes_the_exact_fallback(monkeypatch, a, b, both)
 
 
 # ---------------------------------------------------------------------------
-# A batch against one fixed volume or mask
+# A batch is refused: each call scores one volume or mask against another
 # ---------------------------------------------------------------------------
-
-
-def test_batched_ssim_members_equal_their_single_calls(rng):
-    b = rng.uniform(0, 1, size=(9, 8, 10))
-    members = [
-        np.clip(b + rng.normal(0, 0.1, size=b.shape), 0, 1),
-        rng.uniform(0, 1, size=b.shape),
-        np.full(b.shape, 0.4),  # constant, against a varying b
-        b.copy(),
-    ]
-    batch = np.stack(members)[:, None]
-    want = [nr.ssim(m, b) for m in members]
-    assert nr.ssim(batch, b) == want
-    npt.assert_allclose(want, [ssim_pair_ref(m, b) for m in members], rtol=0, atol=SSIM_BOUND)
-    assert nr.ssim(Volume(values=Tensor(batch)), Volume(values=Tensor(b))) == want
-    assert nr.ssim(batch.astype(np.float32), b) == [nr.ssim(m.astype(np.float32), b) for m in members]
-    assert nr.ssim(batch, b, window=5, sigma=0.8) == [nr.ssim(m, b, window=5, sigma=0.8) for m in members]
-    assert nr.ssim(batch[:1], b) == want[:1]
-
-
-def test_batched_ssim_constant_member_scores_as_alone(rng):
-    b = np.full((7, 7, 7), 0.3)
-    members = [np.full(b.shape, 0.3), np.full(b.shape, 0.8), rng.uniform(0, 1, size=b.shape)]
-    got = nr.ssim(np.stack(members)[:, None], b)
-    assert got == [nr.ssim(m, b) for m in members]
-    assert got[0] == 1.0  # span 0, equal
-    assert got[1] < 1.0
 
 
 def test_batched_ssim_rejects_a_mismatched_member(rng):
@@ -384,47 +357,21 @@ def test_batched_ssim_rejects_a_mismatched_member(rng):
         nr.ssim(rng.uniform(size=(2, 2, 8, 8, 8)), b)  # two channels per member
     with pytest.raises(ShapeError):
         nr.ssim(rng.uniform(size=(2, 1, 5, 5, 5)), rng.uniform(size=(5, 5, 5)))
-
-
-def test_batched_hd95_members_equal_their_single_calls(rng):
-    for seed in (1, 2):
-        moving, fixed, _ = nr.synth_pair(32, seed=seed)
-        mb = nr.mask_from_volume(fixed)
-        members = [nr.mask_from_volume(moving), mb, rng.uniform(size=mb.shape) > 0.7]
-        assert nr.hd95(np.stack(members), mb) == [nr.hd95(m, mb) for m in members]
-        assert nr.hd95(np.stack(members[:1]), mb) == [nr.hd95(members[0], mb)]
-
-
-def test_batched_hd95_members_beyond_the_reach_equal_their_single_calls(monkeypatch):
-    """One member within the reach of ``b``'s surface and one in the opposite
-    corner, beyond it: only the far member's distances, in both directions,
-    come from the fallback, and each member equals its single call and the
-    distance transform formulation."""
-    b = np.zeros((40, 40, 40), dtype=bool)
-    b[20:36, 12:28, 12:28] = True
-    near = np.zeros_like(b)
-    near[21:37, 14:30, 11:27] = True
-    far = np.zeros_like(b)
-    far[0:3, 0:4, 36:40] = True
-    fallback = []
-    real = metrics._far_distances
-    monkeypatch.setattr(metrics, "_far_distances", lambda pts, dst: fallback.append(len(pts)) or real(pts, dst))
-    got = nr.hd95(np.stack([near, far]), b)
-    monkeypatch.undo()
-    assert fallback == [surface_ref(far).sum(), surface_ref(b).sum()]
-    assert got == [hd95_edt_ref(near, b), hd95_edt_ref(far, b)]
-    assert got == [nr.hd95(near, b), nr.hd95(far, b)]
+    with pytest.raises(ShapeError):
+        nr.ssim(rng.uniform(size=(2, 1, 8, 8, 8)), b)  # well-formed members too
 
 
 def test_batched_hd95_guards(rng):
     b = rng.uniform(size=(6, 6, 6)) > 0.5
     full = np.ones_like(b)
-    with pytest.raises(UndefinedMetricError):
-        nr.hd95(np.stack([full, np.zeros_like(b)]), b)
-    with pytest.raises(UndefinedMetricError):
-        nr.hd95(np.stack([full, full]), np.zeros_like(b))
     with pytest.raises(ShapeError):
-        nr.hd95(np.ones((2, 6, 6, 5), dtype=bool), b)
+        nr.hd95(np.stack([full, full]), b)
+    with pytest.raises(ShapeError):
+        nr.hd95(b, np.stack([full, full]))
+    with pytest.raises(UndefinedMetricError):
+        nr.hd95(full, np.zeros_like(b))
+    with pytest.raises(ShapeError):
+        nr.hd95(np.ones((6, 6, 5), dtype=bool), b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import threading
 from dataclasses import astuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import given, strategies as st
 import nestreg as nr
 from nestreg import ConfigError, ContractError, ModelConfig, Parameter, Tensor
 from nestreg.train import CURVE_COLUMNS, _generator_at
+from oracles import register_ref
 
 
 def small_cfg(**kw) -> ModelConfig:
@@ -806,15 +808,20 @@ def test_register_reports_identity_for_an_untrained_model():
     assert report.loss_smoothness == 0.0
 
 
-@pytest.mark.parametrize("shape", [32, (24, 32, 20)])
-def test_register_report_equals_the_single_metric_calls(shape):
-    """The report's batched SSIM and HD95 equal one call per pair, exactly."""
-    mv, fx, _ = nr.synth_pair(shape, seed=4, amplitude=1.5)
-    model = nr.build_model(small_cfg(precision=32), seed=0)
-    rng = np.random.default_rng(9)
+def _noised_head(model, seed=9, scale=0.1):
+    """``model`` with a random head, so that it predicts a non-zero field."""
+    rng = np.random.default_rng(seed)
     for name in ("head.w", "head.b"):
         p = model.registry[name]
-        p.data = rng.normal(0.0, 0.5, size=p.data.shape).astype(p.data.dtype)
+        p.data = rng.normal(0.0, scale, size=p.data.shape).astype(p.data.dtype)
+    return model
+
+
+@pytest.mark.parametrize("shape", [32, (24, 32, 20)])
+def test_register_report_equals_the_single_metric_calls(shape):
+    """The report's SSIM and HD95 equal one call per pair, exactly."""
+    mv, fx, _ = nr.synth_pair(shape, seed=4, amplitude=1.5)
+    model = _noised_head(nr.build_model(small_cfg(precision=32), seed=0), scale=0.5)
     field, warped, report = nr.register(model, mv, fx)
     assert np.abs(field.u.data).max() > 0.1
     assert report.ssim_initial == nr.ssim(mv, fx)
@@ -823,3 +830,95 @@ def test_register_report_equals_the_single_metric_calls(shape):
     assert report.hd95_initial == nr.hd95(nr.mask_from_volume(mv), mask_fx)
     assert report.hd95 == nr.hd95(nr.mask_from_volume(warped), mask_fx)
     assert report.ssim != report.ssim_initial
+
+
+@pytest.mark.parametrize("shape, seed", [(32, 3), (32, 4), (32, 5), (64, 3)])
+def test_register_equals_its_sequential_oracle_bit_for_bit(shape, seed):
+    """The metrics overlapped on a worker thread give the field, warped
+    volume and every report value of the one-thread composition."""
+    model = _noised_head(nr.build_model(ModelConfig(), seed=0))
+    mv, fx, _ = nr.synth_pair(shape, seed=seed)
+    field, warped, report = nr.register(model, mv, fx)
+    want_field, want_warped, want_report = register_ref(model, mv, fx)
+    assert np.abs(field.u.data).max() > 0.5
+    assert field.u.data.tobytes() == want_field.u.data.tobytes()
+    assert warped.values.data.tobytes() == want_warped.values.data.tobytes()
+    got, want = report.to_dict(), want_report.to_dict()
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    assert got.keys() == want.keys()
+
+
+# The order of register's steps when they ran one after another on one
+# thread: a failing step stopped the call, so its error was the one raised.
+_REGISTER_STEPS = ("forward", "loss", "sdlogj", "ssim_initial", "ssim_final",
+                   "hd95_initial", "hd95_final")
+_METRIC_STEPS = _REGISTER_STEPS[2:]
+
+
+class _StepError(nr.UndefinedMetricError):
+    pass
+
+
+def _register_with_failing_steps(monkeypatch, failing):
+    """``register`` on a small pair with each step named in ``failing``
+    raising a ``_StepError`` that names it: the name of the step whose error
+    it raised, or None when it returned."""
+    model = _noised_head(nr.build_model(small_cfg(precision=32), seed=0), scale=0.5)
+    mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
+    _, warped, _ = register_ref(model, mv, fx)
+    moving_mask = nr.mask_from_volume(mv)
+    assert not np.array_equal(moving_mask, nr.mask_from_volume(warped))
+
+    def step(name, fn):
+        def run(*args):
+            if name in failing:
+                raise _StepError(name)
+            return fn(*args)
+        return run
+
+    ssim, hd95 = nr.metrics.ssim, nr.metrics.hd95
+    moving = mv.astype(32).values.data
+
+    def fake_ssim(a, b):
+        initial = np.array_equal(a.values.data, moving)
+        return step("ssim_initial" if initial else "ssim_final", ssim)(a, b)
+
+    def fake_hd95(a, b):
+        initial = np.array_equal(a, moving_mask)
+        return step("hd95_initial" if initial else "hd95_final", hd95)(a, b)
+
+    monkeypatch.setattr(model, "forward", step("forward", model.forward))
+    monkeypatch.setattr(nr.model, "composite_loss", step("loss", nr.model.composite_loss))
+    monkeypatch.setattr(nr.metrics, "sdlogj", step("sdlogj", nr.metrics.sdlogj))
+    monkeypatch.setattr(nr.metrics, "ssim", fake_ssim)
+    monkeypatch.setattr(nr.metrics, "hd95", fake_hd95)
+    try:
+        nr.register(model, mv, fx)
+    except _StepError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("failing", [
+    *(s for n in range(len(_METRIC_STEPS) + 1) for s in itertools.combinations(_METRIC_STEPS, n)),
+    ("forward", *_METRIC_STEPS),
+    ("loss", *_METRIC_STEPS),
+], ids=lambda s: "-".join(s) or "none")
+def test_register_raises_the_error_of_the_first_failing_step_and_leaves_no_thread(monkeypatch, failing):
+    """Whichever steps fail, ``register`` raises the error of the step that
+    the one-thread order (forward, loss, SDlogJ, SSIM, HD95) reaches first,
+    and no thread outlives the call."""
+    before = threading.active_count()
+    assert _register_with_failing_steps(monkeypatch, set(failing)) == (failing[0] if failing else None)
+    assert threading.active_count() == before
+
+
+def test_register_after_a_failed_register_succeeds(monkeypatch):
+    mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
+    model = nr.build_model(small_cfg(precision=32), seed=0)
+    before = threading.active_count()
+    assert _register_with_failing_steps(monkeypatch, {"ssim_final", "hd95_initial"}) == "ssim_final"
+    monkeypatch.undo()
+    report = nr.register(model, mv, fx)[2]
+    assert threading.active_count() == before
+    assert report.to_dict() == register_ref(model, mv, fx)[2].to_dict()
