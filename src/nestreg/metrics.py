@@ -52,33 +52,51 @@ def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     return _banded_passes(a, tuple(_band(e, kern1d) for e in a.shape))
 
 
+class _SsimSide:
+    """The terms of SSIM that depend on one volume ``y`` (float64, 3-D) of
+    the pair: its range, and its Gaussian means of y and y² for one window,
+    with the terms made from them."""
+
+    def __init__(self, y: np.ndarray, window: int, sigma: float):
+        if window < 3 or window % 2 == 0:
+            raise ShapeError(f"ssim: window must be odd and >= 3, got {window}")
+        if any(e < window for e in y.shape):
+            raise ShapeError(f"ssim: extents {y.shape} smaller than window {window}")
+        self.array, self.window, self.sigma = y, window, sigma
+        self.lo, self.hi = y.min(), y.max()
+        self.kern = _gaussian_window(window, sigma)
+        self.mu = _windowed_mean(y, self.kern)
+        self.mu_sq = self.mu * self.mu
+        self.var = _windowed_mean(y * y, self.kern) - self.mu_sq
+
+
 def ssim(a, b, window: int = 7, sigma: float = 1.5) -> float:
     """Mean local SSIM with a 3-D Gaussian window.
 
     The stabilizers are C1=(0.01 L)^2, C2=(0.03 L)^2 with L the dynamic range
     of the pooled pair; two identical constant volumes (L = 0) score 1.
+
+    ``b`` may be a ``FixedReference``: its terms are used when it was built
+    for the same window and sigma, and the score is the same as of its volume.
     """
-    x, y = _as_array(a), _as_array(b)
+    x = _as_array(a)
+    side = b.ssim_side if isinstance(b, FixedReference) else None
+    y = side.array if side else _as_array(b)
     if x.shape != y.shape:
         raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ShapeError(f"ssim: window must be odd and >= 3, got {window}")
-    if any(e < window for e in y.shape):
-        raise ShapeError(f"ssim: extents {y.shape} smaller than window {window}")
-    span = max(x.max(), y.max()) - min(x.min(), y.min())
+    if side is None or (side.window, side.sigma) != (window, sigma):
+        side = _SsimSide(y, window, sigma)
+    span = max(x.max(), side.hi) - min(x.min(), side.lo)
     if span == 0.0:
         return 1.0 if np.array_equal(x, y) else 0.0
     c1 = (0.01 * span) ** 2
     c2 = (0.03 * span) ** 2
-    k = _gaussian_window(window, sigma)
-    mu_x = _windowed_mean(x, k)
-    mu_y = _windowed_mean(y, k)
-    mu_yy = mu_y * mu_y
-    var_x = _windowed_mean(x * x, k) - mu_x * mu_x
-    var_y = _windowed_mean(y * y, k) - mu_yy
-    cov = _windowed_mean(x * y, k) - mu_x * mu_y
+    mu_x = _windowed_mean(x, side.kern)
+    mu_y = side.mu
+    var_x = _windowed_mean(x * x, side.kern) - mu_x * mu_x
+    cov = _windowed_mean(x * y, side.kern) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_yy + c1) * (var_x + var_y + c2)
+    den = (mu_x * mu_x + side.mu_sq + c1) * (var_x + side.var + c2)
     return float(np.mean(num / den))
 
 
@@ -187,7 +205,7 @@ def _far_distances(pts: np.ndarray, dst: _Surface) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=0))
 
 
-def hd95(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+def hd95(mask_a: np.ndarray, mask_b) -> float:
     """95th percentile (linear interpolation) of pooled directed surface
     distances between the 6-neighbor surfaces of the two masks.
 
@@ -198,21 +216,40 @@ def hd95(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     (``_far_distances``). Every distance is the square root of an integer
     sum of squares, the value ``distance_transform_edt`` gives, so the
     result equals the distance-transform formulation bit for bit.
+
+    ``mask_b`` may be a ``FixedReference``: its mask and surface are used.
     """
+    ref = mask_b if isinstance(mask_b, FixedReference) else None
     a = np.asarray(mask_a, dtype=bool)
-    b = np.asarray(mask_b, dtype=bool)
+    b = ref.mask if ref else np.asarray(mask_b, dtype=bool)
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeError(f"hd95 expects 3-D masks, got {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ShapeError(f"hd95: mask shapes differ, {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
         raise UndefinedMetricError("hd95 is undefined for an empty mask")
-    surf_a, surf_b = _Surface(a), _Surface(b)
+    surf_a, surf_b = _Surface(a), ref.surface if ref else _Surface(b)
     strides = np.array(surf_b.frame.strides)  # bool: one byte per voxel
     steps = [(dist, offsets @ strides) for dist, offsets in _SHELLS]
     pooled = np.concatenate([_surface_distances(surf_a, surf_b, steps),
                              _surface_distances(surf_b, surf_a, steps)])
     return float(np.percentile(pooled, 95))
+
+
+class FixedReference:
+    """The terms of ``ssim`` and ``hd95`` that depend on the fixed volume
+    alone, built once to score several volumes against it: the float64
+    volume with its range and Gaussian means (window 7, sigma 1.5 unless
+    given), and its mask with the mask's surface (None for an empty mask).
+
+    ``ssim(a, ref)`` equals ``ssim(a, fixed)``, and ``hd95(m, ref)`` equals
+    ``hd95(m, mask_from_volume(fixed))``, bit for bit.
+    """
+
+    def __init__(self, fixed, window: int = 7, sigma: float = 1.5):
+        self.ssim_side = _SsimSide(_as_array(fixed), window, sigma)
+        self.mask = mask_from_volume(self.ssim_side.array)
+        self.surface = _Surface(self.mask) if self.mask.any() else None
 
 
 @dataclass
@@ -231,21 +268,36 @@ def sdlogj(field) -> JacobianStats:
         raise UndefinedMetricError(
             f"sdlogj needs interior voxels; extents {u.shape[1:]} are too small"
         )
-    u = u.astype(np.float64, copy=False)
-    core = (slice(1, -1),) * 3
+    # Central differences in float64, one component axis at a time, and the
+    # determinant's products and sums in place: the same operations in the
+    # same order as the plain expressions, with three temporaries.
     jac = np.empty((3, 3) + tuple(e - 2 for e in u.shape[1:]), dtype=np.float64)
     for j in range(3):  # derivative axis
-        fwd = [slice(1, -1)] * 3
-        bwd = [slice(1, -1)] * 3
-        fwd[j] = slice(2, None)
-        bwd[j] = slice(None, -2)
-        for i in range(3):  # component
-            jac[i, j] = 0.5 * (u[i][tuple(fwd)] - u[i][tuple(bwd)])
+        fwd = [slice(None)] + [slice(1, -1)] * 3
+        bwd = [slice(None)] + [slice(1, -1)] * 3
+        fwd[j + 1] = slice(2, None)
+        bwd[j + 1] = slice(None, -2)
+        np.subtract(u[tuple(fwd)], u[tuple(bwd)], out=jac[:, j], dtype=np.float64)
+    jac *= 0.5
+    for j in range(3):
         jac[j, j] += 1.0
     a, b, c = jac[0]
     d, e, f = jac[1]
     g, h, i = jac[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    det = e * i  # det = a * (e*i - f*h) - b * (d*i - f*g) + c * (d*h - e*g)
+    t1 = f * h
+    det -= t1
+    det *= a
+    np.multiply(d, i, out=t1)
+    t2 = f * g
+    t1 -= t2
+    t1 *= b
+    det -= t1
+    np.multiply(d, h, out=t1)
+    np.multiply(e, g, out=t2)
+    t1 -= t2
+    t1 *= c
+    det += t1
     positive = det > 0
     frac_bad = float(1.0 - positive.mean())
     if not positive.any():

@@ -22,7 +22,7 @@ from .config import ModelConfig
 from .decoder import DecoderHeadParams, DecoderStageParams, FusionParams, LkaParams, decoder_forward
 from .encoder import EncoderStageParams, PatchEmbedParams, encoder_forward
 from .errors import ContractError, ShapeError
-from .losses import composite_loss
+from .losses import composite_loss, ncc_fixed_sums
 from .tensor import DTYPES, Parameter, Tensor, concat
 from .warp import DeformationField, Volume
 
@@ -305,13 +305,15 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
 
     Returns (field, warped, report); runs without a tape (no gradients).
 
-    One worker thread scores the pair beside the main thread: the
-    moving-vs-fixed SSIM and HD95 (they need no network) while the network
-    runs, and SDlogJ while the main thread scores the warped volume's SSIM.
-    Each metric runs the same code on the same inputs as one after the
-    other, so every value is the same; errors surface in that order too
-    (forward, loss, SDlogJ, SSIM, HD95). The worker is started and joined
-    within the call, one thread start per call.
+    One worker thread scores the pair beside the main thread. While the
+    network runs, it builds what depends on the fixed volume alone, once:
+    NCC's window sums (``losses.ncc_fixed_sums``) and the metrics'
+    ``FixedReference``; then the moving-vs-fixed SSIM and HD95 against the
+    reference. SDlogJ runs while the main thread scores the warped volume's
+    SSIM. Each value is the one that a call after another on one thread
+    gives, and errors surface in that order too (forward, loss, SDlogJ,
+    reference, SSIM, HD95). The worker is started and joined within the
+    call, one thread start per call.
     """
     if not isinstance(moving, Volume):
         moving = Volume(values=moving)
@@ -320,21 +322,31 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     moving = moving.astype(model.config.precision)
     fixed = fixed.astype(model.config.precision)
     with ThreadPoolExecutor(max_workers=1) as worker:
+        # The worker's queue is in the order the main thread needs its results.
         # The metrics are looked up in nestreg.metrics per call (perfbench
-        # times them there). Each worker task ends inside a longer main-thread
-        # call: the first two inside the forward, SDlogJ inside the SSIM.
-        pending_ssim = worker.submit(metrics.ssim, moving, fixed)
-        pending_hd95 = worker.submit(_hd95_and_fixed_mask, moving, fixed)
+        # times them there). All worker tasks but SDlogJ end inside the
+        # forward. SDlogJ takes about as long as the warped SSIM; it starts
+        # before the warped mask, so whichever of the two ends last spans
+        # the stretch (perfbench keeps one span stack for both threads).
+        pending_sums = worker.submit(ncc_fixed_sums, fixed, model.config.ncc_window)
+        pending_ref = worker.submit(metrics.FixedReference, fixed)
+        pending_ssim = worker.submit(lambda: metrics.ssim(moving, pending_ref.result()))
+        pending_hd95 = worker.submit(
+            lambda: metrics.hd95(metrics.mask_from_volume(moving), pending_ref.result()))
         field = model.forward(moving, fixed)
-        out = composite_loss(fixed, moving, field, model.config)
+        # Sums that failed go back to the fixed volume: the loss then meets
+        # the error again in its own order (the warp's errors first).
+        ncc_fixed = fixed if pending_sums.exception() else pending_sums.result()
+        out = composite_loss(ncc_fixed, moving, field, model.config)
         warped = out.warped
         pending_jac = worker.submit(metrics.sdlogj, field)
         try:
-            ssim_final = metrics.ssim(warped, fixed)
-        finally:  # an earlier metric's error wins over this one's
+            warped_mask = metrics.mask_from_volume(warped)  # fails only where the SSIM would
+            ssim_final = metrics.ssim(warped, pending_ref.result())
+        finally:  # an earlier step's error wins over this one's
             jac, ssim_initial = pending_jac.result(), pending_ssim.result()
-        hd95_initial, fixed_mask = pending_hd95.result()
-        hd95_final = metrics.hd95(metrics.mask_from_volume(warped), fixed_mask)
+        hd95_initial = pending_hd95.result()
+        hd95_final = metrics.hd95(warped_mask, pending_ref.result())
     report = metrics.RegistrationReport(
         ssim_initial=ssim_initial,
         ssim=ssim_final,
@@ -349,12 +361,6 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     )
     report.validate()
     return field, warped, report
-
-
-def _hd95_and_fixed_mask(moving: Volume, fixed: Volume):
-    """``hd95`` of the two volumes' masks, and the fixed mask for reuse."""
-    fixed_mask = metrics.mask_from_volume(fixed)
-    return metrics.hd95(metrics.mask_from_volume(moving), fixed_mask), fixed_mask
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,16 @@ _CODE_OF = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _DTYPE_OF = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory + rename."""
+def atomic_write_bytes(path, *parts) -> None:
+    """Write ``parts`` (bytes-like, one after another) via a temp file in the
+    same directory + rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,8 +81,9 @@ def save_volume(path, data) -> None:
     code = _CODE_OF[arr.dtype]
     header = MAGIC + struct.pack("<BB", code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-    atomic_write_bytes(path, header + payload)
+    # The array's own buffer when it is already little-endian and contiguous.
+    payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    atomic_write_bytes(path, header, memoryview(payload).cast("B"))
 
 
 def load_volume(path) -> np.ndarray:

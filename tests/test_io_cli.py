@@ -485,16 +485,18 @@ def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_pa
     assert not (tmp_path / "field.nmv").exists()
 
 
-def test_cli_register_of_an_all_zero_moving_volume_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("zero", ["moving", "fixed"])
+def test_cli_register_of_an_all_zero_volume_is_a_data_error(tmp_path, capsys, zero):
     """The forward, the loss, SDlogJ and SSIM all take an all-zero 64^3
-    moving volume; its empty mask makes HD95 undefined, exit 2."""
+    moving or fixed volume (the fixed one's reference holds no surface); its
+    empty mask makes HD95 undefined, exit 2."""
     main(["synth", "--out", str(tmp_path), "--shape", "64", "--seed", "3"])
-    nr.save_volume(tmp_path / "zero.nmv", np.zeros_like(nr.load_volume(tmp_path / "moving.nmv")))
+    nr.save_volume(tmp_path / f"{zero}.nmv", np.zeros_like(nr.load_volume(tmp_path / f"{zero}.nmv")))
     cfg = ModelConfig()
     nr.save_checkpoint(tmp_path / "ckpt.npz", nr.Checkpoint(cfg, nr.build_model(cfg).state(), 1, {}))
     capsys.readouterr()
     rc = main(["register", "--checkpoint", str(tmp_path / "ckpt.npz"),
-               "--moving", str(tmp_path / "zero.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
+               "--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
                "--out-field", str(tmp_path / "field.nmv")])
     assert rc == 2
     assert capsys.readouterr().err == "data error: hd95 is undefined for an empty mask\n"

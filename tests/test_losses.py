@@ -23,6 +23,43 @@ def test_ncc_matches_window_loop_oracle(rng):
         w = rng.uniform(0, 1, size=shape)
         got = nr.ncc_loss(vol(f[None]), vol(w[None])).item()
         npt.assert_allclose(got, ncc_ref(f, w), rtol=1e-10)
+        assert nr.ncc_loss(nr.ncc_fixed_sums(vol(f[None]), 5), vol(w[None])).item() == got
+
+
+@pytest.mark.parametrize("bits, shape", [(32, (1, 9, 8, 7)), (64, (1, 9, 8, 7)), (64, (2, 1, 7, 8, 9))])
+def test_ncc_with_prebuilt_fixed_sums_equals_ncc_of_the_volume(rng, bits, shape):
+    """The fixed volume's sums built once (outside the tape, as ``register``
+    builds them) give the loss and its gradient of the volume itself, bit for
+    bit; sums for another window are rebuilt."""
+    dtype = np.float32 if bits == 32 else np.float64
+    f = vol(rng.uniform(size=shape).astype(dtype))
+    w_data = rng.uniform(size=shape).astype(dtype)
+
+    def loss_and_grad(fixed):
+        w = Tensor(w_data, requires_grad=True)
+        with nr.GradTape() as tape:
+            loss = nr.ncc_loss(fixed, Volume(values=w), window=3)
+            tape.backward(nr.tsum(loss))
+        return loss.data.tobytes(), w.grad.tobytes()
+
+    want = loss_and_grad(f)
+    assert loss_and_grad(nr.ncc_fixed_sums(f, 3)) == want
+    assert loss_and_grad(nr.ncc_fixed_sums(f, 5)) == want
+
+
+def test_ncc_with_sums_built_off_the_tape_refuses_a_fixed_volume_that_needs_gradients(rng):
+    f = Volume(values=Tensor(rng.uniform(size=(1, 6, 6, 6)), requires_grad=True))
+    w = vol(rng.uniform(size=(1, 6, 6, 6)))
+    sums = nr.ncc_fixed_sums(f, 3)
+    nr.ncc_loss(sums, w, window=3)  # no tape: nothing to detach
+    with nr.GradTape(), pytest.raises(nr.ContractError):
+        nr.ncc_loss(sums, w, window=3)
+    with nr.GradTape() as tape:
+        tape.backward(nr.ncc_loss(nr.ncc_fixed_sums(f, 3), w, window=3))
+    grad = f.values.grad
+    with nr.GradTape() as tape:
+        tape.backward(nr.ncc_loss(f, w, window=3))
+    assert grad.tobytes() == f.values.grad.tobytes()
 
 
 def test_ncc_identical_volumes_reach_the_eps_floor(rng):
@@ -60,6 +97,14 @@ def test_ncc_shape_and_window_guards(rng):
         nr.ncc_loss(vol(rng.uniform(size=(1, 4, 4, 4))), vol(rng.uniform(size=(1, 4, 4, 4))))
     with pytest.raises(ShapeError):
         nr.ncc_loss(vol(rng.uniform(size=(2, 6, 6, 6))), f)
+    # The fixed volume's sums run the loss's own checks, with its messages.
+    small = vol(rng.uniform(size=(1, 4, 4, 4)))
+    with pytest.raises(ShapeError, match=r"^ncc_loss: extents \(4, 4, 4\) smaller than window 5$"):
+        nr.ncc_fixed_sums(small, 5)
+    with pytest.raises(ShapeError, match="^ncc_loss expects single-channel volumes"):
+        nr.ncc_fixed_sums(vol(rng.uniform(size=(2, 6, 6, 6))), 5)
+    with pytest.raises(ShapeError, match="^ncc_loss: volume shapes differ"):
+        nr.ncc_loss(nr.ncc_fixed_sums(f, 5), vol(rng.uniform(size=(1, 6, 6, 5))))
 
 
 def test_smoothness_matches_forward_difference_oracle(rng):

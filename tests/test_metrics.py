@@ -51,6 +51,7 @@ def test_ssim_matches_window_loop_oracle(rng):
         a = rng.uniform(0, 1, size=(8, 8, 8))
         b = np.clip(a + rng.normal(0, 0.1, size=a.shape), 0, 1)
         npt.assert_allclose(nr.ssim(a, b), ssim_ref(a, b), rtol=1e-10)
+        assert nr.ssim(a, nr.FixedReference(b)) == nr.ssim(a, b)
 
 
 def test_ssim_of_identical_volumes_is_one(rng):
@@ -64,17 +65,23 @@ def test_ssim_accepts_volume_tensor_and_array_inputs(rng):
     want = nr.ssim(a, b)
     assert nr.ssim(Volume(values=Tensor(a)), b) == want
     assert nr.ssim(Tensor(a[None]), b) == want
+    assert nr.ssim(a, nr.FixedReference(Volume(values=Tensor(b)))) == want
+    assert nr.ssim(a, nr.FixedReference(Tensor(b[None]))) == want
 
 
 def test_ssim_constant_volume_conventions(rng):
     a = np.full((7, 7, 7), 0.3)
     assert nr.ssim(a, a.copy()) == 1.0            # zero dynamic range, equal
+    assert nr.ssim(a, nr.FixedReference(a)) == 1.0
     b = np.full((7, 7, 7), 0.8)
     got = nr.ssim(a, b)                           # span 0.5, pure luminance shift
     npt.assert_allclose(got, ssim_ref(a, b), rtol=1e-12)
     assert got < 1.0
+    assert nr.ssim(a, nr.FixedReference(b)) == got
     c = rng.uniform(0, 1, size=a.shape)           # a constant against a varying volume
     assert abs(nr.ssim(a, c) - ssim_pair_ref(a, c)) <= SSIM_BOUND
+    assert nr.ssim(a, nr.FixedReference(c)) == nr.ssim(a, c)
+    assert nr.ssim(c, nr.FixedReference(a)) == nr.ssim(c, a)
 
 
 def test_ssim_decreases_with_noise(rng):
@@ -92,6 +99,17 @@ def test_ssim_shape_and_window_guards(rng):
         nr.ssim(a, a, window=4)
     with pytest.raises(ShapeError):
         nr.ssim(rng.uniform(size=(5, 5, 5)), rng.uniform(size=(5, 5, 5)), window=7)
+    # A reference runs the same checks, and is rebuilt for another window.
+    ref = nr.FixedReference(a)
+    with pytest.raises(ShapeError, match="shapes differ"):
+        nr.ssim(rng.uniform(size=(8, 8, 7)), ref)
+    with pytest.raises(ShapeError, match="window must be odd"):
+        nr.ssim(a, ref, window=4)
+    with pytest.raises(ShapeError, match="smaller than window 7"):
+        nr.FixedReference(rng.uniform(size=(5, 5, 5)))
+    b = rng.uniform(size=(8, 8, 8))
+    assert nr.ssim(b, ref, window=5) == nr.ssim(b, a, window=5) != nr.ssim(b, ref)
+    assert nr.ssim(b, ref, sigma=1.0) == nr.ssim(b, a, sigma=1.0) != nr.ssim(b, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +216,10 @@ def test_hd95_matches_all_pairs_oracle(rng):
     for a, b in cases:
         assert nr.hd95(a, b) == hd95_ref(a, b)
         assert nr.hd95(b, a) == hd95_ref(b, a)
+        # A reference of a volume whose mask is b holds b and its surface.
+        ref = nr.FixedReference(b.astype(np.float64))
+        assert np.array_equal(ref.mask, b)
+        assert nr.hd95(a, ref) == nr.hd95(a, b)
 
 
 @pytest.mark.parametrize("seed, perm, flip", [(1, (0, 1, 2), None), (2, (2, 0, 1), 1)])
@@ -208,6 +230,9 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
         x, y = np.flip(x, flip), np.flip(y, flip)
     ma, mb = nr.mask_from_volume(x), nr.mask_from_volume(y)
     assert nr.hd95(ma, mb) == hd95_edt_ref(ma, mb)
+    ref = nr.FixedReference(y)
+    assert nr.hd95(ma, ref) == nr.hd95(ma, mb)
+    assert nr.ssim(x, ref) == nr.ssim(x, y)
 
     x, y = x.astype(np.float64), y.astype(np.float64)
     kern = metrics._gaussian_window(7, 1.5)
@@ -268,6 +293,13 @@ def test_hd95_undefined_for_empty_mask():
     b = np.ones((5, 5, 5), dtype=bool)
     with pytest.raises(UndefinedMetricError):
         nr.hd95(a, b)
+    # A reference of an all-zero volume holds an empty mask and no surface.
+    ref = nr.FixedReference(np.zeros((7, 7, 7)))
+    assert ref.surface is None and not ref.mask.any()
+    with pytest.raises(UndefinedMetricError, match="^hd95 is undefined for an empty mask$"):
+        nr.hd95(np.ones((7, 7, 7), dtype=bool), ref)
+    with pytest.raises(UndefinedMetricError, match="^hd95 is undefined for an empty mask$"):
+        nr.hd95(np.zeros((7, 7, 7), dtype=bool), nr.FixedReference(np.ones((7, 7, 7))))
 
 
 @st.composite
@@ -359,6 +391,10 @@ def test_batched_ssim_rejects_a_mismatched_member(rng):
         nr.ssim(rng.uniform(size=(2, 1, 5, 5, 5)), rng.uniform(size=(5, 5, 5)))
     with pytest.raises(ShapeError):
         nr.ssim(rng.uniform(size=(2, 1, 8, 8, 8)), b)  # well-formed members too
+    with pytest.raises(ShapeError, match="^expected a single-channel 3-D volume"):
+        nr.FixedReference(rng.uniform(size=(2, 1, 8, 8, 8)))
+    with pytest.raises(ShapeError):
+        nr.ssim(rng.uniform(size=(2, 1, 8, 8, 8)), nr.FixedReference(b))
 
 
 def test_batched_hd95_guards(rng):
@@ -372,6 +408,11 @@ def test_batched_hd95_guards(rng):
         nr.hd95(full, np.zeros_like(b))
     with pytest.raises(ShapeError):
         nr.hd95(np.ones((6, 6, 5), dtype=bool), b)
+    ref = nr.FixedReference(np.ones((7, 7, 7)))
+    with pytest.raises(ShapeError):
+        nr.hd95(np.ones((2, 7, 7, 7), dtype=bool), ref)
+    with pytest.raises(ShapeError):
+        nr.hd95(np.ones((7, 7, 6), dtype=bool), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -850,7 +850,8 @@ def test_register_equals_its_sequential_oracle_bit_for_bit(shape, seed):
 
 # The order of register's steps when they ran one after another on one
 # thread: a failing step stopped the call, so its error was the one raised.
-_REGISTER_STEPS = ("forward", "loss", "sdlogj", "ssim_initial", "ssim_final",
+# The fixed volume's reference is built before the first SSIM, which needs it.
+_REGISTER_STEPS = ("forward", "loss", "sdlogj", "reference", "ssim_initial", "ssim_final",
                    "hd95_initial", "hd95_final")
 _METRIC_STEPS = _REGISTER_STEPS[2:]
 
@@ -862,7 +863,9 @@ class _StepError(nr.UndefinedMetricError):
 def _register_with_failing_steps(monkeypatch, failing):
     """``register`` on a small pair with each step named in ``failing``
     raising a ``_StepError`` that names it: the name of the step whose error
-    it raised, or None when it returned."""
+    it raised, or None when it returned. The step "ncc_sums" is the worker's
+    NCC window sums of the fixed volume, which the loss rebuilds when they
+    fail."""
     model = _noised_head(nr.build_model(small_cfg(precision=32), seed=0), scale=0.5)
     mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
     _, warped, _ = register_ref(model, mv, fx)
@@ -879,17 +882,22 @@ def _register_with_failing_steps(monkeypatch, failing):
     ssim, hd95 = nr.metrics.ssim, nr.metrics.hd95
     moving = mv.astype(32).values.data
 
-    def fake_ssim(a, b):
+    def fake_ssim(a, ref):
+        assert isinstance(ref, nr.FixedReference)
         initial = np.array_equal(a.values.data, moving)
-        return step("ssim_initial" if initial else "ssim_final", ssim)(a, b)
+        return step("ssim_initial" if initial else "ssim_final", ssim)(a, ref)
 
-    def fake_hd95(a, b):
+    def fake_hd95(a, ref):
+        assert isinstance(ref, nr.FixedReference)
         initial = np.array_equal(a, moving_mask)
-        return step("hd95_initial" if initial else "hd95_final", hd95)(a, b)
+        return step("hd95_initial" if initial else "hd95_final", hd95)(a, ref)
 
     monkeypatch.setattr(model, "forward", step("forward", model.forward))
+    monkeypatch.setattr(nr.model, "ncc_fixed_sums", step("ncc_sums", nr.model.ncc_fixed_sums))
     monkeypatch.setattr(nr.model, "composite_loss", step("loss", nr.model.composite_loss))
     monkeypatch.setattr(nr.metrics, "sdlogj", step("sdlogj", nr.metrics.sdlogj))
+    monkeypatch.setattr(nr.metrics.FixedReference, "__init__",
+                        step("reference", nr.metrics.FixedReference.__init__))
     monkeypatch.setattr(nr.metrics, "ssim", fake_ssim)
     monkeypatch.setattr(nr.metrics, "hd95", fake_hd95)
     try:
@@ -903,14 +911,49 @@ def _register_with_failing_steps(monkeypatch, failing):
     *(s for n in range(len(_METRIC_STEPS) + 1) for s in itertools.combinations(_METRIC_STEPS, n)),
     ("forward", *_METRIC_STEPS),
     ("loss", *_METRIC_STEPS),
+    ("forward", "sdlogj", "ssim_initial", "ssim_final", "hd95_initial", "hd95_final"),
+    ("loss", "sdlogj", "ssim_initial", "ssim_final", "hd95_initial", "hd95_final"),
+    ("ncc_sums",),
+    ("forward", "ncc_sums", *_METRIC_STEPS),
+    ("ncc_sums", "loss", *_METRIC_STEPS),
+    ("ncc_sums", *_METRIC_STEPS),
 ], ids=lambda s: "-".join(s) or "none")
 def test_register_raises_the_error_of_the_first_failing_step_and_leaves_no_thread(monkeypatch, failing):
     """Whichever steps fail, ``register`` raises the error of the step that
-    the one-thread order (forward, loss, SDlogJ, SSIM, HD95) reaches first,
-    and no thread outlives the call."""
+    the one-thread order (forward, loss, SDlogJ, reference, SSIM, HD95)
+    reaches first, and no thread outlives the call. Failed NCC sums raise
+    nothing of their own: the loss rebuilds them."""
     before = threading.active_count()
-    assert _register_with_failing_steps(monkeypatch, set(failing)) == (failing[0] if failing else None)
+    want = next((s for s in failing if s != "ncc_sums"), None)
+    assert _register_with_failing_steps(monkeypatch, set(failing)) == want
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case, error", [
+    ("batched pair", "sdlogj expects a [3,D,H,W] field, got (2, 3, 32, 32, 32)"),
+    ("window 9 on 8^3", "ncc_loss: extents (8, 8, 8) smaller than window 9"),
+    ("window 9 on 8^3, non-finite field", "warp: displacement field contains non-finite values"),
+])
+def test_register_raises_the_error_of_the_one_thread_order_on_real_inputs(case, error):
+    """Inputs that fail the fixed volume's reference or NCC sums on the
+    worker still raise the error that one step after another raises: a batch
+    fails SDlogJ before the reference, and the loss's warp and window checks
+    come before anything the sums found."""
+    cfg = small_cfg(precision=32, ncc_window=5 if case == "batched pair" else 9)
+    model = nr.build_model(cfg, seed=0)
+    if case == "batched pair":
+        pair = nr.synth_pair(32, seed=4)[:2]
+        mv, fx = (nr.Volume(values=Tensor(np.stack([v.values.data] * 2))) for v in pair)
+    else:
+        mv, fx, _ = nr.synth_pair(8, seed=4)
+    if case.endswith("non-finite field"):
+        model.registry["head.b"].data[:] = np.inf
+    with pytest.raises(nr.EngineError) as info:
+        nr.register(model, mv, fx)
+    assert str(info.value) == error
+    with pytest.raises(nr.EngineError) as info:
+        register_ref(model, mv, fx)
+    assert str(info.value) == error
 
 
 def test_register_after_a_failed_register_succeeds(monkeypatch):
