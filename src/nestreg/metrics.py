@@ -239,15 +239,15 @@ def hd95(mask_a: np.ndarray, mask_b) -> float:
 class FixedReference:
     """The terms of ``ssim`` and ``hd95`` that depend on the fixed volume
     alone, built once to score several volumes against it: the float64
-    volume with its range and Gaussian means (window 7, sigma 1.5 unless
-    given), and its mask with the mask's surface (None for an empty mask).
+    volume with its range and Gaussian means for ``ssim``'s default window
+    and sigma, and its mask with the mask's surface (None for an empty mask).
 
     ``ssim(a, ref)`` equals ``ssim(a, fixed)``, and ``hd95(m, ref)`` equals
     ``hd95(m, mask_from_volume(fixed))``, bit for bit.
     """
 
-    def __init__(self, fixed, window: int = 7, sigma: float = 1.5):
-        self.ssim_side = _SsimSide(_as_array(fixed), window, sigma)
+    def __init__(self, fixed):
+        self.ssim_side = _SsimSide(_as_array(fixed), 7, 1.5)
         self.mask = mask_from_volume(self.ssim_side.array)
         self.surface = _Surface(self.mask) if self.mask.any() else None
 
