@@ -63,11 +63,8 @@ def check_gradients(
             leaf.data = np.ascontiguousarray(leaf.data)
 
     with GradTape() as tape:
-        out = fn()
-        tape.backward(out)
-    analytic = {}
-    for name, leaf in leaves.items():
-        analytic[name] = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad.copy()
+        grads = tape.backward(fn())
+    analytic = {name: grads.get(leaf, np.zeros_like(leaf.data)) for name, leaf in leaves.items()}
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -52,61 +52,61 @@ def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     return _banded_passes(a, tuple(_band(e, kern1d) for e in a.shape))
 
 
+_SSIM_KERN = _gaussian_window(7, 1.5)  # SSIM's window: 7 voxels per axis, sigma 1.5
+
+
 class _SsimSide:
     """The terms of SSIM that depend on one volume ``y`` (float64, 3-D) of
-    the pair: its range, and its Gaussian means of y and y² for one window,
-    with the terms made from them."""
+    the pair: its range, and its Gaussian means of y and y², with the terms
+    made from them."""
 
-    def __init__(self, y: np.ndarray, window: int, sigma: float):
-        if window < 3 or window % 2 == 0:
-            raise ShapeError(f"ssim: window must be odd and >= 3, got {window}")
-        if any(e < window for e in y.shape):
-            raise ShapeError(f"ssim: extents {y.shape} smaller than window {window}")
-        self.array, self.window, self.sigma = y, window, sigma
+    def __init__(self, y: np.ndarray):
+        if any(e < _SSIM_KERN.size for e in y.shape):
+            raise ShapeError(f"ssim: extents {y.shape} smaller than window {_SSIM_KERN.size}")
+        self.array = y
         self.lo, self.hi = y.min(), y.max()
-        self.kern = _gaussian_window(window, sigma)
-        self.mu = _windowed_mean(y, self.kern)
+        self.mu = _windowed_mean(y, _SSIM_KERN)
         self.mu_sq = self.mu * self.mu
-        self.var = _windowed_mean(y * y, self.kern) - self.mu_sq
+        self.var = _windowed_mean(y * y, _SSIM_KERN) - self.mu_sq
 
 
-def ssim(a, b, window: int = 7, sigma: float = 1.5) -> float:
-    """Mean local SSIM with a 3-D Gaussian window.
+def ssim(a, b) -> float:
+    """Mean local SSIM with a 3-D Gaussian window (7 voxels, sigma 1.5).
 
     The stabilizers are C1=(0.01 L)^2, C2=(0.03 L)^2 with L the dynamic range
-    of the pooled pair; two identical constant volumes (L = 0) score 1.
+    of the pooled pair; L = 0 (one finite value throughout both) scores 1.
 
-    ``b`` may be a ``FixedReference``: its terms are used when it was built
-    for the same window and sigma, and the score is the same as of its volume.
+    ``b`` may be a ``FixedReference``: its terms are used, and the score is
+    the same as of its volume.
     """
     x = _as_array(a)
     side = b.ssim_side if isinstance(b, FixedReference) else None
     y = side.array if side else _as_array(b)
     if x.shape != y.shape:
         raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
-    if side is None or (side.window, side.sigma) != (window, sigma):
-        side = _SsimSide(y, window, sigma)
-    span = max(x.max(), side.hi) - min(x.min(), side.lo)
+    if side is None:
+        side = _SsimSide(y)
+    span = np.maximum(x.max(), side.hi) - np.minimum(x.min(), side.lo)  # NaN in, NaN out
     if span == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
+        return 1.0
     c1 = (0.01 * span) ** 2
     c2 = (0.03 * span) ** 2
-    mu_x = _windowed_mean(x, side.kern)
+    mu_x = _windowed_mean(x, _SSIM_KERN)
     mu_y = side.mu
-    var_x = _windowed_mean(x * x, side.kern) - mu_x * mu_x
-    cov = _windowed_mean(x * y, side.kern) - mu_x * mu_y
+    var_x = _windowed_mean(x * x, _SSIM_KERN) - mu_x * mu_x
+    cov = _windowed_mean(x * y, _SSIM_KERN) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + side.mu_sq + c1) * (var_x + side.var + c2)
     return float(np.mean(num / den))
 
 
-def mask_from_volume(v, rel_threshold: float = 0.1) -> np.ndarray:
-    """Foreground mask: intensities above rel_threshold * max. Empty if max <= 0."""
+def mask_from_volume(v) -> np.ndarray:
+    """Foreground mask: intensities above 0.1 * max. Empty if max <= 0."""
     arr = _as_array(v)
     peak = arr.max()
     if peak <= 0.0:
         return np.zeros(arr.shape, dtype=bool)
-    return arr > rel_threshold * peak
+    return arr > 0.1 * peak
 
 
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
@@ -239,15 +239,15 @@ def hd95(mask_a: np.ndarray, mask_b) -> float:
 class FixedReference:
     """The terms of ``ssim`` and ``hd95`` that depend on the fixed volume
     alone, built once to score several volumes against it: the float64
-    volume with its range and Gaussian means for ``ssim``'s default window
-    and sigma, and its mask with the mask's surface (None for an empty mask).
+    volume with its range and Gaussian means, and its mask with the mask's
+    surface (None for an empty mask).
 
     ``ssim(a, ref)`` equals ``ssim(a, fixed)``, and ``hd95(m, ref)`` equals
     ``hd95(m, mask_from_volume(fixed))``, bit for bit.
     """
 
     def __init__(self, fixed):
-        self.ssim_side = _SsimSide(_as_array(fixed), 7, 1.5)
+        self.ssim_side = _SsimSide(_as_array(fixed))
         self.mask = mask_from_volume(self.ssim_side.array)
         self.surface = _Surface(self.mask) if self.mask.any() else None
 

@@ -289,7 +289,6 @@ class RegistrationModel:
                     f"parameter {name}: checkpoint shape {arr.shape} != model {p.data.shape}"
                 )
             p.data = np.array(arr, dtype=self.dtype, order="C")  # a copy: sgd_step updates in place
-            p.grad = None
 
 
 def build_model(cfg: ModelConfig, seed: int | None = None) -> RegistrationModel:

@@ -3,7 +3,7 @@
 A ``Tensor`` wraps one numpy array in a fixed precision (float32 or float64).
 While a ``GradTape`` is active, every primitive records (inputs, output, vjp)
 onto it; ``GradTape.backward`` replays the records once, in reverse order,
-and deposits gradients on the participating leaves.  Without an active tape
+and returns the gradients of the participating leaves.  Without an active tape
 the same primitives run as plain numpy, which is the evaluation fast path.
 
 Tapes are confined to the thread that opened them (the active-tape stack is
@@ -39,13 +39,14 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A numpy array plus a gradient slot.
+    """A numpy array and a trainable flag; gradients live in the dict that
+    ``GradTape.backward`` returns, not on the tensor.
 
     ``requires_grad`` on a leaf marks it as trainable; on an op output it just
     means "this value is connected to a leaf on the active tape".
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -54,7 +55,6 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
 
     # -- introspection ------------------------------------------------------
@@ -183,12 +183,12 @@ class GradTape:
     def __len__(self):
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into ``leaf.grad`` for every
-        requires_grad leaf that was touched while recording.
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """d(loss)/d(leaf) for every requires_grad leaf that was touched while
+        recording, keyed by the leaf itself.
 
-        Leaves not reachable from ``loss`` receive zero gradients.  Gradients
-        are assigned fresh (not accumulated across backward calls).
+        Leaves not reachable from ``loss`` get zero gradients.  Nothing is
+        written on the leaves, so each call's gradients are its own.
         """
         if loss.data.size != 1:
             raise ContractError(
@@ -219,9 +219,8 @@ class GradTape:
                     grads[id(t)] = part
                 else:
                     slot += part
-        for tid, leaf in leaves.items():
-            g = grads.get(tid)
-            leaf.grad = np.zeros_like(leaf.data) if g is None else np.asarray(g)
+        return {leaf: np.asarray(grads[tid]) if tid in grads else np.zeros_like(leaf.data)
+                for tid, leaf in leaves.items()}
 
 
 def make_op(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:

@@ -92,13 +92,15 @@ def split_pairs(pairs, val_fraction: float = 0.2):
     return pairs[:n_train], pairs[n_train:]
 
 
-def sgd_step(params: dict, lr: float, weight_decay: float) -> None:
-    """p <- p - lr * (grad + weight_decay * p), in the parameter dtype."""
-    for name, p in params.items():
-        if p.grad is None:
-            raise ContractError(f"sgd_step: parameter {name!r} has no gradient")
+def sgd_step(params: dict, grads: dict, lr: float, weight_decay: float) -> None:
+    """p <- p - lr * (grads[p] + weight_decay * p), in the parameter dtype;
+    a parameter without a gradient in ``grads`` is an error, and none moves."""
+    missing = [name for name, p in params.items() if p not in grads]
+    if missing:
+        raise ContractError(f"sgd_step: parameters without a gradient: {missing}")
+    for p in params.values():
         dt = p.data.dtype.type
-        p.data -= dt(lr) * (p.grad + dt(weight_decay) * p.data)
+        p.data -= dt(lr) * (grads[p] + dt(weight_decay) * p.data)
 
 
 def _cast_pairs(pairs, bits: int):
@@ -208,7 +210,7 @@ def train(
             with GradTape() as tape:
                 out = _chunk_loss(model, train_pairs, chunk)
                 batch_loss = tmean(out.total)
-                tape.backward(batch_loss)
+                grads = tape.backward(batch_loss)
             value = batch_loss.item()
             if not np.isfinite(value):
                 detail = ", ".join(
@@ -219,7 +221,8 @@ def train(
                     f"non-finite loss {value!r} at epoch {epoch + 1}, "
                     f"batch pairs {list(map(int, chunk))} ({detail})"
                 )
-            sgd_step(model.parameters(), cfg.lr, cfg.weight_decay)
+            sgd_step(model.parameters(), grads, cfg.lr, cfg.weight_decay)
+            del grads  # not held alive through the next step's backward
             losses.extend(map(float, out.total.data))
             ssims.extend(_pair_ssims(out, train_pairs, chunk))
         val_losses, val_ssims = [], []

@@ -34,17 +34,17 @@ def test_product_rule_grads_are_exact(rng):
     b = leaf(rng, 4, 3)
     with GradTape() as tape:
         loss = nr.tsum(a * b)
-        tape.backward(loss)
-    npt.assert_array_equal(a.grad, b.data)
-    npt.assert_array_equal(b.grad, a.data)
+        grads = tape.backward(loss)
+    npt.assert_array_equal(grads[a], b.data)
+    npt.assert_array_equal(grads[b], a.data)
 
 
 def test_fanout_accumulates_gradient(rng):
     x = leaf(rng, 5)
     with GradTape() as tape:
         z = x + x
-        tape.backward(nr.tsum(z * x))  # d/dx sum(2x * x) = 4x
-    npt.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-15)
+        grads = tape.backward(nr.tsum(z * x))  # d/dx sum(2x * x) = 4x
+    npt.assert_allclose(grads[x], 4.0 * x.data, rtol=1e-15)
 
 
 @pytest.mark.parametrize("join", [
@@ -59,9 +59,9 @@ def test_one_array_handed_to_two_inputs_accumulates_into_each_alone(join):
     with GradTape() as tape:
         z = a * 2.0
         y = join(a, b)
-        tape.backward(nr.tsum(y) + nr.tsum(z))
-    npt.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
-    npt.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+        grads = tape.backward(nr.tsum(y) + nr.tsum(z))
+    npt.assert_array_equal(grads[a], [3.0, 3.0, 3.0])
+    npt.assert_array_equal(grads[b], [1.0, 1.0, 1.0])
 
 
 def test_the_copy_of_a_shared_part_keeps_its_memory_layout():
@@ -71,48 +71,54 @@ def test_the_copy_of_a_shared_part_keeps_its_memory_layout():
     b = Tensor(np.ones((3, 4)), requires_grad=True)
     with GradTape() as tape:
         y = nr.make_op(a.data + b.data, (a, b), lambda g: (np.asfortranarray(g),) * 2)
-        tape.backward(nr.tsum(y))
-    assert not np.shares_memory(a.grad, b.grad)
-    assert b.grad.flags.f_contiguous and not b.grad.flags.c_contiguous
+        grads = tape.backward(nr.tsum(y))
+    assert not np.shares_memory(grads[a], grads[b])
+    assert grads[b].flags.f_contiguous and not grads[b].flags.c_contiguous
 
 
 def test_matmul_grads_match_closed_form(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4, 2)
     with GradTape() as tape:
-        tape.backward(nr.tsum(nr.matmul(a, b)))
+        grads = tape.backward(nr.tsum(nr.matmul(a, b)))
     ones = np.ones((3, 2))
-    npt.assert_allclose(a.grad, ones @ b.data.T, rtol=1e-14)
-    npt.assert_allclose(b.grad, a.data.T @ ones, rtol=1e-14)
+    npt.assert_allclose(grads[a], ones @ b.data.T, rtol=1e-14)
+    npt.assert_allclose(grads[b], a.data.T @ ones, rtol=1e-14)
 
 
 def test_broadcast_grads_unbroadcast_to_leaf_shape(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4)
     with GradTape() as tape:
-        tape.backward(nr.tsum(a + b))
-    npt.assert_array_equal(a.grad, np.ones((3, 4)))
-    npt.assert_array_equal(b.grad, np.full(4, 3.0))  # summed over the broadcast rows
+        grads = tape.backward(nr.tsum(a + b))
+    npt.assert_array_equal(grads[a], np.ones((3, 4)))
+    npt.assert_array_equal(grads[b], np.full(4, 3.0))  # summed over the broadcast rows
 
 
-def test_unreachable_touched_leaf_gets_zeros_untouched_stays_none(rng):
+def test_unreachable_touched_leaf_gets_zeros_untouched_has_no_entry(rng):
     x = leaf(rng, 3)
     dead = leaf(rng, 3)
     never = leaf(rng, 3)
     with GradTape() as tape:
         _ = dead * 2.0  # recorded, but not on the path to the loss
-        tape.backward(nr.tsum(x * x))
-    npt.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-15)
-    npt.assert_array_equal(dead.grad, np.zeros(3))
-    assert never.grad is None
+        grads = tape.backward(nr.tsum(x * x))
+    npt.assert_allclose(grads[x], 2.0 * x.data, rtol=1e-15)
+    npt.assert_array_equal(grads[dead], np.zeros(3))
+    assert never not in grads
+    assert set(grads) == {x, dead}
 
 
-def test_backward_assigns_fresh_grads_each_call(rng):
+def test_backward_returns_each_calls_own_grads(rng):
     x = leaf(rng, 4)
-    for _ in range(2):
-        with GradTape() as tape:
-            tape.backward(nr.tsum(x * x))
-    npt.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-15)  # not doubled
+    y = leaf(rng, 4)
+    with GradTape() as tape:
+        first = tape.backward(nr.tsum(x * x) + nr.tsum(y * y))
+    with GradTape() as tape:
+        second = tape.backward(nr.tsum(x * x))
+    npt.assert_allclose(second[x], 2.0 * x.data, rtol=1e-15)  # not doubled
+    assert y not in second  # the first call's gradient is not carried over
+    npt.assert_allclose(first[y], 2.0 * y.data, rtol=1e-15)
+    assert not hasattr(x, "grad")
 
 
 def test_backward_rejects_non_scalar_root(rng):
@@ -149,15 +155,14 @@ def test_ops_record_on_innermost_tape_only(rng):
 def test_detach_blocks_gradient_flow(rng):
     x = leaf(rng, 3)
     with GradTape() as tape:
-        tape.backward(nr.tsum(x.detach() * x))
-    npt.assert_allclose(x.grad, x.data, rtol=1e-15)  # only the live factor contributes
+        grads = tape.backward(nr.tsum(x.detach() * x))
+    npt.assert_allclose(grads[x], x.data, rtol=1e-15)  # only the live factor contributes
 
 
 def _leaf_grad(data, fn):
     x = Tensor(data, requires_grad=True)
     with GradTape() as tape:
-        tape.backward(fn(x))
-    return x.grad
+        return tape.backward(fn(x))[x]
 
 
 def test_volume_promotion_astype_and_3d_model_inputs_keep_the_gradient(rng):
@@ -199,8 +204,8 @@ def test_linear_function_gradient_is_its_coefficients(seed):
     x = Tensor(g.normal(size=6))
     x.requires_grad = True
     with GradTape() as tape:
-        tape.backward(nr.tsum(Tensor(c) * x))
-    npt.assert_array_equal(x.grad, c)
+        grads = tape.backward(nr.tsum(Tensor(c) * x))
+    npt.assert_array_equal(grads[x], c)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +317,14 @@ def test_slice_and_concat_grads_route_to_their_sources(rng):
     w = rng.normal(size=(2, 5))
     with GradTape() as tape:
         cat = nr.concat([a, b], axis=1)
-        tape.backward(nr.tsum(cat * Tensor(w)))
-    npt.assert_array_equal(a.grad, w[:, :3])
-    npt.assert_array_equal(b.grad, w[:, 3:])
+        grads = tape.backward(nr.tsum(cat * Tensor(w)))
+    npt.assert_array_equal(grads[a], w[:, :3])
+    npt.assert_array_equal(grads[b], w[:, 3:])
     with GradTape() as tape:
-        tape.backward(nr.tsum(a[:, 1:]))
+        grads = tape.backward(nr.tsum(a[:, 1:]))
     want = np.zeros((2, 3))
     want[:, 1:] = 1.0
-    npt.assert_array_equal(a.grad, want)
+    npt.assert_array_equal(grads[a], want)
 
 
 def test_global_pool_max_routes_gradient_to_argmax(rng):
@@ -327,9 +332,9 @@ def test_global_pool_max_routes_gradient_to_argmax(rng):
     x = Tensor(data)
     x.requires_grad = True
     with GradTape() as tape:
-        tape.backward(nr.tsum(nr.global_pool(x, "max")))
+        grads = tape.backward(nr.tsum(nr.global_pool(x, "max")))
     for c in range(2):
-        flat = x.grad[c].reshape(-1)
+        flat = grads[x][c].reshape(-1)
         assert flat.sum() == 1.0
         assert flat[data[c].argmax()] == 1.0
 

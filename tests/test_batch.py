@@ -1,10 +1,13 @@
 """The optional leading batch axis: every volume primitive on a batch equals
 its per-sample calls stacked, the trilinear warp's flat-index gather equals
 the fancy-index gather it replaced, and one batched training step equals the
-mean of its per-pair steps."""
+mean of its per-pair steps; two threads stepping one model get each pair's
+own gradients."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +29,8 @@ def _value_and_grads(fn, arrays, g):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     with GradTape() as tape:
         out = fn(*leaves)
-        tape.backward(nr.tsum(out * Tensor(g)))
-    return out.data, [t.grad for t in leaves]
+        grads = tape.backward(nr.tsum(out * Tensor(g)))
+    return out.data, [grads[t] for t in leaves]
 
 
 def _check_batch_equals_loop(rng, fn, batched, shared, exact):
@@ -132,8 +135,8 @@ def _step(model, moving, fixed):
         mv, fx = nr.Volume(Tensor(moving)), nr.Volume(Tensor(fixed))
         out = composite_loss(fx, mv, model.forward(mv, fx), model.config)
         loss = nr.tmean(out.total)
-        tape.backward(loss)
-    grads = {k: p.grad.copy() for k, p in model.parameters().items()}
+        by_leaf = tape.backward(loss)
+    grads = {k: by_leaf[p] for k, p in model.parameters().items()}
     return out.total.data, loss.item(), grads, len(tape)
 
 
@@ -189,3 +192,56 @@ def test_batch_of_one_and_of_two_record_the_same_tape(rng):
         fld = model.forward(Tensor(m1), Tensor(f1))
         composite_loss(nr.Volume(Tensor(f1)), nr.Volume(Tensor(m1)), fld, model.config)
     assert one == two == len(tape) + 1  # the batch mean is one more record
+
+
+def test_two_threads_on_one_model_each_get_their_pairs_gradients_bit_for_bit(rng):
+    """Tapes and the depthwise column buffer are per thread, and ``backward``
+    returns the gradients instead of storing them on the shared parameters.
+    So two threads that run one pair's forward and backward each, at the
+    same time through one float32 model, return what each pair gives alone
+    on the main thread, byte for byte, and leave no thread behind."""
+    m64 = _tiny_model(0)
+    model = model_from_checkpoint(
+        Checkpoint(config=replace(m64.config, precision=32), params=m64.state(), epoch=0, rng_state={})
+    )
+    pairs = [rng.uniform(size=(2, 1, 1, 16, 16, 16)).astype(np.float32) for _ in range(2)]
+
+    def grads_of(moving, fixed):
+        with GradTape() as tape:
+            mv, fx = nr.Volume(Tensor(moving)), nr.Volume(Tensor(fixed))
+            out = composite_loss(fx, mv, model.forward(mv, fx), model.config)
+            return tape.backward(nr.tmean(out.total))
+
+    want = [grads_of(*pair) for pair in pairs]
+    params = set(model.parameters().values())
+    assert want[0].keys() == want[1].keys() == params
+    assert any(want[0][p].tobytes() != want[1][p].tobytes() for p in params)
+
+    start = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def in_step(i):
+        try:
+            start.wait()  # both forwards begin together
+            results[i] = grads_of(*pairs[i])
+        except Exception as e:  # raised again on the main thread
+            results[i] = e
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        threads = [threading.Thread(target=in_step, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == before
+    for got, w in zip(results, want):
+        if isinstance(got, Exception):
+            raise got
+        assert got.keys() == w.keys()
+        assert all(got[p].tobytes() == w[p].tobytes() for p in w)

@@ -5,12 +5,14 @@ and checkpoint persistence."""
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import math
 import re
 import threading
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -266,28 +268,39 @@ def test_param_table_render_and_dict():
 
 def test_sgd_step_frozen_examples():
     p = Parameter(np.array([1.0]), name="p")
-    p.grad = np.array([1.0])
-    nr.sgd_step({"p": p}, lr=0.1, weight_decay=0.0)
+    nr.sgd_step({"p": p}, {p: np.array([1.0])}, lr=0.1, weight_decay=0.0)
     npt.assert_allclose(p.data, [0.9])
 
     q = Parameter(np.array([2.0]), name="q")
-    q.grad = np.array([0.0])
-    nr.sgd_step({"q": q}, lr=0.1, weight_decay=0.5)
+    nr.sgd_step({"q": q}, {q: np.array([0.0])}, lr=0.1, weight_decay=0.5)
     npt.assert_allclose(q.data, [1.9])  # pure decay: 2 - 0.1 * (0.5 * 2)
 
 
 def test_sgd_weight_decay_shrinks_geometrically():
     p = Parameter(np.array([1.0]), name="p")
     for _ in range(3):
-        p.grad = np.array([0.0])
-        nr.sgd_step({"p": p}, lr=1.0, weight_decay=0.1)
+        nr.sgd_step({"p": p}, {p: np.array([0.0])}, lr=1.0, weight_decay=0.1)
     npt.assert_allclose(p.data, [0.9**3], rtol=1e-12)
 
 
 def test_sgd_requires_gradients():
     p = Parameter(np.array([1.0]), name="p")
-    with pytest.raises(ContractError):
-        nr.sgd_step({"p": p}, lr=0.1, weight_decay=0.0)
+    with pytest.raises(ContractError, match="'p'"):
+        nr.sgd_step({"p": p}, {}, lr=0.1, weight_decay=0.0)
+    # A second tape that does not reach p: its gradients must not step p
+    # with the first tape's.
+    p = Parameter(np.array([1.0, 2.0]), name="p")
+    q = Parameter(np.array([3.0]), name="q")
+    with nr.GradTape() as tape:
+        first = tape.backward(nr.tsum(p * p) + nr.tsum(q * q))
+    npt.assert_array_equal(first[p], [2.0, 4.0])
+    with nr.GradTape() as tape:
+        second = tape.backward(nr.tsum(q * q))
+    with pytest.raises(ContractError, match="'p'") as err:
+        nr.sgd_step({"p": p, "q": q}, second, lr=0.1, weight_decay=0.0)
+    assert "'q'" not in str(err.value)
+    npt.assert_array_equal(p.data, [1.0, 2.0])
+    npt.assert_array_equal(q.data, [3.0])  # nothing is stepped on an error
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +394,28 @@ def test_train_same_seed_same_curve_bitwise():
     assert len(a.curve) == len(b.curve)
     for ra, rb in zip(a.curve.rows, b.curve.rows):
         assert ra == rb  # float equality, not approx
+
+
+def test_train_frees_each_steps_gradients_before_the_next_backward(monkeypatch):
+    """A step's gradients die after its SGD step: they never sit in memory
+    beside the next step's backward."""
+    module = importlib.import_module("nestreg.train")
+    backward, step = nr.GradTape.backward, module.sgd_step
+    held, alive = [], []
+
+    def spy_backward(tape, loss):
+        alive.append(sum(ref() is not None for ref in held))
+        return backward(tape, loss)
+
+    def spy_step(params, grads, lr, weight_decay):
+        held[:] = [weakref.ref(g) for g in grads.values()]
+        step(params, grads, lr, weight_decay)
+
+    monkeypatch.setattr(nr.GradTape, "backward", spy_backward)
+    monkeypatch.setattr(module, "sgd_step", spy_step)
+    tr, va = nr.split_pairs(small_pairs(4))  # 3 train pairs: two steps per epoch
+    nr.train(nr.build_model(small_cfg(epochs=2), seed=0), tr, va)
+    assert held and alive == [0, 0, 0, 0]
 
 
 def test_resumed_run_replays_the_straight_through_run():

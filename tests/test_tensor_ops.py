@@ -257,8 +257,7 @@ def _box_sum_adjoint(x, k, g):
     """The gradient that ``box_sum``'s vjp hands to x for output gradient g."""
     xt = Tensor(x, requires_grad=True)
     with nr.GradTape() as tape:
-        tape.backward(nr.tsum(nr.box_sum(xt, k) * Tensor(g)))
-    return xt.grad
+        return tape.backward(nr.tsum(nr.box_sum(xt, k) * Tensor(g)))[xt]
 
 
 def _band_edge_volumes(rng, k, batch):
