@@ -28,7 +28,7 @@ from .errors import (
     UndefinedMetricError,
     VolumeFormatError,
 )
-from .metrics import hd95, mask_from_volume, sdlogj, ssim
+from .metrics import FixedReference, score
 from .model import build_model, count_params, register
 from .synth import synth_pair
 from .train import load_checkpoint, model_from_checkpoint, split_pairs, train
@@ -231,16 +231,7 @@ def _cmd_metrics(args) -> int:
     a = _finite(args.a, volume_from_file(args.a).values.data)
     b = _finite(args.b, volume_from_file(args.b).values.data)
     u = _finite(args.field, field_from_file(args.field).u.data) if args.field else None
-    payload = {"ssim": ssim(a, b)}
-    try:
-        payload["hd95"] = hd95(mask_from_volume(a), mask_from_volume(b))
-    except UndefinedMetricError as e:
-        payload["hd95"] = None
-        payload["hd95_undefined"] = str(e)
-    if u is not None:
-        stats = sdlogj(u)
-        payload["sdlogj"] = stats.sdlogj
-        payload["folding_fraction"] = stats.nonpositive_fraction
+    payload = score(b, FixedReference(a), u)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

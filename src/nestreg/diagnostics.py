@@ -138,7 +138,7 @@ class _Row:
         out = self.call(*args)
         return out if isinstance(out, tuple) else (out,)
 
-    def run(self, seed, h):
+    def run(self, seed):
         rng = _rng(seed, self.salt)
         leaves = {k: Tensor(draw(rng), requires_grad=True) for k, draw in self.leaves.items()}
         extra, registry = self.draw_block(rng)
@@ -152,7 +152,7 @@ class _Row:
                 return outs[0]
             return functools.reduce(operator.add, (tsum(o * r) for o, r in zip(outs, proj)))
 
-        return check_gradients(fn, leaves, h=h, max_coords=self.max_coords)
+        return check_gradients(fn, leaves, max_coords=self.max_coords)
 
 
 _ROWS = (
@@ -307,7 +307,7 @@ def _full_model_inputs(seed: int, salt: int, shape):
             return model, fx, mv
 
 
-def _full_model_check(salt: int, shape, seed, h):
+def _full_model_check(salt: int, shape, seed):
     """The tiny model's composite loss on fixed/moving leaves of ``shape``
     ([1, 8, 8, 8] for one pair, [B, 1, 8, 8, 8] for a batch, whose loss is
     the mean of the per-pair totals), 3 sampled coordinates per leaf."""
@@ -320,14 +320,14 @@ def _full_model_check(salt: int, shape, seed, h):
 
     leaves = {"moving": mv, "fixed": fx}
     leaves.update(model.parameters())
-    return check_gradients(fn, leaves, h=h, max_coords=3)
+    return check_gradients(fn, leaves, max_coords=3)
 
 
 # (name, salt, input shape) of the checks that run after the table's rows.
 _FULL_MODEL_CHECKS = (("full_model", 21, (1, 8, 8, 8)), ("full_model_batched", 30, (2, 1, 8, 8, 8)))
 
 
-def run_gradcheck_suite(seed: int = 0, h: float = 1e-4, tol: float = 1e-4, names=None):
+def run_gradcheck_suite(seed: int = 0, tol: float = 1e-4, names=None):
     """Run every block check; returns a list of CheckResult."""
     checks = [(row.name, row.run) for row in _ROWS] + [
         (name, functools.partial(_full_model_check, salt, shape)) for name, salt, shape in _FULL_MODEL_CHECKS
@@ -337,7 +337,7 @@ def run_gradcheck_suite(seed: int = 0, h: float = 1e-4, tol: float = 1e-4, names
         if names is not None and name not in names:
             continue
         started = time.perf_counter()
-        worst, _per_leaf = check(seed, h)
+        worst, _per_leaf = check(seed)
         results.append(
             CheckResult(
                 name=name,

@@ -22,31 +22,31 @@ def _scalar(fn: Callable[[], Tensor]) -> float:
     return float(out.data)
 
 
+H = 1e-4  # the central difference's step
+
+# The relative error's floor is H: central differences carry an O(h²·f''')
+# truncation term, so a coordinate whose true derivative is far below h
+# cannot be certified *relatively* by them at any implementation quality —
+# near such critical points the check degrades to an absolute comparison at
+# tolerance·h (e.g. 1e-8 for the default gate), which still sits well above
+# the ~1e-9 truncation floor of a correct gradient.
+FLOOR = H
+
+
 def check_gradients(
     fn: Callable[[], Tensor],
     leaves: Mapping[str, Tensor],
-    h: float = 1e-4,
     max_coords: int | None = None,
-    seed: int = 0,
-    floor: float | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Compare tape gradients of ``fn()`` against central differences.
+    """Compare tape gradients of ``fn()`` against central differences at
+    step ``H``.
 
     ``fn`` must be a deterministic closure over ``leaves`` that re-reads their
     ``.data`` on every call.  Each leaf is perturbed coordinate-wise (all
-    coordinates, or a seeded sample of ``max_coords``).  Returns the worst
-    relative error overall and per leaf, with the relative error defined as
-    |a - n| / max(|a|, |n|, floor).
-
-    ``floor`` defaults to ``h``: central differences carry an O(h²·f''')
-    truncation term, so a coordinate whose true derivative is far below h
-    cannot be certified *relatively* by them at any implementation quality —
-    near such critical points the check degrades to an absolute comparison at
-    tolerance·h (e.g. 1e-8 for the default gate), which still sits well above
-    the ~1e-9 truncation floor of a correct gradient.
+    coordinates, or a sample of ``max_coords`` drawn from seed 0).  Returns
+    the worst relative error overall and per leaf, with the relative error
+    defined as |a - n| / max(|a|, |n|, FLOOR).
     """
-    if floor is None:
-        floor = h
     y1 = _scalar(fn)
     y2 = _scalar(fn)
     if not (np.isfinite(y1) and np.isfinite(y2)):
@@ -66,7 +66,7 @@ def check_gradients(
         grads = tape.backward(fn())
     analytic = {name: grads.get(leaf, np.zeros_like(leaf.data)) for name, leaf in leaves.items()}
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     per_leaf: dict[str, float] = {}
     for name, leaf in leaves.items():
@@ -80,14 +80,14 @@ def check_gradients(
         leaf_worst = 0.0
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             fp = _scalar(fn)
-            flat[i] = orig - h
+            flat[i] = orig - H
             fm = _scalar(fn)
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
+            numeric = (fp - fm) / (2.0 * H)
             ana = float(ana_flat[i])
-            rel = abs(ana - numeric) / max(abs(ana), abs(numeric), floor)
+            rel = abs(ana - numeric) / max(abs(ana), abs(numeric), FLOOR)
             leaf_worst = max(leaf_worst, rel)
         per_leaf[name] = leaf_worst
         worst = max(worst, leaf_worst)

@@ -1,5 +1,6 @@
 """Evaluation metrics: windowed SSIM, 95th-percentile Hausdorff distance on
-6-neighbor surfaces, and the log-Jacobian spread of a displacement field.
+6-neighbor surfaces, and the log-Jacobian spread of a displacement field;
+``score`` pairs them for one volume against a ``FixedReference``.
 
 These are evaluation-only (plain numpy/scipy, no gradients).
 """
@@ -306,6 +307,19 @@ def sdlogj(field) -> JacobianStats:
         sdlogj=float(np.std(np.log(det[positive]))),
         nonpositive_fraction=frac_bad,
     )
+
+
+def score(moved, ref: FixedReference, field=None) -> dict:
+    """``ssim`` and ``hd95`` of ``moved`` against the fixed volume of ``ref``
+    (the mask first, then SSIM, then HD95), plus ``sdlogj`` and
+    ``folding_fraction`` of ``field`` when one is given. An empty mask raises
+    ``UndefinedMetricError``."""
+    mask = mask_from_volume(moved)
+    out = {"ssim": ssim(moved, ref), "hd95": hd95(mask, ref)}
+    if field is not None:
+        jac = sdlogj(field)
+        out.update(sdlogj=jac.sdlogj, folding_fraction=jac.nonpositive_fraction)
+    return out
 
 
 @dataclass

@@ -307,12 +307,12 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     One worker thread scores the pair beside the main thread. While the
     network runs, it builds what depends on the fixed volume alone, once:
     NCC's window sums (``losses.ncc_fixed_sums``) and the metrics'
-    ``FixedReference``; then the moving-vs-fixed SSIM and HD95 against the
-    reference. SDlogJ runs while the main thread scores the warped volume's
-    SSIM. Each value is the one that a call after another on one thread
-    gives, and errors surface in that order too (forward, loss, SDlogJ,
-    reference, SSIM, HD95). The worker is started and joined within the
-    call, one thread start per call.
+    ``FixedReference``; then ``metrics.score`` of the moving volume against
+    the reference. SDlogJ runs while the main thread computes the loss. Each
+    value is the one that a call after another on one thread gives, and
+    errors surface in that order too (forward, loss, SDlogJ, reference, the
+    moving volume's score, the warped volume's score). The worker is started
+    and joined within the call, one thread start per call.
     """
     if not isinstance(moving, Volume):
         moving = Volume(values=moving)
@@ -322,35 +322,34 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
     fixed = fixed.astype(model.config.precision)
     with ThreadPoolExecutor(max_workers=1) as worker:
         # The worker's queue is in the order the main thread needs its results.
-        # The metrics are looked up in nestreg.metrics per call (perfbench
-        # times them there). All worker tasks but SDlogJ end inside the
-        # forward. SDlogJ takes about as long as the warped SSIM; it starts
-        # before the warped mask, so whichever of the two ends last spans
-        # the stretch (perfbench keeps one span stack for both threads).
+        # The scores are looked up in nestreg.metrics per call (perfbench
+        # times their metrics there). All worker tasks but SDlogJ end inside
+        # the forward. SDlogJ takes a little less time than the warp that
+        # starts the loss, so it ends inside the warp's span. perfbench keeps
+        # one span stack for both threads: a worker span that ended inside
+        # the warped score's HD95 would leave that score's SSIM uncounted.
         pending_sums = worker.submit(ncc_fixed_sums, fixed, model.config.ncc_window)
         pending_ref = worker.submit(metrics.FixedReference, fixed)
-        pending_ssim = worker.submit(lambda: metrics.ssim(moving, pending_ref.result()))
-        pending_hd95 = worker.submit(
-            lambda: metrics.hd95(metrics.mask_from_volume(moving), pending_ref.result()))
+        pending_initial = worker.submit(lambda: metrics.score(moving, pending_ref.result()))
         field = model.forward(moving, fixed)
         # Sums that failed go back to the fixed volume: the loss then meets
         # the error again in its own order (the warp's errors first).
         ncc_fixed = fixed if pending_sums.exception() else pending_sums.result()
+        # The loss's warp refuses a non-finite field, so SDlogJ, which would
+        # only warn about its arithmetic, skips one.
+        pending_jac = worker.submit(
+            lambda: metrics.sdlogj(field) if np.isfinite(field.u.data).all() else None)
         out = composite_loss(ncc_fixed, moving, field, model.config)
         warped = out.warped
-        pending_jac = worker.submit(metrics.sdlogj, field)
         try:
-            warped_mask = metrics.mask_from_volume(warped)  # fails only where the SSIM would
-            ssim_final = metrics.ssim(warped, pending_ref.result())
+            final = metrics.score(warped, pending_ref.result())
         finally:  # an earlier step's error wins over this one's
-            jac, ssim_initial = pending_jac.result(), pending_ssim.result()
-        hd95_initial = pending_hd95.result()
-        hd95_final = metrics.hd95(warped_mask, pending_ref.result())
+            jac, initial = pending_jac.result(), pending_initial.result()
     report = metrics.RegistrationReport(
-        ssim_initial=ssim_initial,
-        ssim=ssim_final,
-        hd95_initial=hd95_initial,
-        hd95=hd95_final,
+        ssim_initial=initial["ssim"],
+        ssim=final["ssim"],
+        hd95_initial=initial["hd95"],
+        hd95=final["hd95"],
         sdlogj=jac.sdlogj,
         folding_fraction=jac.nonpositive_fraction,
         ncc=1.0 - out.similarity.item(),

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 DTYPES = {32: np.float32, 64: np.float64}
 
@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -88,11 +85,6 @@ class Tensor:
         """Precision cast; on a tape the gradient is cast back to this dtype."""
         dtype = self.data.dtype
         return make_op(self.data.astype(DTYPES[bits]), (self,), lambda g: (g.astype(dtype),))
-
-    def check_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError(f"{what} contains NaN/Inf")
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -467,15 +459,6 @@ def exp(a: Tensor) -> Tensor:
     return make_op(out, (a,), lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    return make_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return make_op(out, (a,), lambda g: (g * 0.5 / out,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return make_op(out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -516,7 +499,10 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+_LAYERNORM_EPS = 1e-5  # added to the variance under the square root
+
+
+def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Normalize over a single axis; gamma/beta are 1-D of that axis length."""
     _check_same_dtype(a, gamma, "layernorm")
     _check_same_dtype(a, beta, "layernorm")
@@ -535,7 +521,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float
     # The variance from the centred values d, which xhat reuses: the sums
     # ndarray.var forms, without its second mean pass.
     d = a.data - a.data.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).mean(axis=axis, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=axis, keepdims=True) + _LAYERNORM_EPS)
     xhat = d * inv
     out = xhat * gb + bb
 

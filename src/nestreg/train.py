@@ -26,7 +26,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import ContractError, NumericError, ShapeError
 from .losses import CompositeLoss, composite_loss
-from .metrics import ssim
+from .metrics import ssim  # _pair_ssims calls it by this name, which perfbench/spans.py times
 from .model import RegistrationModel, _build
 from .model import build_model  # noqa: F401  (perfbench/spans.py times the builder through this name)
 from .tensor import GradTape, Tensor, tmean
@@ -76,16 +76,17 @@ class TrainResult:
     last: Checkpoint
 
 
-def split_pairs(pairs, val_fraction: float = 0.2):
-    """Deterministic order-preserving train/val split (80/20 by default).
+def split_pairs(pairs):
+    """Deterministic order-preserving train/val split: the last 20 % of the
+    pairs, rounded, validate.
 
-    A single-pair dataset is reused for validation rather than leaving one
-    side empty.
+    One or two pairs round to no validation pair; they are all reused for
+    validation rather than leaving one side empty.
     """
     pairs = list(pairs)
     if not pairs:
         raise ContractError("split_pairs needs at least one pair")
-    n_val = int(round(len(pairs) * val_fraction))
+    n_val = int(round(len(pairs) * 0.2))
     n_train = len(pairs) - n_val
     if n_train == 0 or n_val == 0:
         return pairs, pairs
@@ -338,7 +339,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     meta = {
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
-        "rng_state": _jsonable(ckpt.rng_state),
+        "rng_state": ckpt.rng_state,
         "params": [[name, list(p.shape)] for name, p in ckpt.params.items()],
     }
     flat = np.concatenate([p.ravel() for p in ckpt.params.values()] or [np.empty(0)])
@@ -349,20 +350,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parameters come back as reshaped views of the file's one buffer. Files
-    without ``__params__``, the older layout, hold one member per name. A file
-    that is no readable npz archive, or whose ``__meta__`` is not a JSON object
-    with objects ``config`` and ``rng_state`` and an int ``epoch`` >= 0 (not
-    a bool), raises ``ContractError``; so does a ``params`` index that is not
-    a list of ``[name, list of ints >= 0]`` with unique names whose extents
-    sum to the buffer, and an encoded ``rng_state`` array that does not
-    decode."""
+    """Parameters come back as reshaped views of the file's one buffer
+    ``__params__``. A file that is no readable npz archive or lacks
+    ``__meta__`` or ``__params__``, or whose ``__meta__`` is not a JSON object
+    with objects ``config`` and ``rng_state`` and an int ``epoch`` >= 0 (not a
+    bool), raises ``ContractError``; so does a ``params`` index that is not a
+    list of ``[name, list of ints >= 0]`` with unique names whose extents sum
+    to the buffer."""
     try:
         with np.load(path) as data:  # a .npy array is no context manager: TypeError
-            if "__meta__" not in data:
-                raise ContractError(f"{path} is not a checkpoint (missing metadata)")
-            raw = bytes(data["__meta__"])
-            params = {k: data[k] for k in data.files if k != "__meta__"}
+            missing = [k for k in ("__meta__", "__params__") if k not in data]
+            if missing:
+                raise ContractError(f"{path} is not a checkpoint (missing {', '.join(missing)})")
+            raw, flat = bytes(data["__meta__"]), data["__params__"]
     except (ValueError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ContractError(f"{path} is not a readable checkpoint archive: {e}") from e
     try:
@@ -376,26 +376,20 @@ def load_checkpoint(path) -> Checkpoint:
         bad.append("epoch")
     if bad:
         raise ContractError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
-    if "__params__" in params:
-        flat, index = params.pop("__params__"), meta.get("params", [])
-        if not (isinstance(index, list) and all(map(_is_index_entry, index))):
-            raise ContractError(f"{path}: checkpoint parameter index is not a list of "
-                                f"[name, list of extents >= 0] pairs")
-        ends = list(itertools.accumulate((math.prod(shape) for _, shape in index), initial=0))
-        if ends[-1] != flat.size or len(dict(index)) != len(index):
-            raise ContractError(f"{path}: index of {len(index)} parameters ({ends[-1]} values) "
-                                f"does not match its {flat.size}-value buffer or repeats a name")
-        params = {name: flat[lo:hi].reshape(shape)
-                  for (name, shape), lo, hi in zip(index, ends, ends[1:])}
-    try:
-        rng_state = _unjsonable(meta["rng_state"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ContractError(f"{path}: checkpoint rng_state holds a malformed array: {e!r}") from e
+    index = meta.get("params")
+    if not (isinstance(index, list) and all(map(_is_index_entry, index))):
+        raise ContractError(f"{path}: checkpoint parameter index is not a list of "
+                            f"[name, list of extents >= 0] pairs")
+    ends = list(itertools.accumulate((math.prod(shape) for _, shape in index), initial=0))
+    if ends[-1] != flat.size or len(dict(index)) != len(index):
+        raise ContractError(f"{path}: index of {len(index)} parameters ({ends[-1]} values) "
+                            f"does not match its {flat.size}-value buffer or repeats a name")
     return Checkpoint(
         config=ModelConfig.from_dict(meta["config"]),
-        params=params,
+        params={name: flat[lo:hi].reshape(shape)
+                for (name, shape), lo, hi in zip(index, ends, ends[1:])},
         epoch=meta["epoch"],
-        rng_state=rng_state,
+        rng_state=meta["rng_state"],
     )
 
 
@@ -415,23 +409,3 @@ def model_from_checkpoint(ckpt: Checkpoint) -> RegistrationModel:
     model.load_state(ckpt.params)
     return model
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.dtype.str, "values": obj.tolist()}
-    return obj
-
-
-def _unjsonable(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            dtype = np.dtype(obj["__ndarray__"])
-            if dtype.kind not in "biuf":  # a subarray dtype would let a few bytes ask for gigabytes
-                raise ValueError(f"encoded arrays hold plain numbers, not {dtype}")
-            return np.array(obj["values"], dtype=dtype)
-        return {k: _unjsonable(v) for k, v in obj.items()}
-    return obj

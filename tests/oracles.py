@@ -695,8 +695,8 @@ def warp_corner_index_ref(m, u):
 def register_ref(model, moving, fixed):
     """``register`` of two Volumes one step after another on the calling
     thread: the forward, the composite loss, SDlogJ, then SSIM and HD95 of
-    the moving and of the warped volume against the fixed one. Returns
-    (field, warped, report)."""
+    the moving volume, then of the warped volume, against the fixed one.
+    Returns (field, warped, report)."""
     from nestreg import metrics
     from nestreg.losses import composite_loss
 
@@ -705,10 +705,10 @@ def register_ref(model, moving, fixed):
     field = model.forward(moving, fixed)
     out = composite_loss(fixed, moving, field, model.config)
     jac = metrics.sdlogj(field)
-    ssim_initial = metrics.ssim(moving, fixed)
-    ssim_final = metrics.ssim(out.warped, fixed)
     fixed_mask = metrics.mask_from_volume(fixed)
+    ssim_initial = metrics.ssim(moving, fixed)
     hd95_initial = metrics.hd95(metrics.mask_from_volume(moving), fixed_mask)
+    ssim_final = metrics.ssim(out.warped, fixed)
     hd95_final = metrics.hd95(metrics.mask_from_volume(out.warped), fixed_mask)
     report = metrics.RegistrationReport(
         ssim_initial=ssim_initial,

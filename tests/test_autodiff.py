@@ -370,8 +370,3 @@ def test_gradcheck_rejects_leaf_without_requires_grad(rng):
     x = Tensor(rng.normal(size=3))
     with pytest.raises(ContractError):
         nr.check_gradients(lambda: nr.tsum(x), {"x": x})
-
-
-def test_check_finite_raises_on_nan():
-    with pytest.raises(NumericError):
-        Tensor(np.array([1.0, np.nan])).check_finite("probe")

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -287,6 +289,19 @@ def test_cli_metrics_with_field_reports_jacobian_stats(tmp_path, capsys):
     assert payload["sdlogj"] >= 0.0
 
 
+@pytest.mark.parametrize("zero", ["--a", "--b"])
+def test_cli_metrics_of_an_all_zero_volume_is_a_data_error(tmp_path, capsys, zero):
+    """An all-zero volume has an empty mask, on which HD95 is undefined:
+    exit 2, as in ``register``, and nothing printed."""
+    main(["synth", "--out", str(tmp_path), "--shape", "16", "--seed", "1"])
+    files = {"--a": tmp_path / "moving.nmv", "--b": tmp_path / "fixed.nmv"}
+    files[zero] = tmp_path / "zero.nmv"
+    nr.save_volume(files[zero], np.zeros_like(nr.load_volume(tmp_path / "fixed.nmv")))
+    capsys.readouterr()
+    assert main(["metrics"] + [str(x) for kv in files.items() for x in kv]) == 2
+    assert capsys.readouterr() == ("", "data error: hd95 is undefined for an empty mask\n")
+
+
 @pytest.mark.parametrize("flag", ["--a", "--b", "--field"])
 def test_cli_metrics_of_a_non_finite_input_is_a_data_error(tmp_path, capsys, flag):
     """A NaN voxel in either volume or an infinite displacement: exit 2 with
@@ -516,44 +531,26 @@ def _register(tmp_path, ckpt, out):
     ])
 
 
-def test_cli_register_with_a_checkpoint_index_that_misses_its_buffer_is_a_data_error(
-        tmp_path, capsys):
+@pytest.mark.parametrize("layout", ["index-misses-buffer", "per-name"])
+def test_cli_register_with_a_malformed_checkpoint_is_a_data_error(tmp_path, capsys, layout):
+    """A checkpoint holds its parameters in one buffer, ``__params__``, that
+    its index splits; an index that does not fit the buffer, or one npz
+    member per parameter name in place of the buffer, is a data error naming
+    the file."""
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     ckpt = tmp_path / "broken.npz"
-    meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}, "params": [["w", [2, 3]]]}
-    np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             __params__=np.zeros(5, dtype=np.float32))
+    meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}}
+    if layout == "per-name":
+        members = nr.build_model(TINY_CFG, seed=5).state()
+    else:
+        meta["params"] = [["w", [2, 3]]]
+        members = {"__params__": np.zeros(5, dtype=np.float32)}
+    np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **members)
     capsys.readouterr()
     assert _register(tmp_path, ckpt, tmp_path) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and str(ckpt) in err
+    assert err.startswith("data error") and str(ckpt) in err
     assert not (tmp_path / "field.nmv").exists()
-
-
-def test_cli_register_gives_the_same_bytes_from_a_packed_and_a_per_name_checkpoint(
-        tmp_path, capsys):
-    """Parameters loaded as views of one buffer register exactly as the
-    separate arrays of the older per-name layout do."""
-    main(["synth", "--out", str(tmp_path), "--shape", "16", "--seed", "2"])
-    rng = np.random.default_rng(5)
-    state = {name: arr + rng.normal(0.0, 0.02, arr.shape).astype(arr.dtype)
-             for name, arr in nr.build_model(TINY_CFG, seed=5).state().items()}
-    packed, legacy = tmp_path / "packed", tmp_path / "legacy"
-    for out in (packed, legacy):
-        out.mkdir()
-    nr.save_checkpoint(packed / "ckpt.npz", nr.Checkpoint(TINY_CFG, state, 1, {}))
-    meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}}
-    np.savez(legacy / "ckpt.npz",
-             __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **state)
-    capsys.readouterr()
-    reports = []
-    for out in (packed, legacy):
-        assert _register(tmp_path, out / "ckpt.npz", out) == 0
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["sdlogj"] > 0.0
-    for name in ("field.nmv", "warped.nmv"):
-        assert (packed / name).read_bytes() == (legacy / name).read_bytes()
 
 
 def _train_tiny(tmp_path, data, out, *extra, **overrides):
@@ -773,3 +770,17 @@ def test_cli_metrics_and_an_untrained_register_write_the_same_bytes_at_one_and_t
     assert 0.0 < json.loads(outputs["1"][0])["ssim"] < 1.0
     field = nr.load_volume(tmp_path / "threads1" / "noised-field.nmv")
     assert np.abs(field).max() > 0.5
+
+
+def test_every_name_the_benchmark_tracer_swaps_exists():
+    """``perfbench/spans.py``, loaded by path, times nestreg's layers by
+    swapping the module attributes its ``SPANS`` names (such as
+    ``nestreg.train.ssim`` and ``nestreg.cli.build_model``); each must exist,
+    or the traced benchmark fails."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr, _, _ in spans.SPANS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert spans.SPANS and missing == []

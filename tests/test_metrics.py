@@ -468,3 +468,24 @@ def test_sdlogj_nonnegative_and_finite_on_smooth_fields(seed, scale):
     assert stats.sdlogj >= 0.0
     assert np.isfinite(stats.sdlogj)
     assert 0.0 <= stats.nonpositive_fraction <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# score
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape, seed", [(16, 0), (32, 1), ((12, 20, 16), 2)])
+def test_score_holds_the_metrics_of_the_pair_either_way_round(shape, seed):
+    """``score(b, FixedReference(a), u)`` equals, bit for bit, SSIM and HD95
+    of the pair in either order and SDlogJ of the field; without a field it
+    holds SSIM and HD95 alone."""
+    a, b, u = nr.synth_pair(shape, seed=seed)
+    ref = nr.FixedReference(a)
+    jac = nr.sdlogj(u)
+    mask_a, mask_b = nr.mask_from_volume(a), nr.mask_from_volume(b)
+    want = {"ssim": nr.ssim(a, b), "hd95": nr.hd95(mask_a, mask_b)}
+    assert want == {"ssim": nr.ssim(b, a), "hd95": nr.hd95(mask_b, mask_a)}
+    assert nr.score(b, ref) == want
+    assert nr.score(b, ref, u) == {**want, "sdlogj": jac.sdlogj,
+                                   "folding_fraction": jac.nonpositive_fraction}

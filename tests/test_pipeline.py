@@ -12,6 +12,7 @@ import json
 import math
 import re
 import threading
+import warnings
 import weakref
 from dataclasses import astuple
 
@@ -547,30 +548,6 @@ def test_checkpoint_roundtrip_preserves_forward_bit_for_bit(tmp_path, rng):
     )
 
 
-def test_checkpoint_with_legacy_opt_state_key_loads_bit_for_bit(tmp_path):
-    """Older checkpoints hold one npz member per parameter and carry an
-    always-empty "opt_state" in their metadata; they still load, and new
-    checkpoints no longer write the key."""
-    model = nr.build_model(small_cfg(), seed=1)
-    state = np.random.default_rng(0).bit_generator.state
-    path = tmp_path / "ckpt.npz"
-    nr.save_checkpoint(path, nr.Checkpoint(model.config, model.state(), 1, state))
-    with np.load(path) as data:
-        assert "opt_state" not in json.loads(bytes(data["__meta__"]).decode())
-
-    legacy = tmp_path / "legacy.npz"
-    meta = {"config": model.config.to_dict(), "epoch": 1, "rng_state": state, "opt_state": {}}
-    np.savez(legacy, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **model.state())
-    with np.load(legacy) as data:
-        assert sorted(data.files) == sorted(["__meta__", *model.state()])
-    loaded = nr.load_checkpoint(legacy)
-    assert loaded.config == model.config
-    assert loaded.rng_state == state
-    for name, arr in model.state().items():
-        npt.assert_array_equal(loaded.params[name], arr, err_msg=name, strict=True)
-
-
 @pytest.mark.parametrize("precision", [32, 64])
 def test_checkpoint_is_one_indexed_buffer_that_round_trips_bit_for_bit(tmp_path, precision):
     model = nr.build_model(small_cfg(precision=precision), seed=2)
@@ -581,6 +558,7 @@ def test_checkpoint_is_one_indexed_buffer_that_round_trips_bit_for_bit(tmp_path,
         assert sorted(data.files) == ["__meta__", "__params__"]
         meta = json.loads(bytes(data["__meta__"]).decode())
         flat = data["__params__"]
+    assert sorted(meta) == ["config", "epoch", "params", "rng_state"]
     assert meta["params"] == [[name, list(arr.shape)] for name, arr in state.items()]
     assert flat.dtype == model.dtype and flat.shape == (sum(a.size for a in state.values()),)
 
@@ -600,10 +578,10 @@ def test_checkpoint_without_parameters_round_trips(tmp_path):
     assert loaded.params == {} and loaded.config == small_cfg() and loaded.epoch == 0
 
 
-def _checkpoint_bytes(params, rng_state=None):
-    """An npz of a valid config and epoch, the given ``params`` index and
-    ``rng_state``, and a 4-value parameter buffer."""
-    return _meta_bytes({"config": small_cfg().to_dict(), "epoch": 1, "rng_state": rng_state or {},
+def _checkpoint_bytes(params):
+    """An npz of a valid config, epoch and rng_state, the given ``params``
+    index, and a 4-value parameter buffer."""
+    return _meta_bytes({"config": small_cfg().to_dict(), "epoch": 1, "rng_state": {},
                         "params": params})
 
 
@@ -615,22 +593,38 @@ def _meta_bytes(meta):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("params, rng_state", [
-    ([["w", [2, "a"]]], None),
-    ([["w"]], None),
-    ("abc", None),
-    (None, None),
-    ([["w", [2.0, 2]]], None),
-    ([["w", [-2, -2]]], None),
-    ([["w", [2, 2]]], {"seed": {"__ndarray__": "<u8"}}),
-    ([["w", [2, 2]]], {"seed": {"__ndarray__": "(1000,1000)f8", "values": [1]}}),
-], ids=["str-extent", "no-shape", "str-index", "null-index", "float-extent", "negative-extents",
-        "encoded-array-without-values", "encoded-array-of-a-subarray-dtype"])
-def test_load_checkpoint_with_a_malformed_index_or_rng_state_names_the_file(tmp_path, params, rng_state):
+@pytest.mark.parametrize("params", [
+    [["w", [2, "a"]]],
+    [["w"]],
+    "abc",
+    None,
+    [["w", [2.0, 2]]],
+    [["w", [-2, -2]]],
+], ids=["str-extent", "no-shape", "str-index", "null-index", "float-extent", "negative-extents"])
+def test_load_checkpoint_with_a_malformed_index_names_the_file(tmp_path, params):
     path = tmp_path / "ckpt.npz"
-    path.write_bytes(_checkpoint_bytes(params, rng_state))
+    path.write_bytes(_checkpoint_bytes(params))
     with pytest.raises(ContractError, match=re.escape(str(path))):
         nr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("uinteger", [
+    {"__ndarray__": "<u8"},
+    {"__ndarray__": "(1000,1000)f8", "values": [1]},
+], ids=["encoded-array-without-values", "encoded-array-of-a-subarray-dtype"])
+def test_resume_from_an_rng_state_holding_an_encoded_array_raises_contract_error(tmp_path, uinteger):
+    """Checkpoints hold PCG64 states, a string and ints, as plain JSON: an
+    entry in the layout of an encoded array loads as the dict it is, and a
+    resumed run refuses it."""
+    model = nr.build_model(small_cfg(), seed=1)
+    state = {**np.random.default_rng(0).bit_generator.state, "uinteger": uinteger}
+    path = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(path, nr.Checkpoint(model.config, model.state(), 1, state))
+    loaded = nr.load_checkpoint(path)
+    assert loaded.rng_state == state
+    tr, va = nr.split_pairs(small_pairs(2))
+    with pytest.raises(ContractError, match="rng_state is no PCG64 state"):
+        nr.train(model, tr, va, resume=loaded)
 
 
 _JSON = st.recursive(
@@ -885,9 +879,10 @@ def test_register_equals_its_sequential_oracle_bit_for_bit(shape, seed):
 
 # The order of register's steps when they ran one after another on one
 # thread: a failing step stopped the call, so its error was the one raised.
-# The fixed volume's reference is built before the first SSIM, which needs it.
-_REGISTER_STEPS = ("forward", "loss", "sdlogj", "reference", "ssim_initial", "ssim_final",
-                   "hd95_initial", "hd95_final")
+# The fixed volume's reference is built before the first score, which needs
+# it; each score (metrics.score) runs its SSIM, then its HD95.
+_REGISTER_STEPS = ("forward", "loss", "sdlogj", "reference", "ssim_initial", "hd95_initial",
+                   "ssim_final", "hd95_final")
 _METRIC_STEPS = _REGISTER_STEPS[2:]
 
 
@@ -946,8 +941,8 @@ def _register_with_failing_steps(monkeypatch, failing):
     *(s for n in range(len(_METRIC_STEPS) + 1) for s in itertools.combinations(_METRIC_STEPS, n)),
     ("forward", *_METRIC_STEPS),
     ("loss", *_METRIC_STEPS),
-    ("forward", "sdlogj", "ssim_initial", "ssim_final", "hd95_initial", "hd95_final"),
-    ("loss", "sdlogj", "ssim_initial", "ssim_final", "hd95_initial", "hd95_final"),
+    ("forward", "sdlogj", "ssim_initial", "hd95_initial", "ssim_final", "hd95_final"),
+    ("loss", "sdlogj", "ssim_initial", "hd95_initial", "ssim_final", "hd95_final"),
     ("ncc_sums",),
     ("forward", "ncc_sums", *_METRIC_STEPS),
     ("ncc_sums", "loss", *_METRIC_STEPS),
@@ -955,9 +950,10 @@ def _register_with_failing_steps(monkeypatch, failing):
 ], ids=lambda s: "-".join(s) or "none")
 def test_register_raises_the_error_of_the_first_failing_step_and_leaves_no_thread(monkeypatch, failing):
     """Whichever steps fail, ``register`` raises the error of the step that
-    the one-thread order (forward, loss, SDlogJ, reference, SSIM, HD95)
-    reaches first, and no thread outlives the call. Failed NCC sums raise
-    nothing of their own: the loss rebuilds them."""
+    the one-thread order (forward, loss, SDlogJ, reference, the moving
+    volume's SSIM and HD95, the warped volume's SSIM and HD95) reaches
+    first, and no thread outlives the call. Failed NCC sums raise nothing
+    of their own: the loss rebuilds them."""
     before = threading.active_count()
     want = next((s for s in failing if s != "ncc_sums"), None)
     assert _register_with_failing_steps(monkeypatch, set(failing)) == want
@@ -973,7 +969,7 @@ def test_register_raises_the_error_of_the_one_thread_order_on_real_inputs(case, 
     """Inputs that fail the fixed volume's reference or NCC sums on the
     worker still raise the error that one step after another raises: a batch
     fails SDlogJ before the reference, and the loss's warp and window checks
-    come before anything the sums found."""
+    come before anything the sums found. Neither thread warns."""
     cfg = small_cfg(precision=32, ncc_window=5 if case == "batched pair" else 9)
     model = nr.build_model(cfg, seed=0)
     if case == "batched pair":
@@ -983,9 +979,11 @@ def test_register_raises_the_error_of_the_one_thread_order_on_real_inputs(case, 
         mv, fx, _ = nr.synth_pair(8, seed=4)
     if case.endswith("non-finite field"):
         model.registry["head.b"].data[:] = np.inf
-    with pytest.raises(nr.EngineError) as info:
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(nr.EngineError) as info:
+        warnings.simplefilter("always")
         nr.register(model, mv, fx)
     assert str(info.value) == error
+    assert [str(w.message) for w in caught] == []
     with pytest.raises(nr.EngineError) as info:
         register_ref(model, mv, fx)
     assert str(info.value) == error
@@ -995,7 +993,7 @@ def test_register_after_a_failed_register_succeeds(monkeypatch):
     mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
     model = nr.build_model(small_cfg(precision=32), seed=0)
     before = threading.active_count()
-    assert _register_with_failing_steps(monkeypatch, {"ssim_final", "hd95_initial"}) == "ssim_final"
+    assert _register_with_failing_steps(monkeypatch, {"ssim_final", "hd95_initial"}) == "hd95_initial"
     monkeypatch.undo()
     report = nr.register(model, mv, fx)[2]
     assert threading.active_count() == before
