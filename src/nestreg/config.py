@@ -16,7 +16,8 @@ _SEQUENCES = ("channels", "strides", "kernels")
 
 # (field, requirement, test) for the fields bounded on their own.
 _BOUNDS = (
-    ("in_channels", ">= 1", lambda v: v >= 1),
+    # The forward concatenates the moving and the fixed volume, one channel each.
+    ("in_channels", "2", lambda v: v == 2),
     ("blocks_per_stage", ">= 1", lambda v: v >= 1),
     ("patch_kernel", ">= 1", lambda v: v >= 1),
     ("ncc_eps", "positive", lambda v: v > 0),

@@ -269,9 +269,8 @@ def sdlogj(field) -> JacobianStats:
         raise UndefinedMetricError(
             f"sdlogj needs interior voxels; extents {u.shape[1:]} are too small"
         )
-    # Central differences in float64, one component axis at a time, and the
-    # determinant's products and sums in place: the same operations in the
-    # same order as the plain expressions, with three temporaries.
+    # Central differences in float64, one component axis at a time, without a
+    # float64 copy of the field.
     jac = np.empty((3, 3) + tuple(e - 2 for e in u.shape[1:]), dtype=np.float64)
     for j in range(3):  # derivative axis
         fwd = [slice(None)] + [slice(1, -1)] * 3
@@ -285,20 +284,7 @@ def sdlogj(field) -> JacobianStats:
     a, b, c = jac[0]
     d, e, f = jac[1]
     g, h, i = jac[2]
-    det = e * i  # det = a * (e*i - f*h) - b * (d*i - f*g) + c * (d*h - e*g)
-    t1 = f * h
-    det -= t1
-    det *= a
-    np.multiply(d, i, out=t1)
-    t2 = f * g
-    t1 -= t2
-    t1 *= b
-    det -= t1
-    np.multiply(d, h, out=t1)
-    np.multiply(e, g, out=t2)
-    t1 -= t2
-    t1 *= c
-    det += t1
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     positive = det > 0
     frac_bad = float(1.0 - positive.mean())
     if not positive.any():

@@ -23,12 +23,12 @@ from .decoder import DecoderHeadParams, DecoderStageParams, FusionParams, LkaPar
 from .encoder import EncoderStageParams, PatchEmbedParams, encoder_forward
 from .errors import ContractError, ShapeError
 from .losses import composite_loss, ncc_fixed_sums
-from .tensor import DTYPES, Parameter, Tensor, concat
+from .tensor import DTYPES, Tensor, concat
 from .warp import DeformationField, Volume
 
 
 # ---------------------------------------------------------------------------
-# Parameter building
+# Building parameters
 # ---------------------------------------------------------------------------
 
 
@@ -37,16 +37,16 @@ class _Builder:
         self.cfg = cfg
         self.rng = rng
         self.dtype = DTYPES[cfg.precision]
-        self.registry: dict[str, Parameter] = {}
+        self.registry: dict[str, Tensor] = {}
 
-    def _register(self, name: str, data: np.ndarray) -> Parameter:
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.registry:
             raise ContractError(f"duplicate parameter name {name!r}")
-        p = Parameter(np.ascontiguousarray(data, dtype=self.dtype), name=name)
+        p = Tensor(np.ascontiguousarray(data, dtype=self.dtype), requires_grad=True)
         self.registry[name] = p
         return p
 
-    def weight(self, name: str, shape) -> Parameter:
+    def weight(self, name: str, shape) -> Tensor:
         """Truncated-normal (resampled beyond ±2σ) weights.
 
         Convolution kernels [out, in/groups, kd, kh, kw] use a fan-in-scaled
@@ -70,13 +70,13 @@ class _Builder:
             bad = np.abs(out) > 2.0 * std
         return self._register(name, out)
 
-    def zeros(self, name: str, shape) -> Parameter:
+    def zeros(self, name: str, shape) -> Tensor:
         return self._register(name, np.zeros(shape))
 
-    def ones(self, name: str, shape) -> Parameter:
+    def ones(self, name: str, shape) -> Tensor:
         return self._register(name, np.ones(shape))
 
-    def const(self, name: str, value) -> Parameter:
+    def const(self, name: str, value) -> Tensor:
         return self._register(name, np.asarray(value))
 
     # -- composite pieces ---------------------------------------------------
@@ -236,7 +236,7 @@ class RegistrationModel:
     def dtype(self):
         return DTYPES[self.config.precision]
 
-    def parameters(self) -> dict[str, Parameter]:
+    def parameters(self) -> dict[str, Tensor]:
         return self.registry
 
     @property
@@ -362,7 +362,7 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
 
 
 # ---------------------------------------------------------------------------
-# Parameter accounting
+# Counting parameters
 # ---------------------------------------------------------------------------
 
 

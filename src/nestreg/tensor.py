@@ -122,19 +122,6 @@ class Tensor:
         return take_slice(self, key)
 
 
-class Parameter(Tensor):
-    """A named trainable leaf."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, data, name: str, dtype=None):
-        super().__init__(data, dtype=dtype, requires_grad=True)
-        self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, dtype={self.data.dtype.name})"
-
-
 class _TapeStack(threading.local):
     def __init__(self):
         self.stack = []
@@ -691,10 +678,7 @@ def conv3d(
             gw = None
             for b in np.ndindex(lead):
                 cols_t = np.swapaxes(_columns(xp[b], kern, dils, strides, groups), -1, -2)
-                # One output voxel: numpy's matmul leaves BLAS for a slow loop at
-                # inner extent 1. The broadcast product is bit-equal once + 0.0
-                # turns its -0.0 products into the +0.0 that matmul's sum gives.
-                part = go[b] * cols_t + 0.0 if cols_t.shape[-2] == 1 else go[b] @ cols_t
+                part = go[b] @ cols_t
                 gw = part if gw is None else gw + part
                 if need_gx:
                     gcols = (np.swapaxes(wg, -1, -2) @ go[b]).reshape((cin, len(taps)) + out_ext)
@@ -738,26 +722,18 @@ def _window_view(flat, start, shifts, live, n):
     )
 
 
-_COLUMNS = threading.local()
-
-
 def _column_blocks(view):
     """Copy the window view [R, *live, n] block by block into one contiguous
     buffer of at most _DEPTHWISE_BLOCK_BYTES (a row whose columns exceed it is
     split along n) and yield (row slice, flat slice, columns [r, prod(live),
-    f]). The buffer is this thread's and outlives the call, so its pages are
-    not faulted in afresh by every conv; a caller consumes one generator
-    before it starts the next."""
+    f])."""
     rows, n = view.shape[0], view.shape[-1]
     live = view.shape[1:-1]
     k = math.prod(live)
     col_bytes = max(k, 1) * view.itemsize
     f = max(1, min(n, _DEPTHWISE_BLOCK_BYTES // col_bytes))
     r = max(1, min(rows, _DEPTHWISE_BLOCK_BYTES // (col_bytes * f)))
-    nbytes = r * k * f * view.itemsize
-    if getattr(_COLUMNS, "buf", None) is None or _COLUMNS.buf.nbytes < nbytes:
-        _COLUMNS.buf = np.empty(max(nbytes, _DEPTHWISE_BLOCK_BYTES), np.uint8)
-    buf = _COLUMNS.buf[:nbytes].view(view.dtype)
+    buf = np.empty(r * k * f, view.dtype)
     for r0 in range(0, rows, r):
         rs = slice(r0, min(rows, r0 + r))
         for f0 in range(0, n, f):

@@ -328,10 +328,10 @@ def read_curve_csv(path) -> TrainingCurve:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Parameters verbatim (bit-exact) as one flat buffer ``__params__`` of their
-    shared dtype; the JSON ``__meta__`` lists each name and shape in order.
-    A config that fails ``validate()`` raises ``ConfigError`` naming every
-    problem, and nothing is written."""
+    """The parameters, verbatim (bit-exact), as one flat buffer ``__params__``
+    of their shared dtype; the JSON ``__meta__`` lists each name and shape in
+    order. A config that fails ``validate()`` raises ``ConfigError`` naming
+    every problem, and nothing is written."""
     ckpt.config.validated()
     dtypes = {str(p.dtype) for p in ckpt.params.values()}
     if len(dtypes) > 1:
@@ -350,7 +350,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parameters come back as reshaped views of the file's one buffer
+    """The parameters come back as reshaped views of the file's one buffer
     ``__params__``. A file that is no readable npz archive or lacks
     ``__meta__`` or ``__params__``, or whose ``__meta__`` is not a JSON object
     with objects ``config`` and ``rng_state`` and an int ``epoch`` >= 0 (not a

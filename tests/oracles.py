@@ -422,7 +422,7 @@ def surface_erosion_ref(mask):
 def windowed_mean_correlate_ref(a, kern1d):
     """Separable windowed mean with ``correlate1d`` along all three axes, each
     pass cropped to its valid range before the next: the formulation the
-    engine's axis-0 slab sums replaced."""
+    engine's band products replaced."""
     r = (kern1d.size - 1) // 2
     out = a
     for axis in range(3):

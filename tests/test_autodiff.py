@@ -245,10 +245,10 @@ def test_gradcheck_rows_have_unique_names_and_salts_and_no_leaf_named_like_a_par
 
 @pytest.mark.parametrize("window", [5, 9])
 @pytest.mark.parametrize("out_planes", [1, 5])
-def test_box_sum_and_ncc_adjoints_across_slab_edges_pass_finite_differences(rng, window, out_planes):
-    """``box_sum`` of z-slabs of ``out_planes`` output planes, stitched along
-    z: neighbouring slabs share k-1 input planes, whose gradient sums the
-    transposed band products of both. One-plane slabs put an edge between
+def test_box_sum_and_ncc_adjoints_across_z_chunk_edges_pass_finite_differences(rng, window, out_planes):
+    """``box_sum`` of z-chunks of ``out_planes`` output planes, stitched along
+    z: neighbouring chunks share k-1 input planes, whose gradient sums the
+    transposed band products of both. One-plane chunks put an edge between
     every pair of planes; five are the whole volume. Checked through a
     random projection; ``ncc_loss`` on a batch of 2 whose x extent is the
     window."""

@@ -145,7 +145,7 @@ def test_depthwise_columns_match_shifted_slice_sum_in_float64(rng, case):
 
 
 @pytest.mark.parametrize("case", list(DEPTHWISE_SHAPES))
-def test_depthwise_flat_shift_equals_shifted_slice_sum_in_float32(rng, case):
+def test_depthwise_columns_within_float32_bound_of_shifted_slice_sum(rng, case):
     """At float32 the column kernel's matrix products sum in another order
     than the per-offset sum of shifted slices: forward, input gradient and
     weight gradient stay within 2e-6 of it (max |diff| / max |ref|; measured

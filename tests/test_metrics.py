@@ -243,13 +243,13 @@ def test_cropped_hd95_and_ssim_equal_their_full_volume_formulations(monkeypatch,
 
 @pytest.mark.parametrize("window", [3, 5, 7, 9])
 @pytest.mark.parametrize("sigma", [0.8, 1.5])
-def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, window, sigma):
+def test_windowed_mean_of_z_chunks_equals_the_correlate1d_pass(rng, window, sigma):
     """The band products equal ``correlate1d``'s passes to float64 rounding
     (``WINDOWED_MEAN_ULPS``), on anisotropic volumes whose extents can equal
     the window (one output plane) and on a non-contiguous transposed view,
-    taken whole and z-slab by z-slab (slabs of one output plane, or of two
-    with an uneven last slab where the output extent is odd) and stitched at
-    the slab edges: each output reads its own window and nothing else."""
+    taken whole and z-chunk by z-chunk (chunks of one output plane, or of two
+    with an uneven last chunk where the output extent is odd) and stitched at
+    the chunk edges: each output reads its own window and nothing else."""
     kern = metrics._gaussian_window(window, sigma)
     assert np.array_equal(kern, kern[::-1])
     shapes = [(window, 13, 17), (window + 6, window, 11), (2 * window + 1, 16, window + 2)]
@@ -258,8 +258,8 @@ def test_windowed_mean_slab_pass_equals_the_correlate1d_pass(rng, window, sigma)
         for vol, step in product((v, v.transpose(0, 2, 1)), (None, 1, 2)):
             nz = vol.shape[0] - window + 1
             step = step or nz
-            slabs = [vol[z0:z0 + step + window - 1] for z0 in range(0, nz, step)]
-            got = np.concatenate([metrics._windowed_mean(slab, kern) for slab in slabs])
+            chunks = [vol[z0:z0 + step + window - 1] for z0 in range(0, nz, step)]
+            got = np.concatenate([metrics._windowed_mean(c, kern) for c in chunks])
             assert got.shape == tuple(e - window + 1 for e in vol.shape)
             assert got.dtype == np.float64
             _assert_windowed_mean_bound(got, vol, kern, windowed_mean_correlate_ref)
@@ -459,6 +459,18 @@ def test_sdlogj_accepts_field_and_checks_shape(rng):
         nr.sdlogj(np.zeros((2, 5, 5, 5)))
     with pytest.raises(UndefinedMetricError):
         nr.sdlogj(np.zeros((3, 2, 5, 5)))  # no interior voxels along z
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scale, folds", [(0.05, False), (0.6, True)])
+def test_sdlogj_of_a_float32_field_equals_that_of_its_float64_copy(seed, scale, folds):
+    """The central differences are taken in float64, so a float32 field and
+    its float64 copy give the same SDlogJ and folding fraction bit for bit,
+    with and without folded voxels."""
+    u = np.random.default_rng(seed).normal(0, scale, size=(3, 12, 10, 14)).astype(np.float32)
+    got = nr.sdlogj(u)
+    assert got == nr.sdlogj(u.astype(np.float64))
+    assert (got.nonpositive_fraction > 0) == folds
 
 
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 0.2))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nestreg as nr
-from nestreg import ConfigError, ContractError, ModelConfig, Parameter, Tensor
+from nestreg import ConfigError, ContractError, ModelConfig, Tensor
 from nestreg.train import CURVE_COLUMNS, _generator_at
 from oracles import register_ref
 
@@ -96,6 +96,7 @@ TWO_STAGES = dict(dae_blocks=1, lka_blocks=1)
     pytest.param(dict(use_efficient=False, use_channel=False),
                  "at least one of use_efficient/use_channel", id="no-attention-branch"),
     pytest.param(dict(blocks_per_stage=0), "blocks_per_stage must be >= 1", id="no-blocks"),
+    pytest.param(dict(in_channels=3), "in_channels must be 2, got 3", id="three-input-channels"),
     pytest.param(dict(ncc_window=4), "ncc_window must be odd", id="even-ncc-window"),
     pytest.param(dict(ncc_eps=0.0), "ncc_eps must be positive", id="zero-ncc-eps"),
     pytest.param(dict(smooth_weight=-1.0), "smooth_weight must be >= 0",
@@ -268,30 +269,30 @@ def test_param_table_render_and_dict():
 
 
 def test_sgd_step_frozen_examples():
-    p = Parameter(np.array([1.0]), name="p")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     nr.sgd_step({"p": p}, {p: np.array([1.0])}, lr=0.1, weight_decay=0.0)
     npt.assert_allclose(p.data, [0.9])
 
-    q = Parameter(np.array([2.0]), name="q")
+    q = Tensor(np.array([2.0]), requires_grad=True)
     nr.sgd_step({"q": q}, {q: np.array([0.0])}, lr=0.1, weight_decay=0.5)
     npt.assert_allclose(q.data, [1.9])  # pure decay: 2 - 0.1 * (0.5 * 2)
 
 
 def test_sgd_weight_decay_shrinks_geometrically():
-    p = Parameter(np.array([1.0]), name="p")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     for _ in range(3):
         nr.sgd_step({"p": p}, {p: np.array([0.0])}, lr=1.0, weight_decay=0.1)
     npt.assert_allclose(p.data, [0.9**3], rtol=1e-12)
 
 
 def test_sgd_requires_gradients():
-    p = Parameter(np.array([1.0]), name="p")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ContractError, match="'p'"):
         nr.sgd_step({"p": p}, {}, lr=0.1, weight_decay=0.0)
     # A second tape that does not reach p: its gradients must not step p
     # with the first tape's.
-    p = Parameter(np.array([1.0, 2.0]), name="p")
-    q = Parameter(np.array([3.0]), name="q")
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
     with nr.GradTape() as tape:
         first = tape.backward(nr.tsum(p * p) + nr.tsum(q * q))
     npt.assert_array_equal(first[p], [2.0, 4.0])

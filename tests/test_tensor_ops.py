@@ -287,18 +287,18 @@ def test_box_sum_adjoint_matches_the_padded_oracle_and_the_inner_product(rng, k,
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 @pytest.mark.parametrize("split", ["one_plane", "uneven", "single"])
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_box_sum_slab_edges_match_the_loop_oracle(rng, k, split, batch):
-    """Box sums taken z-slab by z-slab and stitched at the slab edges: slabs
-    of 1 output plane, of 2 (an uneven last slab where the output extent is
-    odd) or one slab, on the band's edge volumes. Each slab's band spans
-    only the slab, so this checks that an output reads its own window and
+def test_box_sum_of_z_chunks_stitched_matches_the_loop_oracle(rng, k, split, batch):
+    """Box sums taken z-chunk by z-chunk and stitched at the chunk edges:
+    chunks of 1 output plane, of 2 (an uneven last chunk where the output
+    extent is odd) or one chunk, on the band's edge volumes. Each chunk's
+    band spans only the chunk, so this checks that an output reads its own window and
     nothing else: within 1e-12 of the window's absolute sum of the loop
     oracle."""
     for x in _band_edge_volumes(rng, k, batch):
         nz = x.shape[-3] - k + 1
         step = {"one_plane": 1, "uneven": 2, "single": nz}[split]
-        slabs = [x[..., z0:z0 + step + k - 1, :, :] for z0 in range(0, nz, step)]
-        got = np.concatenate([nr.box_sum(Tensor(slab), k).data for slab in slabs], axis=-3)
+        chunks = [x[..., z0:z0 + step + k - 1, :, :] for z0 in range(0, nz, step)]
+        got = np.concatenate([nr.box_sum(Tensor(c), k).data for c in chunks], axis=-3)
         for b in np.ndindex(batch):
             want = box_sum_ref(x[b], k)
             assert got[b].shape == want.shape
