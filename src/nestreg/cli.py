@@ -192,11 +192,7 @@ def _cmd_train(args) -> int:
         "best_epoch": result.best.epoch,
         "out": str(Path(args.out)),
     }
-    lines = [
-        f"epoch {e.epoch}: train_loss={e.train_loss:.6f} val_loss={e.val_loss:.6f} "
-        f"train_ssim={e.train_ssim:.4f} val_ssim={e.val_ssim:.4f}"
-        for e in result.curve.rows
-    ]
+    lines = [e.line() for e in result.curve.rows]
     lines.append(f"best epoch {result.best.epoch}; wrote {args.out}/checkpoint_best.npz")
     _print(payload, args.json, lines)
     return 0
@@ -251,20 +247,8 @@ def _cmd_gradcheck(args) -> int:
 
     results = run_gradcheck_suite(seed=args.seed, tol=args.tol)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "max_rel_error": r.max_rel_error,
-                        "passed": r.passed,
-                        "tolerance": r.tolerance,
-                    }
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        rows = [{k: v for k, v in asdict(r).items() if k != "seconds"} for r in results]
+        print(json.dumps(rows, indent=2))
     else:
         for r in results:
             print(r.line())
@@ -299,10 +283,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (VolumeFormatError, ShapeError, ContractError, UndefinedMetricError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (VolumeFormatError, ShapeError, ContractError, UndefinedMetricError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -48,8 +48,8 @@ from .warp import DeformationField, Volume, warp_trilinear
 class CheckResult:
     name: str
     max_rel_error: float
-    tolerance: float
     passed: bool
+    tolerance: float
     seconds: float
 
     def line(self) -> str:

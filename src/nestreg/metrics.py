@@ -7,7 +7,7 @@ These are evaluation-only (plain numpy/scipy, no gradients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -256,7 +256,7 @@ class FixedReference:
 @dataclass
 class JacobianStats:
     sdlogj: float
-    nonpositive_fraction: float
+    folding_fraction: float
 
 
 def sdlogj(field) -> JacobianStats:
@@ -291,7 +291,7 @@ def sdlogj(field) -> JacobianStats:
         raise UndefinedMetricError("sdlogj undefined: no voxel has positive Jacobian")
     return JacobianStats(
         sdlogj=float(np.std(np.log(det[positive]))),
-        nonpositive_fraction=frac_bad,
+        folding_fraction=frac_bad,
     )
 
 
@@ -303,8 +303,7 @@ def score(moved, ref: FixedReference, field=None) -> dict:
     mask = mask_from_volume(moved)
     out = {"ssim": ssim(moved, ref), "hd95": hd95(mask, ref)}
     if field is not None:
-        jac = sdlogj(field)
-        out.update(sdlogj=jac.sdlogj, folding_fraction=jac.nonpositive_fraction)
+        out.update(asdict(sdlogj(field)))
     return out
 
 

@@ -351,7 +351,7 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
         hd95_initial=initial["hd95"],
         hd95=final["hd95"],
         sdlogj=jac.sdlogj,
-        folding_fraction=jac.nonpositive_fraction,
+        folding_fraction=jac.folding_fraction,
         ncc=1.0 - out.similarity.item(),
         loss_total=out.total.item(),
         loss_similarity=out.similarity.item(),
@@ -373,12 +373,6 @@ class ParamTable:
     @property
     def total(self) -> int:
         return sum(c for _, c in self.rows)
-
-    def group(self, name: str) -> int:
-        for g, c in self.rows:
-            if g == name:
-                return c
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {"rows": [[g, c] for g, c in self.rows], "total": self.total}

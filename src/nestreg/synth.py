@@ -117,7 +117,7 @@ def synth_pair(
 
     if amplitude > 0:
         for _ in range(40):
-            if sdlogj(u).nonpositive_fraction == 0.0:
+            if sdlogj(u).folding_fraction == 0.0:
                 break
             amplitude *= 0.5
             u *= 0.5

@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, bits: int) -> "Tensor":
         """Precision cast; on a tape the gradient is cast back to this dtype."""
         dtype = self.data.dtype

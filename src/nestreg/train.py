@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import zipfile
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -35,30 +35,31 @@ from .warp import Volume
 
 log = logging.getLogger(__name__)
 
-CURVE_COLUMNS = ("epoch", "train_loss", "val_loss", "train_ssim", "val_ssim")
-
 
 @dataclass
 class EpochStats:
+    """One row of the training curve: its fields, in order, are curve.csv's
+    columns."""
+
     epoch: int
     train_loss: float
     val_loss: float
     train_ssim: float
     val_ssim: float
 
+    def line(self) -> str:
+        return (
+            f"epoch {self.epoch}: train_loss={self.train_loss:.6f} val_loss={self.val_loss:.6f} "
+            f"train_ssim={self.train_ssim:.4f} val_ssim={self.val_ssim:.4f}"
+        )
+
+
+CURVE_COLUMNS = tuple(f.name for f in fields(EpochStats))
+
 
 @dataclass
 class TrainingCurve:
     rows: list = field(default_factory=list)
-
-    def append(self, row: EpochStats) -> None:
-        self.rows.append(row)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
 
 @dataclass
@@ -239,13 +240,10 @@ def train(
             train_ssim=float(np.mean(ssims)),
             val_ssim=float(np.mean(val_ssims)),
         )
-        if not all(map(np.isfinite, (row.train_loss, row.val_loss, row.train_ssim, row.val_ssim))):
+        if not all(map(np.isfinite, astuple(row))):
             raise NumericError(f"non-finite training statistics at epoch {epoch + 1}: {row}")
-        curve.append(row)
-        log.info(
-            "epoch %d: train_loss=%.6f val_loss=%.6f train_ssim=%.4f val_ssim=%.4f",
-            row.epoch, row.train_loss, row.val_loss, row.train_ssim, row.val_ssim,
-        )
+        curve.rows.append(row)
+        log.info("%s", row.line())
         if row.val_ssim > best_ssim:
             best_ssim = row.val_ssim
             best = _snapshot(model, rng, epoch + 1)
@@ -287,11 +285,7 @@ def _earlier_run(out_dir, epoch: int):
 
 
 def write_curve_csv(path, curve: TrainingCurve) -> None:
-    lines = [",".join(CURVE_COLUMNS)]
-    for r in curve.rows:
-        lines.append(
-            f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.train_ssim!r},{r.val_ssim!r}"
-        )
+    lines = [",".join(CURVE_COLUMNS)] + [",".join(map(repr, astuple(r))) for r in curve.rows]
     payload = ("\n".join(lines) + "\n").encode()
     atomic_write_bytes(path, payload)
 
@@ -321,7 +315,7 @@ def read_curve_csv(path) -> TrainingCurve:
                 raise ValueError(f"epoch {stats.epoch} is not above epoch {after}")
             if not all(map(math.isfinite, astuple(stats))):
                 raise ValueError("a value is not finite")
-            curve.append(stats)
+            curve.rows.append(stats)
         except ValueError as e:
             raise ContractError(f"curve file {path}: row {row} ({ln!r}) is malformed: {e}") from e
     return curve

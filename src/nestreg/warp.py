@@ -35,10 +35,6 @@ class Volume:
                 f"Volume expects [C,D,H,W], [B,C,D,H,W] or [D,H,W], got {self.values.shape}"
             )
 
-    @property
-    def spatial_shape(self) -> tuple[int, int, int]:
-        return self.values.shape[-3:]
-
     def astype(self, bits: int) -> "Volume":
         return Volume(values=self.values.astype(bits), spacing=self.spacing)
 
@@ -55,13 +51,6 @@ class DeformationField:
             self.u = Tensor(self.u)
         if self.u.ndim not in (4, 5) or self.u.shape[-4] != 3:
             raise ShapeError(f"DeformationField expects [3,D,H,W] or [B,3,D,H,W], got {self.u.shape}")
-
-    @property
-    def spatial_shape(self) -> tuple[int, int, int]:
-        return self.u.shape[-3:]
-
-    def astype(self, bits: int) -> "DeformationField":
-        return DeformationField(u=self.u.astype(bits))
 
 
 def identity_field(shape, bits: int = 64) -> DeformationField:

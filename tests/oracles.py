@@ -716,7 +716,7 @@ def register_ref(model, moving, fixed):
         hd95_initial=hd95_initial,
         hd95=hd95_final,
         sdlogj=jac.sdlogj,
-        folding_fraction=jac.nonpositive_fraction,
+        folding_fraction=jac.folding_fraction,
         ncc=1.0 - out.similarity.item(),
         loss_total=out.total.item(),
         loss_similarity=out.similarity.item(),

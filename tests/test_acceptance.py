@@ -188,7 +188,7 @@ def _dev_sdlogj(g: np.random.Generator) -> float:
     u = g.normal(0.0, 0.15, size=(3,) + shape)
     stats = nr.sdlogj(u)
     want_sd, want_frac = sdlogj_ref(u)
-    assert stats.nonpositive_fraction == want_frac
+    assert stats.folding_fraction == want_frac
     return abs(stats.sdlogj - want_sd)
 
 
@@ -251,7 +251,7 @@ def test_c3_identity_fixed_points(rng):
     u = np.einsum("ij,jzyx->izyx", A, grid) + b[:, None, None, None]
     stats = nr.sdlogj(u)
     assert stats.sdlogj <= 1e-12
-    assert stats.nonpositive_fraction == 0.0
+    assert stats.folding_fraction == 0.0
     _verdict(3, "identity fixed points",
              f"zero-warp bit-exact, self-loss {loss.total.item():.1e}, "
              f"SSIM(a,a)-1 <= 1e-9, SDlogJ(identity)=0, SDlogJ(affine) {stats.sdlogj:.1e}")

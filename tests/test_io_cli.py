@@ -6,8 +6,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import logging
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -325,6 +327,37 @@ def test_cli_metrics_of_a_non_finite_input_is_a_data_error(tmp_path, capsys, fla
 def test_cli_missing_file_is_a_data_error(tmp_path, capsys):
     rc = main(["metrics", "--a", str(tmp_path / "nope.nmv"), "--b", str(tmp_path / "nope.nmv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--resume", "--checkpoint", "--moving", "--fixed",
+                                  "--a", "--b", "--field"])
+def test_cli_input_path_that_is_a_directory_is_a_data_error(tmp_path, capsys, flag):
+    """Each input path flag, naming a directory in an otherwise valid call,
+    exits 2 with a one-line data error and no traceback."""
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    ckpt = tmp_path / "ckpt.npz"
+    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG).state(), 1, {}))
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+
+    def path(name, readable):
+        return str(directory if name == flag else tmp_path / readable)
+
+    if flag in ("--config", "--resume"):
+        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"), flag, str(directory)]
+    elif flag in ("--checkpoint", "--moving", "--fixed"):
+        argv = ["register", "--checkpoint", path("--checkpoint", ckpt), "--moving",
+                path("--moving", "moving.nmv"), "--fixed", path("--fixed", "fixed.nmv"),
+                "--out-field", str(tmp_path / "field.nmv")]
+    else:
+        argv = ["metrics", "--a", path("--a", "fixed.nmv"), "--b", path("--b", "moving.nmv"),
+                "--field", path("--field", "truth_field.nmv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "field.nmv").exists()
 
 
 def test_cli_corrupt_volume_is_a_data_error(tmp_path, capsys):
@@ -719,6 +752,30 @@ def test_cli_gradcheck_exit_codes_follow_the_suite(monkeypatch, capsys):
     assert "FAILED" in captured.err
 
 
+def test_cli_gradcheck_json_lists_each_check_in_field_order_without_its_time(monkeypatch, capsys):
+    ok = nr.CheckResult(name="stub", max_rel_error=1e-9, passed=True, tolerance=1e-4, seconds=0.5)
+    monkeypatch.setattr(
+        nestreg.diagnostics, "run_gradcheck_suite", lambda seed=0, tol=1e-4: [ok]
+    )
+    assert main(["gradcheck", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '[\n  {\n    "name": "stub",\n    "max_rel_error": 1e-09,\n'
+        '    "passed": true,\n    "tolerance": 0.0001\n  }\n]\n'
+    )
+
+
+def test_cli_train_prints_the_line_that_train_logs_for_each_epoch(tmp_path, capsys, caplog):
+    main(["synth", "--out", str(tmp_path / "data"), "--shape", "8", "--seed", "1"])
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="nestreg.train"):
+        assert _train_tiny(tmp_path, tmp_path / "data", "run", "--epochs", "2") == 0
+    logged = [r.getMessage() for r in caplog.records if r.name == "nestreg.train"]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(logged) == 2 and printed[:-1] == logged
+    assert re.fullmatch(r"epoch 1: train_loss=-?\d+\.\d{6} val_loss=-?\d+\.\d{6} "
+                        r"train_ssim=-?\d\.\d{4} val_ssim=-?\d\.\d{4}", logged[0])
+
+
 def test_cli_metrics_and_an_untrained_register_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     """SSIM's windowed means and NCC's box sums are BLAS products. Each run in
     its own process, under OPENBLAS_NUM_THREADS=1 and =2: ``metrics`` on a
@@ -784,3 +841,21 @@ def test_every_name_the_benchmark_tracer_swaps_exists():
     missing = [f"{module}.{attr}" for module, attr, _, _ in spans.SPANS
                if not hasattr(importlib.import_module(module), attr)]
     assert spans.SPANS and missing == []
+
+
+def test_desk_demo_script_writes_its_nine_files_and_a_finite_report(tmp_path):
+    """``scripts/train_desk_demo.py``, loaded by path, trains one epoch at 32^3
+    and registers: it writes the pair and its truth field, both checkpoints,
+    the curve, the field, the warped volume and the report."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "train_desk_demo.py"
+    spec = importlib.util.spec_from_file_location("train_desk_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(["--out", str(tmp_path), "--epochs", "1"]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted([
+        "moving.nmv", "fixed.nmv", "truth_field.nmv", "checkpoint_best.npz",
+        "checkpoint_last.npz", "curve.csv", "field.nmv", "warped.nmv", "report.json",
+    ])
+    metrics = json.loads((tmp_path / "report.json").read_text())["metrics"]
+    assert set(metrics) == {f.name for f in fields(nr.RegistrationReport)}
+    assert all(map(math.isfinite, metrics.values()))

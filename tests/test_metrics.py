@@ -422,7 +422,7 @@ def test_sdlogj_matches_determinant_loop_oracle(rng):
         got = nr.sdlogj(u)
         want_sd, want_frac = sdlogj_ref(u)
         npt.assert_allclose(got.sdlogj, want_sd, rtol=1e-10)
-        assert got.nonpositive_fraction == want_frac
+        assert got.folding_fraction == want_frac
 
 
 def test_sdlogj_zero_for_identity_and_affine_fields(rng):
@@ -434,7 +434,7 @@ def test_sdlogj_zero_for_identity_and_affine_fields(rng):
     u = np.einsum("ij,jzyx->izyx", amat, grid) + rng.normal(size=(3, 1, 1, 1))
     stats = nr.sdlogj(u)
     assert stats.sdlogj <= 1e-12
-    assert stats.nonpositive_fraction == 0.0
+    assert stats.folding_fraction == 0.0
 
 
 def test_sdlogj_counts_folding():
@@ -446,7 +446,7 @@ def test_sdlogj_counts_folding():
 
     u[2] *= 0.25  # det = 0.5 > 0 everywhere
     stats = nr.sdlogj(u)
-    assert stats.nonpositive_fraction == 0.0
+    assert stats.folding_fraction == 0.0
     npt.assert_allclose(stats.sdlogj, 0.0, atol=1e-12)
 
 
@@ -470,7 +470,7 @@ def test_sdlogj_of_a_float32_field_equals_that_of_its_float64_copy(seed, scale, 
     u = np.random.default_rng(seed).normal(0, scale, size=(3, 12, 10, 14)).astype(np.float32)
     got = nr.sdlogj(u)
     assert got == nr.sdlogj(u.astype(np.float64))
-    assert (got.nonpositive_fraction > 0) == folds
+    assert (got.folding_fraction > 0) == folds
 
 
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 0.2))
@@ -479,7 +479,7 @@ def test_sdlogj_nonnegative_and_finite_on_smooth_fields(seed, scale):
     stats = nr.sdlogj(u)
     assert stats.sdlogj >= 0.0
     assert np.isfinite(stats.sdlogj)
-    assert 0.0 <= stats.nonpositive_fraction <= 1.0
+    assert 0.0 <= stats.folding_fraction <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -500,4 +500,4 @@ def test_score_holds_the_metrics_of_the_pair_either_way_round(shape, seed):
     assert want == {"ssim": nr.ssim(b, a), "hd95": nr.hd95(mask_b, mask_a)}
     assert nr.score(b, ref) == want
     assert nr.score(b, ref, u) == {**want, "sdlogj": jac.sdlogj,
-                                   "folding_fraction": jac.nonpositive_fraction}
+                                   "folding_fraction": jac.folding_fraction}

@@ -258,9 +258,8 @@ def test_param_table_render_and_dict():
     d = table.to_dict()
     assert d["total"] == 3890
     assert d["rows"][0] == ["Encoder", 2264]
-    assert table.group("Other") == 171
-    with pytest.raises(KeyError):
-        table.group("Missing")
+    assert dict(table.rows)["Other"] == 171
+    assert "Missing" not in dict(table.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_synth_pair_respects_amplitude_and_stays_fold_free():
         _, _, truth = nr.synth_pair(12, seed=seed, amplitude=2.5, bits=64)
         assert np.abs(truth.u.data).max() <= 2.5 + 1e-9
         assert np.abs(truth.u.data).max() > 0.0
-        assert nr.sdlogj(truth.u.data).nonpositive_fraction == 0.0
+        assert nr.sdlogj(truth.u.data).folding_fraction == 0.0
 
 
 def test_synth_pair_amplitude_zero_reduces_to_intensity_remap():
@@ -393,7 +392,7 @@ def test_train_same_seed_same_curve_bitwise():
         return nr.train(model, tr, va)
 
     a, b = run(), run()
-    assert len(a.curve) == len(b.curve)
+    assert len(a.curve.rows) == len(b.curve.rows)
     for ra, rb in zip(a.curve.rows, b.curve.rows):
         assert ra == rb  # float equality, not approx
 
@@ -763,15 +762,22 @@ def test_load_state_rejects_mismatched_checkpoints():
 
 
 def test_curve_csv_roundtrip_preserves_float64_exactly(tmp_path):
-    curve = nr.TrainingCurve()
-    curve.append(nr.EpochStats(1, 0.1 + 0.2, 1 / 3, 0.9999999999999999, -0.25))
-    curve.append(nr.EpochStats(2, 1e-17, 2.5e300, 0.0, 1.0))
+    curve = nr.TrainingCurve([
+        nr.EpochStats(1, 0.1 + 0.2, 1 / 3, 0.9999999999999999, -0.25),
+        nr.EpochStats(2, 1e-17, 2.5e300, 0.0, 1.0),
+    ])
     path = tmp_path / "curve.csv"
     nr.write_curve_csv(path, curve)
-    text = path.read_text()
-    assert text.splitlines()[0] == "epoch,train_loss,val_loss,train_ssim,val_ssim"
+    assert path.read_bytes() == (
+        b"epoch,train_loss,val_loss,train_ssim,val_ssim\n"
+        b"1,0.30000000000000004,0.3333333333333333,0.9999999999999999,-0.25\n"
+        b"2,1e-17,2.5e+300,0.0,1.0\n"
+    )
     again = nr.read_curve_csv(path)
     assert again.rows == curve.rows
+    assert curve.rows[0].line() == (
+        "epoch 1: train_loss=0.300000 val_loss=0.333333 train_ssim=1.0000 val_ssim=-0.2500"
+    )
     with pytest.raises(ContractError):
         bad = tmp_path / "bad.csv"
         bad.write_text("epoch,nope\n")

@@ -84,7 +84,6 @@ def test_warp_shape_dtype_and_finiteness_guards(rng):
 def test_volume_and_field_constructors_validate_rank(rng):
     v3 = Volume(values=Tensor(rng.normal(size=(4, 4, 4))))
     assert v3.values.shape == (1, 4, 4, 4)  # promoted to single channel
-    assert v3.spatial_shape == (4, 4, 4)
     with pytest.raises(ShapeError):
         Volume(values=Tensor(rng.normal(size=(2, 3))))
     with pytest.raises(ShapeError):
