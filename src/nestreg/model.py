@@ -325,9 +325,11 @@ def register(model: RegistrationModel, moving: Volume, fixed: Volume):
         # The scores are looked up in nestreg.metrics per call (perfbench
         # times their metrics there). All worker tasks but SDlogJ end inside
         # the forward. SDlogJ takes a little less time than the warp that
-        # starts the loss, so it ends inside the warp's span. perfbench keeps
-        # one span stack for both threads: a worker span that ended inside
-        # the warped score's HD95 would leave that score's SSIM uncounted.
+        # starts the loss, so it ends inside the warp's span (at 64^3, beside
+        # each other, a median 14.6 ms against 15.3 ms, ending first in 13
+        # of 15 calls). perfbench keeps one span stack for both threads: a
+        # worker span that ended inside the warped score's HD95 would leave
+        # that score's SSIM uncounted.
         pending_sums = worker.submit(ncc_fixed_sums, fixed, model.config.ncc_window)
         pending_ref = worker.submit(metrics.FixedReference, fixed)
         pending_initial = worker.submit(lambda: metrics.score(moving, pending_ref.result()))

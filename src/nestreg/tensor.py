@@ -25,9 +25,11 @@ from .errors import ConfigError, ContractError, ShapeError
 
 DTYPES = {32: np.float32, 64: np.float64}
 
-# Bytes of the column buffer that a depthwise conv fills per matrix product:
-# small enough to stay in a core's L2 cache.
-_DEPTHWISE_BLOCK_BYTES = 1 << 20
+# Bytes of working set that a kernel walking a volume block by block holds at
+# once: small enough to stay in a core's L2 cache. It sizes the column buffer
+# that a depthwise conv fills per matrix product, and the z-slabs of the warp
+# (nestreg.warp) and of SDlogJ (nestreg.metrics).
+_BLOCK_BYTES = 1 << 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -583,10 +585,10 @@ def conv3d(
     < min(o, n + lo - j*d)) form one range; the others add only zeros, are
     skipped, and get a weight gradient of exactly 0. One strided view [B*C,
     kz', ky', kx', oz*Py*Px] holds the live offsets' runs. Block by block
-    (_DEPTHWISE_BLOCK_BYTES, along the channels and, if one channel's
-    columns exceed it, along the flat axis) the view is copied into a
-    contiguous column buffer and the output is one batched matrix-vector
-    product, out[r] = w[r] @ cols[r]. The backward rebuilds the same blocks
+    (_BLOCK_BYTES, along the channels and, if one channel's columns exceed
+    it, along the flat axis) the view is copied into a contiguous column
+    buffer and the output is one batched matrix-vector product, out[r] =
+    w[r] @ cols[r]. The backward rebuilds the same blocks
     for gw[r] = cols[r] @ g[r] (wrapped rows of g set to 0), and gets the
     input gradient from the same kernel with the live block flipped, run on
     g placed in a zeros buffer, over the z-planes that hold input.
@@ -721,15 +723,15 @@ def _window_view(flat, start, shifts, live, n):
 
 def _column_blocks(view):
     """Copy the window view [R, *live, n] block by block into one contiguous
-    buffer of at most _DEPTHWISE_BLOCK_BYTES (a row whose columns exceed it is
-    split along n) and yield (row slice, flat slice, columns [r, prod(live),
+    buffer of at most _BLOCK_BYTES (a row whose columns exceed it is split
+    along n) and yield (row slice, flat slice, columns [r, prod(live),
     f])."""
     rows, n = view.shape[0], view.shape[-1]
     live = view.shape[1:-1]
     k = math.prod(live)
     col_bytes = max(k, 1) * view.itemsize
-    f = max(1, min(n, _DEPTHWISE_BLOCK_BYTES // col_bytes))
-    r = max(1, min(rows, _DEPTHWISE_BLOCK_BYTES // (col_bytes * f)))
+    f = max(1, min(n, _BLOCK_BYTES // col_bytes))
+    r = max(1, min(rows, _BLOCK_BYTES // (col_bytes * f)))
     buf = np.empty(r * k * f, view.dtype)
     for r0 in range(0, rows, r):
         rs = slice(r0, min(rows, r0 + r))

@@ -406,6 +406,35 @@ def hd95_edt_ref(mask_a, mask_b):
     return float(np.percentile(pooled, 95))
 
 
+def sdlogj_whole_volume_ref(u):
+    """SDlogJ and the folding fraction of u [3, D, H, W] with the float64
+    Jacobian [3, 3, D-2, H-2, W-2] and its determinant held for the whole
+    interior at once: the formulation that the engine's z-slabs replaced.
+    Returns (sdlogj, folding_fraction); raises UndefinedMetricError when no
+    determinant is positive."""
+    from nestreg import UndefinedMetricError
+
+    jac = np.empty((3, 3) + tuple(e - 2 for e in u.shape[1:]), dtype=np.float64)
+    for j in range(3):
+        fwd = [slice(None)] + [slice(1, -1)] * 3
+        bwd = [slice(None)] + [slice(1, -1)] * 3
+        fwd[j + 1] = slice(2, None)
+        bwd[j + 1] = slice(None, -2)
+        np.subtract(u[tuple(fwd)], u[tuple(bwd)], out=jac[:, j], dtype=np.float64)
+    jac *= 0.5
+    for j in range(3):
+        jac[j, j] += 1.0
+    a, b, c = jac[0]
+    d, e, f = jac[1]
+    g, h, i = jac[2]
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    positive = det > 0
+    frac_bad = float(1.0 - positive.mean())
+    if not positive.any():
+        raise UndefinedMetricError("sdlogj undefined: no voxel has positive Jacobian")
+    return float(np.std(np.log(det[positive]))), frac_bad
+
+
 # ---------------------------------------------------------------------------
 # Earlier kernel formulations (exact references for restructured kernels)
 # ---------------------------------------------------------------------------
@@ -682,6 +711,61 @@ def warp_corner_index_ref(m, u):
             diff = corners[(bz, by, 1)] - corners[(bz, by, 0)]
             gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=-4)
         gu *= live
+        return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
+
+    return out, vjp
+
+
+def warp_whole_volume_ref(m, u):
+    """The trilinear warp of m [..., C, D, H, W] by u [..., 3, D, H, W] with
+    every temporary at full volume size (the position grid from
+    ``np.indices``, ``frac`` promoted through float64 and rounded back), in
+    the input's dtype: the warp that the engine's z-slabs replaced. Returns
+    (out, vjp) with vjp(g) -> (gm, gu)."""
+    exts = m.shape[-3:]
+    dtype = m.dtype
+    pos = np.moveaxis(np.indices(exts, dtype=dtype) + u, -4, 0)
+    posc = np.empty_like(pos)
+    frac = np.empty_like(pos)
+    base = np.zeros(pos.shape[1:], dtype=np.intp)
+    steps = (exts[1] * exts[2], exts[2], 1)
+    for ax in range(3):
+        posc[ax] = np.clip(pos[ax], 0.0, exts[ax] - 1)
+        lo = np.floor(posc[ax]).astype(np.intp)
+        if exts[ax] > 1:
+            np.minimum(lo, exts[ax] - 2, out=lo)
+        frac[ax] = posc[ax] - lo
+        base += lo * steps[ax]
+    up = [s if e > 1 else 0 for s, e in zip(steps, exts)]
+    shift = {(bz, by, bx): bz * up[0] + by * up[1] + bx * up[2] for bz, by, bx in product((0, 1), repeat=3)}
+    wz1, wy1, wx1 = np.expand_dims(frac, -4)
+    wsel = ((1.0 - wz1, wz1), (1.0 - wy1, wy1), (1.0 - wx1, wx1))
+    nvox = exts[0] * steps[0]
+    rows = (np.arange(m.size // nvox) * nvox).reshape(m.shape[:-3] + (1, 1, 1))
+    idx = np.expand_dims(base, -4) + rows
+    flat = m.ravel()
+    corners = {key: np.take(flat[k:], idx) for key, k in shift.items()}
+    out = np.zeros_like(m)
+    for (bz, by, bx), val in corners.items():
+        out += val * (wsel[0][bz] * wsel[1][by] * wsel[2][bx])
+
+    def vjp(g):
+        parts = [g * (wsel[0][bz] * wsel[1][by] * wsel[2][bx]) for bz, by, bx in shift]
+        gm = np.bincount(
+            np.ravel([idx + k for k in shift.values()]), weights=np.ravel(parts), minlength=m.size
+        ).astype(dtype).reshape(m.shape)
+        gu = np.zeros_like(pos)
+        for by, bx in product((0, 1), repeat=2):
+            diff = corners[(1, by, bx)] - corners[(0, by, bx)]
+            gu[0] += (g * diff * (wsel[1][by] * wsel[2][bx])).sum(axis=-4)
+        for bz, bx in product((0, 1), repeat=2):
+            diff = corners[(bz, 1, bx)] - corners[(bz, 0, bx)]
+            gu[1] += (g * diff * (wsel[0][bz] * wsel[2][bx])).sum(axis=-4)
+        for bz, by in product((0, 1), repeat=2):
+            diff = corners[(bz, by, 1)] - corners[(bz, by, 0)]
+            gu[2] += (g * diff * (wsel[0][bz] * wsel[1][by])).sum(axis=-4)
+        for ax in range(3):
+            gu[ax] *= (pos[ax] > 0.0) & (pos[ax] < exts[ax] - 1)
         return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
 
     return out, vjp

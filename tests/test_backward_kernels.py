@@ -156,7 +156,7 @@ def test_depthwise_columns_within_float32_bound_of_shifted_slice_sum(rng, case):
 
 def _recorded_blocks(monkeypatch, budget):
     """Set the column budget and record the (rows, flat) slices of every block."""
-    monkeypatch.setattr(nt, "_DEPTHWISE_BLOCK_BYTES", budget)
+    monkeypatch.setattr(nt, "_BLOCK_BYTES", budget)
     seen, blocks = [], nt._column_blocks
 
     def recording(view):

@@ -4,6 +4,7 @@ refused), and the log-Jacobian spread."""
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,7 @@ from oracles import (
     hd95_edt_ref,
     hd95_ref,
     sdlogj_ref,
+    sdlogj_whole_volume_ref,
     ssim_pair_ref,
     ssim_ref,
     surface_erosion_ref,
@@ -471,6 +473,46 @@ def test_sdlogj_of_a_float32_field_equals_that_of_its_float64_copy(seed, scale, 
     got = nr.sdlogj(u)
     assert got == nr.sdlogj(u.astype(np.float64))
     assert (got.folding_fraction > 0) == folds
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slab_sdlogj_is_bit_identical_to_the_whole_volume_sdlogj(monkeypatch, dtype):
+    """Over three or more z-slabs of interior planes, the last one partial,
+    SDlogJ and the folding fraction equal the whole-volume formulation bit
+    for bit with folded voxels present, and a field with no positive
+    determinant still raises."""
+    slabs = []
+    jacobian_det = metrics._jacobian_det
+
+    def spy(u):
+        slabs.append(u.shape[1] - 2)
+        return jacobian_det(u)
+
+    monkeypatch.setattr(metrics, "_jacobian_det", spy)
+    u = np.random.default_rng(3).normal(0, 0.6, size=(3, 45, 26, 35)).astype(dtype)
+    got = nr.sdlogj(u)
+    assert len(slabs) >= 3 and slabs[-1] < slabs[0] and sum(slabs) == 43
+    assert got.folding_fraction > 0
+    assert (got.sdlogj, got.folding_fraction) == sdlogj_whole_volume_ref(u)
+
+    inverted = -2.0 * np.indices(u.shape[1:], dtype=dtype)  # det(I + grad u) = -1
+    with pytest.raises(UndefinedMetricError):
+        sdlogj_whole_volume_ref(inverted)
+    with pytest.raises(UndefinedMetricError):
+        nr.sdlogj(inverted)
+
+
+def test_sdlogj_traced_peak_stays_within_6_mb():
+    """SDlogJ of a 64^3 float32 field holds one slab's Jacobian and the logs,
+    not the whole interior's nine float64 planes."""
+    u = np.random.default_rng(4).normal(0, 0.6, size=(3, 64, 64, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        nr.sdlogj(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 0.2))

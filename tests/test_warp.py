@@ -1,8 +1,10 @@
 """Trilinear warp against a per-voxel loop oracle, identity fixed point,
-border-clamp behavior, and bit identity with the per-axis corner-index
-formulation it replaced."""
+border-clamp behavior, bit identity with the per-axis corner-index and
+whole-volume formulations it replaced, and its traced memory."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +13,8 @@ from hypothesis import given, strategies as st
 
 import nestreg as nr
 from nestreg import DeformationField, GradTape, NumericError, ShapeError, Tensor, Volume
-from oracles import warp_corner_index_ref, warp_gather_ref, warp_ref
+from nestreg.warp import _slabs
+from oracles import warp_corner_index_ref, warp_gather_ref, warp_ref, warp_whole_volume_ref
 
 
 def test_warp_matches_loop_oracle_on_random_fields(rng):
@@ -127,3 +130,43 @@ def test_base_index_warp_is_bit_identical_to_the_corner_index_warp(rng, dtype, l
     npt.assert_array_equal(grads[ut], gu)
     if min(exts) > 1:  # the clamp mask both cuts and passes
         assert (gu == 0).any() and (gu != 0).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, channels", [((), 2), ((2,), 1)])
+@pytest.mark.parametrize("exts", [(43, 24, 33), (43, 1, 800), (43, 800, 1)])
+def test_slab_warp_is_bit_identical_to_the_whole_volume_warp(rng, dtype, lead, channels, exts):
+    """The tape-free forward over three or more z-slabs, the last one
+    partial, and the taped forward with its image and field gradients equal
+    the warp with whole-volume temporaries bit for bit, with displacements
+    that clamp on every face."""
+    m = rng.standard_normal(lead + (channels,) + exts).astype(dtype)
+    u = _clamping_field(rng, lead, exts, dtype)
+    g = rng.standard_normal(m.shape).astype(dtype)
+    sizes = [zs.indices(exts[0]) for zs, *_ in _slabs(m, u)]
+    assert len(sizes) >= 3 and sizes[-1][1] - sizes[-1][0] < sizes[0][1] - sizes[0][0]
+    want, vjp = warp_whole_volume_ref(m, u)
+    gm, gu = vjp(g)
+    untaped = nr.warp_trilinear(Volume(values=Tensor(m)), DeformationField(u=Tensor(u))).values
+    npt.assert_array_equal(untaped.data, want)
+    mt, ut = Tensor(m, requires_grad=True), Tensor(u, requires_grad=True)
+    with GradTape() as tape:
+        out = nr.warp_trilinear(Volume(values=mt), DeformationField(u=ut)).values
+        grads = tape.backward(nr.tsum(out * Tensor(g)))
+    npt.assert_array_equal(out.data, want)
+    npt.assert_array_equal(grads[mt], gm)
+    npt.assert_array_equal(grads[ut], gu)
+
+
+def test_tape_free_warp_traced_peak_stays_within_4_mb(rng):
+    """A 64^3 float32 warp without a tape holds its 1 MB output and one
+    slab's temporaries, not whole-volume ones."""
+    m = Volume(values=Tensor(rng.standard_normal((1, 64, 64, 64)).astype(np.float32)))
+    f = DeformationField(u=Tensor(rng.normal(0.0, 3.0, size=(3, 64, 64, 64)).astype(np.float32)))
+    tracemalloc.start()
+    try:
+        nr.warp_trilinear(m, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
