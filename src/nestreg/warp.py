@@ -140,10 +140,10 @@ def _slabs(data, disp, whole=False):
     channels, or, if ``whole``, in one slab. A slab's temporaries, some 100
     bytes per voxel and channel, fit a core's L2 cache; smaller slabs would
     save ``register`` little memory and pass the interpreter lock between
-    its two threads (the warp runs beside SDlogJ) more often. Per slab, yield its z-slice, the unclamped positions per axis,
-    the lower corner's index into ``data.ravel()`` per channel, the weights
-    ((w0, w1) per axis, broadcast over channels) and the corners' values
-    keyed by (bz, by, bx)."""
+    its two threads (the warp runs beside SDlogJ) more often. Per slab,
+    yield its z-slice, the unclamped positions per axis, the lower corner's
+    index into ``data.ravel()`` per channel, the weights ((w0, w1) per axis,
+    broadcast over channels) and the corners' values keyed by (bz, by, bx)."""
     exts = data.shape[-3:]
     steps = (exts[1] * exts[2], exts[2], 1)
     shift = _corner_shifts(exts)
