@@ -2,6 +2,11 @@
 channel projection, nested attention fusion against each encoder skip, and a
 zero-initialized 1x1x1 head that emits the 3-channel displacement field.
 
+The head runs before the last upsample, which then carries 3 channels rather
+than the shallowest stage's width: both are linear and the upsample's weights
+sum to 1, so the order changes the field only by rounding, and a zero head
+still emits exact zeros.
+
 The deepest ``dae_blocks`` stages of the ``ModelConfig`` reuse the
 dual-attention block; the remaining ``lka_blocks`` stages use large-kernel
 attention (gated depthwise / dilated-depthwise / pointwise convolution).  A
@@ -12,6 +17,8 @@ take their extent from the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .attention import DualBlockParams, dual_attention_block, tokens_to_volume, volume_to_tokens
 from .config import ModelConfig
@@ -155,8 +162,11 @@ def decoder_forward(
         else:
             raise ConfigError(f"unknown decoder block {type(sp.block).__name__}")
         stage_idx = n - 1 - i  # encoder stage this decoder stage sits on
-        x = upsample_trilinear(x, cfg.strides[stage_idx])
         if stage_idx > 0:
+            x = upsample_trilinear(x, cfg.strides[stage_idx])
             x = conv3d(x, sp.proj_w, sp.proj_b)
             x = nested_attention_fusion(x, pyramid[stage_idx - 1], sp.fusion)
-    return conv3d(x, head.w, head.b)
+    # A non-finite head output meets the upsample's zero weights (inf * 0 is
+    # NaN) without a warning; the warp refuses such a field with its own error.
+    with np.errstate(invalid="ignore"):
+        return upsample_trilinear(conv3d(x, head.w, head.b), cfg.strides[0])

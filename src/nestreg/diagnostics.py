@@ -238,7 +238,15 @@ _ROWS = (
         "ncc_loss", 17, {"f": _n(1, 7, 7, 7), "w": _n(1, 7, 7, 7)},
         lambda f, w: ncc_loss(Volume(values=f), Volume(values=w), window=5), max_coords=48,
     ),
+    _Row(
+        "ncc_loss_batched", 31, {"f": _n(2, 1, 7, 6, 8), "w": _n(2, 1, 7, 6, 8)},
+        lambda f, w: ncc_loss(Volume(values=f), Volume(values=w), window=3), max_coords=48,
+    ),
     _Row("smoothness_loss", 18, {"u": _n(3, 4, 5, 4)}, lambda u: smoothness_loss(DeformationField(u=u))),
+    _Row(
+        "smoothness_loss_batched", 32, {"u": _n(2, 3, 4, 5, 3)},
+        lambda u: smoothness_loss(DeformationField(u=u)),
+    ),
     _Row(
         "composite_loss", 19, {"fixed": _n(1, 8, 8, 8), "moving": _n(1, 8, 8, 8), "u": _field(3, 8, 8, 8)},
         lambda fx, mv, u: composite_loss(

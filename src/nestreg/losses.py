@@ -10,9 +10,12 @@ serves as the cross-modality surrogate.  ``eps`` is a variance floor: a
 constant window contributes zero correlation, and identical non-constant
 volumes reach loss 0 only up to the floor.
 
-The five window sums are ``tensor.box_sum``s: three float64 BLAS matrix
-products per volume, one per axis, with a band of ones; their adjoint is the
-same products with the bands transposed.
+Each loss is one taped op with a closed-form vjp. A window sum is three
+float64 BLAS matrix products, one per axis, with a band of ones
+(``tensor._banded_passes``). ``ncc_loss`` takes Σw, Σw² and Σfw this way, and
+the fixed volume's Σf and var_f come from ``ncc_fixed_sums`` as taped
+``box_sum``s. Its vjp keeps only window-sized arrays from the forward and
+runs three adjoint sums, the same products with the bands transposed.
 ``composite_loss`` reads the window, the floor and the smoothness weight from
 the ``ModelConfig``.
 """
@@ -21,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ModelConfig
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, _active_tape, box_sum, tmean
+from .tensor import Tensor, _active_tape, _band, _banded_passes, box_sum, make_op
 from .warp import DeformationField, Volume, warp_trilinear
 
 
@@ -72,7 +77,8 @@ def ncc_loss(fixed, warped: Volume, *, window: int = 5, eps: float = 1e-5) -> Te
 
     ``fixed`` is a Volume, or its ``NccFixedSums`` (rebuilt if they are for
     another window). Batched volumes [B, 1, ...] give one loss per pair, of
-    shape [B].
+    shape [B]. One taped op with inputs (warped, fixed, Σf, var_f); the fixed
+    volume's gradient flows back through the taped ``ncc_fixed_sums``.
     """
     sums = fixed if isinstance(fixed, NccFixedSums) else None
     fixed = sums.fixed if sums else fixed
@@ -87,16 +93,58 @@ def ncc_loss(fixed, warped: Volume, *, window: int = 5, eps: float = 1e-5) -> Te
                             "were built without a tape")
     if w.dtype != f.dtype:
         raise ShapeError(f"ncc_loss: dtype mismatch {f.dtype.name} vs {w.dtype.name}")
-    n = float(window ** 3)
+    inputs = (w, f, sums.sf, sums.var_f)
+    wd, fd, sf, var_f = (t.data for t in inputs)
+    dtype = wd.dtype
+    inv_n = np.asarray(1.0 / float(window ** 3), dtype=dtype)
+    eps = np.asarray(eps, dtype=dtype)
+    bands = tuple(_band(e, np.ones(window)) for e in wd.shape[-3:])
+    adjoint = tuple(b.T for b in bands)
 
-    sw = box_sum(w, window)
-    sww = box_sum(w * w, window)
-    sfw = box_sum(f * w, window)
+    def box(x, b=bands):
+        return _banded_passes(x, b).astype(dtype, copy=False)
 
-    cross = sfw - sums.sf * sw * (1.0 / n)
-    var_w = sww - sw * sw * (1.0 / n)
-    cc = (cross * cross) / (sums.var_f * var_w + eps)
-    return 1.0 - tmean(cc, axis=_PER_PAIR)
+    # cross = Σfw - Σf·Σw/n and var_w = Σw² - (Σw)²/n, in place.
+    sw = box(wd)
+    var_w = box(wd * wd)
+    var_w -= sw * sw * inv_n
+    cross = box(fd * wd)
+    cross -= sf * sw * inv_n
+    cc = (cross * cross) / (var_f * var_w + eps)
+    out = np.asarray(1.0, dtype=dtype) - cc.mean(axis=_PER_PAIR)
+
+    def vjp(g):
+        need_w, need_f, need_sf, need_varf = (t.requires_grad for t in inputs)
+        gcc = np.reshape(-g / (cross.size // np.size(g)), np.shape(g) + (1,) * 4)
+        q = cross / (var_f * var_w + eps)
+        g_cross = q * (2 * gcc)
+        g_den = q
+        g_den *= q
+        g_den *= -gcc
+        g_varw = g_den * var_f
+        g_sf = g_cross * sw * -inv_n if need_sf else None
+        g_varf = g_den * var_w if need_varf else None
+        del g_den
+        gw = gf = None
+        if need_w or need_f:
+            bt_cross = box(g_cross, adjoint)
+            if need_f:
+                gf = wd * bt_cross
+            if need_w:
+                g_sw = g_cross * sf
+                g_sw += 2 * g_varw * sw
+                g_sw *= -inv_n
+                gw = box(g_sw, adjoint)
+                del g_sw
+                t = box(g_varw, adjoint)
+                t *= wd
+                t *= 2
+                gw += t
+                bt_cross *= fd
+                gw += bt_cross
+        return gw, gf, g_sf, g_varf
+
+    return make_op(out, inputs, vjp)
 
 
 def smoothness_loss(field: DeformationField) -> Tensor:
@@ -105,19 +153,40 @@ def smoothness_loss(field: DeformationField) -> Tensor:
     For each axis the one-sided border plane is excluded; per-axis means are
     taken over (component, interior position) and summed over axes, i.e. the
     voxel-mean squared gradient magnitude averaged over the 3 components. A
-    batched field [B, 3, ...] gives one value per pair, of shape [B].
+    batched field [B, 3, ...] gives one value per pair, of shape [B]. Every
+    spatial extent must be at least 2. One taped op.
     """
     u = field.u
+    ud = u.data
+    slices = []
     total = None
-    for axis in (-3, -2, -1):
-        lead = [slice(None)] * u.ndim
-        lag = [slice(None)] * u.ndim
+    for axis, name in zip((-3, -2, -1), "zyx"):
+        if ud.shape[axis] < 2:
+            raise ShapeError(
+                f"smoothness_loss: the field has extent {ud.shape[axis]} along axis "
+                f"{name} ({u.ndim + axis} of shape {ud.shape}); forward differences need >= 2"
+            )
+        lead = [slice(None)] * ud.ndim
+        lag = [slice(None)] * ud.ndim
         lead[axis] = slice(1, None)
         lag[axis] = slice(None, -1)
-        d = u[tuple(lead)] - u[tuple(lag)]
-        term = tmean(d * d, axis=_PER_PAIR)
+        slices.append((tuple(lead), tuple(lag)))
+        d = ud[tuple(lead)] - ud[tuple(lag)]
+        term = (d * d).mean(axis=_PER_PAIR)
         total = term if total is None else total + term
-    return total
+
+    # The vjp recomputes the differences: as fast per step as keeping them,
+    # and the tape holds three field-sized arrays less.
+    def vjp(g):
+        gu = np.zeros_like(ud)
+        for lead, lag in slices:
+            d = ud[lead] - ud[lag]
+            d *= np.reshape(2 * g / (d.size // np.size(g)), np.shape(g) + (1,) * 4)
+            gu[lead] += d
+            gu[lag] -= d
+        return (gu,)
+
+    return make_op(total, (u,), vjp)
 
 
 def composite_loss(

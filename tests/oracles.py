@@ -4,13 +4,15 @@ Every function here is a literal transcription of the defining equation,
 written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
 
-The last three sections are the exception. Full-volume formulations of
+The last four sections are the exception. Full-volume formulations of
 metric steps that the engine now runs on less data are fast enough for 64^3
 inputs and are compared with ``==`` or a stated float64 bound. Earlier
 formulations of restructured kernels run in the input's dtype, so that
-float32 results can be compared bit for bit or to the ulp. Sequential
-compositions of engine calls that the engine now overlaps on two threads
-call the engine itself, one step after another.
+float32 results can be compared bit for bit or to the ulp. Compositions
+of taped engine primitives, which the engine now runs as one op or in
+another order, run in the input's dtype on the engine's own primitives.
+Sequential compositions of engine calls that the engine now overlaps on two
+threads call the engine itself, one step after another.
 """
 
 from __future__ import annotations
@@ -769,6 +771,76 @@ def warp_whole_volume_ref(m, u):
         return gm, np.ascontiguousarray(np.moveaxis(gu, 0, -4))
 
     return out, vjp
+
+
+# ---------------------------------------------------------------------------
+# Compositions of taped primitives (references for fused or reordered ones)
+# ---------------------------------------------------------------------------
+
+
+def ncc_loss_composed(fixed, warped, *, window=5, eps=1e-5):
+    """``ncc_loss`` as a chain of taped engine primitives (box sums, products,
+    sums and a mean), each with its own vjp: the loss that the engine's one
+    op replaced. ``fixed`` is a Volume or its ``NccFixedSums``."""
+    from nestreg.losses import NccFixedSums, ncc_fixed_sums
+    from nestreg.tensor import box_sum, tmean
+
+    sums = fixed if isinstance(fixed, NccFixedSums) else None
+    if sums is None or sums.window != window:
+        sums = ncc_fixed_sums(sums.fixed if sums else fixed, window)
+    f = sums.fixed.values
+    w = warped.values
+    n = float(window ** 3)
+    sw = box_sum(w, window)
+    sww = box_sum(w * w, window)
+    sfw = box_sum(f * w, window)
+    cross = sfw - sums.sf * sw * (1.0 / n)
+    var_w = sww - sw * sw * (1.0 / n)
+    cc = (cross * cross) / (sums.var_f * var_w + eps)
+    return 1.0 - tmean(cc, axis=(-4, -3, -2, -1))
+
+
+def smoothness_loss_composed(field):
+    """``smoothness_loss`` as taped slices, differences, products, means and
+    sums: the loss that the engine's one op replaced."""
+    from nestreg.tensor import tmean
+
+    u = field.u
+    total = None
+    for axis in (-3, -2, -1):
+        lead = [slice(None)] * u.ndim
+        lag = [slice(None)] * u.ndim
+        lead[axis] = slice(1, None)
+        lag[axis] = slice(None, -1)
+        d = u[tuple(lead)] - u[tuple(lag)]
+        term = tmean(d * d, axis=(-4, -3, -2, -1))
+        total = term if total is None else total + term
+    return total
+
+
+def decoder_head_last_ref(pyramid, cfg, stages, head):
+    """``decoder_forward`` with the 1x1x1 head applied after the last
+    upsample, at full resolution: the order that the engine's head-first
+    decoder replaced. Returns the field tensor."""
+    from nestreg import decoder as dec
+    from nestreg.attention import DualBlockParams
+    from nestreg.tensor import conv3d, upsample_trilinear
+
+    n = len(pyramid)
+    x = pyramid[n - 1]
+    for i, sp in enumerate(stages):
+        if isinstance(sp.block, DualBlockParams):
+            spatial = x.shape[-3:]
+            tokens = dec.dual_attention_block(dec.volume_to_tokens(x), spatial, sp.block)
+            x = dec.tokens_to_volume(tokens, spatial)
+        else:
+            x = dec.lka_block(x, sp.block)
+        stage_idx = n - 1 - i
+        x = upsample_trilinear(x, cfg.strides[stage_idx])
+        if stage_idx > 0:
+            x = conv3d(x, sp.proj_w, sp.proj_b)
+            x = dec.nested_attention_fusion(x, pyramid[stage_idx - 1], sp.fusion)
+    return conv3d(x, head.w, head.b)
 
 
 # ---------------------------------------------------------------------------
