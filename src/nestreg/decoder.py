@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import DualBlockParams, dual_attention_block, tokens_to_volume, volume_to_tokens
+from .attention import DualBlockParams, dual_attention_block
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .tensor import (
@@ -28,7 +28,6 @@ from .tensor import (
     conv3d,
     global_pool,
     layernorm,
-    matmul,
     reshape,
     same_padding,
     sigmoid,
@@ -49,7 +48,7 @@ class LkaParams:
 
 @dataclass
 class FusionParams:
-    # global extraction (on the skip): shared projection of avg/max descriptors
+    # global extraction (on the skip): shared 1x1x1 projection of avg/max descriptors
     g_w: Tensor
     g_b: Tensor
     # feature extraction (on the decoder stream)
@@ -91,15 +90,15 @@ def lka_block(x: Tensor, p: LkaParams) -> Tensor:
 
 
 def global_extract(x: Tensor, p: FusionParams) -> Tensor:
-    """Per-channel avg and max descriptors through one shared projection, summed.
+    """Per-channel avg and max descriptors through one shared 1x1x1 projection,
+    summed.
 
     Returns [..., C, 1, 1, 1], ready to broadcast over space.
     """
-    lead, c = x.shape[:-4], x.shape[-4]
-    avg = reshape(global_pool(x, "avg"), lead + (1, c))
-    mx = reshape(global_pool(x, "max"), lead + (1, c))
-    proj = (matmul(avg, p.g_w) + p.g_b) + (matmul(mx, p.g_w) + p.g_b)
-    return reshape(proj, lead + (c, 1, 1, 1))
+    one_voxel = x.shape[:-3] + (1, 1, 1)
+    avg = reshape(global_pool(x, "avg"), one_voxel)
+    mx = reshape(global_pool(x, "max"), one_voxel)
+    return conv3d(avg, p.g_w, p.g_b) + conv3d(mx, p.g_w, p.g_b)
 
 
 def feature_extract(x: Tensor, p: FusionParams) -> Tensor:
@@ -154,9 +153,7 @@ def decoder_forward(
     x = pyramid[n - 1]
     for i, sp in enumerate(stages):
         if isinstance(sp.block, DualBlockParams):
-            spatial = x.shape[-3:]
-            tokens = dual_attention_block(volume_to_tokens(x), spatial, sp.block)
-            x = tokens_to_volume(tokens, spatial)
+            x = dual_attention_block(x, sp.block)
         elif isinstance(sp.block, LkaParams):
             x = lka_block(x, sp.block)
         else:

@@ -208,24 +208,21 @@ _ROWS = (
         lambda x: (global_pool(x, "avg"), global_pool(x, "max")),
     ),
     _Row(
-        "efficient_attention", 10, {"x": _n(10, 6, scale=0.7)}, att.efficient_attention,
+        "efficient_attention", 10, {"x": _n(6, 2, 1, 5, scale=0.7)}, att.efficient_attention,
         ("attention", 6, {"heads": 2, "with_tau": False}), 24,
     ),
     _Row(
-        "channel_attention", 11, {"x": _n(10, 6, scale=0.7)}, att.channel_attention,
+        "channel_attention", 11, {"x": _n(6, 2, 1, 5, scale=0.7)}, att.channel_attention,
         ("attention", 6, {"heads": 2, "with_tau": True}), 24,
     ),
+    _Row("mix_ffn", 12, {"x": _n(4, 2, 3, 4, scale=0.7)}, att.mix_ffn, ("mix_ffn", 4, {}), 24),
     _Row(
-        "mix_ffn", 12, {"x": _n(24, 4, scale=0.7)}, lambda x, p: att.mix_ffn(x, (2, 3, 4), p),
-        ("mix_ffn", 4, {}), 24,
+        "dual_attention_block", 13, {"x": _n(4, 2, 2, 3, scale=0.7)},
+        att.dual_attention_block, ("dual_block", 4, {"heads": 2}), 12,
     ),
     _Row(
-        "dual_attention_block", 13, {"x": _n(12, 4, scale=0.7)},
-        lambda x, p: att.dual_attention_block(x, (2, 2, 3), p), ("dual_block", 4, {"heads": 2}), 12,
-    ),
-    _Row(
-        "dual_attention_block_batched", 27, {"x": _n(2, 12, 4, scale=0.7)},
-        lambda x, p: att.dual_attention_block(x, (2, 2, 3), p), ("dual_block", 4, {"heads": 2}), 12,
+        "dual_attention_block_batched", 27, {"x": _n(2, 4, 2, 2, 3, scale=0.7)},
+        att.dual_attention_block, ("dual_block", 4, {"heads": 2}), 12,
     ),
     _Row("lka_block", 14, {"x": _n(3, 4, 4, 5, scale=0.7)}, dec.lka_block, ("lka", 3, {}), 24),
     _Row(
@@ -262,7 +259,7 @@ _TINY_MODEL_SALT = 20
 
 def _tiny_model(seed):
     # No stage is 2 wide: layernorm over two channels is a sign of their
-    # difference smoothed over 2*sqrt(eps) ~ 6e-3, and a token inside that
+    # difference smoothed over 2*sqrt(eps) ~ 6e-3, and a voxel inside that
     # band bends the loss too sharply for a central difference at h = 1e-4.
     cfg = ModelConfig(
         channels=(4, 4, 6, 8),

@@ -1,18 +1,19 @@
 """Hierarchical dual-attention encoder.
 
 Each stage embeds the incoming volume with an overlapping strided conv
-(kernel > stride, padding kernel//2), layer-normalizes the flattened tokens,
-runs the stage's dual-attention blocks, and re-normalizes.  The re-shaped
-stage outputs, a list shallow to deep, form the feature pyramid consumed by
-the decoder.  Input channels, strides and patch kernels come from the
-``ModelConfig``; widths, heads and attention branches from the parameters.
+(kernel > stride, padding kernel//2), layer-normalizes it over channels,
+runs the stage's dual-attention blocks, and re-normalizes.  The stage
+outputs, channel-first volumes in a list shallow to deep, form the feature
+pyramid consumed by the decoder.  Input channels, strides and patch kernels
+come from the ``ModelConfig``; widths, heads and attention branches from the
+parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import dual_attention_block, tokens_to_volume, volume_to_tokens
+from .attention import dual_attention_block
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, conv3d, layernorm
@@ -34,11 +35,9 @@ class EncoderStageParams:
     out_beta: Tensor
 
 
-def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int):
-    """Strided conv (padding kernel//2) + channel layernorm over tokens.
-
-    Returns (tokens [..., N, C_out], spatial shape of the embedded volume).
-    """
+def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int) -> Tensor:
+    """Strided conv (padding kernel//2) + layernorm over the channel axis;
+    returns the embedded volume [..., C_out, d, h, w]."""
     for ax, ext in enumerate(x.shape[-3:]):
         if ext % stride:
             raise ShapeError(
@@ -46,10 +45,7 @@ def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int
             )
     pad = kernel // 2
     v = conv3d(x, p.w, p.b, stride=stride, padding=pad)
-    spatial = v.shape[-3:]
-    tokens = volume_to_tokens(v)
-    tokens = layernorm(tokens, p.gamma, p.beta, axis=-1)
-    return tokens, spatial
+    return layernorm(v, p.gamma, p.beta, axis=-4)
 
 
 def encoder_forward(x: Tensor, cfg: ModelConfig, params: list) -> list:
@@ -70,10 +66,9 @@ def encoder_forward(x: Tensor, cfg: ModelConfig, params: list) -> list:
     pyramid = []
     cur = x
     for sp, stride, kernel in zip(params, cfg.strides, cfg.kernels):
-        tokens, spatial = overlap_patch_embed(cur, sp.embed, stride, kernel)
+        cur = overlap_patch_embed(cur, sp.embed, stride, kernel)
         for bp in sp.blocks:
-            tokens = dual_attention_block(tokens, spatial, bp)
-        tokens = layernorm(tokens, sp.out_gamma, sp.out_beta, axis=-1)
-        cur = tokens_to_volume(tokens, spatial)
+            cur = dual_attention_block(cur, bp)
+        cur = layernorm(cur, sp.out_gamma, sp.out_beta, axis=-4)
         pyramid.append(cur)
     return pyramid

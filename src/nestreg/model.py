@@ -46,29 +46,33 @@ class _Builder:
         self.registry[name] = p
         return p
 
-    def weight(self, name: str, shape) -> Tensor:
-        """Truncated-normal (resampled beyond ±2σ) weights.
-
-        Convolution kernels [out, in/groups, kd, kh, kw] use a fan-in-scaled
-        σ = sqrt(2/fan_in): the decoder's projection/fusion convs sit on
-        non-residual paths, and a fixed small σ would shrink features by
-        orders of magnitude per stage, silencing the gradient at the head.
-        Plain projection matrices (which all live inside residual blocks or
-        ahead of a layernorm) use the configured init_std.
-        """
+    def _draw(self, shape, std: float) -> np.ndarray:
+        """Truncated-normal entries (resampled beyond ±2σ), zeros without an rng."""
         if self.rng is None:
-            return self._register(name, np.zeros(shape))
-        if len(shape) == 5:
-            fan_in = shape[1] * shape[2] * shape[3] * shape[4]
-            std = math.sqrt(2.0 / fan_in)
-        else:
-            std = self.cfg.init_std
+            return np.zeros(shape)
         out = self.rng.normal(0.0, std, size=shape)
         bad = np.abs(out) > 2.0 * std
         while bad.any():
             out[bad] = self.rng.normal(0.0, std, size=int(bad.sum()))
             bad = np.abs(out) > 2.0 * std
-        return self._register(name, out)
+        return out
+
+    def weight(self, name: str, shape) -> Tensor:
+        """A convolution kernel [out, in/groups, kd, kh, kw] with the
+        fan-in-scaled σ = sqrt(2/fan_in): the decoder's projection/fusion
+        convs sit on non-residual paths, and a fixed small σ would shrink
+        features by orders of magnitude per stage, silencing the gradient at
+        the head."""
+        return self._register(name, self._draw(shape, math.sqrt(2.0 / math.prod(shape[1:]))))
+
+    def projection(self, name: str, n_out: int, n_in: int, pointwise: bool = False) -> Tensor:
+        """A projection [n_out, n_in], as a 1x1x1 conv kernel [n_out, n_in, 1,
+        1, 1] if ``pointwise``, with the configured init_std: every one lives
+        inside a residual block or ahead of a layernorm. It is drawn as its
+        transpose [n_in, n_out], the draw order of the token layout that the
+        attention blocks once had, so each seed keeps its model."""
+        data = self._draw((n_in, n_out), self.cfg.init_std).T
+        return self._register(name, data.reshape(data.shape + (1, 1, 1) if pointwise else data.shape))
 
     def zeros(self, name: str, shape) -> Tensor:
         return self._register(name, np.zeros(shape))
@@ -90,10 +94,10 @@ class _Builder:
     def attention(self, prefix: str, width: int, with_tau: bool) -> AttentionParams:
         heads = self.cfg.heads
         p = AttentionParams(
-            wq=self.weight(f"{prefix}.wq", (width, width)),
-            wk=self.weight(f"{prefix}.wk", (width, width)),
-            wv=self.weight(f"{prefix}.wv", (width, width)),
-            wo=self.weight(f"{prefix}.wo", (width, width)),
+            wq=self.projection(f"{prefix}.wq", width, width),
+            wk=self.projection(f"{prefix}.wk", width, width),
+            wv=self.projection(f"{prefix}.wv", width, width),
+            wo=self.projection(f"{prefix}.wo", width, width),
             heads=heads,
             log_tau=None,
         )
@@ -108,11 +112,11 @@ class _Builder:
         hidden = 4 * width
         k = self.cfg.patch_kernel
         return MixFfnParams(
-            w1=self.weight(f"{prefix}.w1", (width, hidden)),
+            w1=self.projection(f"{prefix}.w1", hidden, width, pointwise=True),
             b1=self.zeros(f"{prefix}.b1", (hidden,)),
             dw_w=self.weight(f"{prefix}.dw_w", (hidden, 1, k, k, k)),
             dw_b=self.zeros(f"{prefix}.dw_b", (hidden,)),
-            w2=self.weight(f"{prefix}.w2", (hidden, width)),
+            w2=self.projection(f"{prefix}.w2", width, hidden, pointwise=True),
             b2=self.zeros(f"{prefix}.b2", (width,)),
         )
 
@@ -144,7 +148,7 @@ class _Builder:
     def fusion(self, prefix: str, width: int) -> FusionParams:
         k = self.cfg.patch_kernel
         return FusionParams(
-            g_w=self.weight(f"{prefix}.g_w", (width, width)),
+            g_w=self.projection(f"{prefix}.g_w", width, width, pointwise=True),
             g_b=self.zeros(f"{prefix}.g_b", (width,)),
             fe_dw_w=self.weight(f"{prefix}.fe_dw_w", (width, 1, k, k, k)),
             fe_dw_b=self.zeros(f"{prefix}.fe_dw_b", (width,)),

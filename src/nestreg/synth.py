@@ -9,6 +9,7 @@ field (nonpositive Jacobians), it is halved with a warning until fold-free.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -98,16 +99,18 @@ def synth_pair(
 ):
     """Return (moving, fixed, truth_field) with moving = remap(warp(fixed, field)).
 
-    ``amplitude`` is the max displacement in voxels; ``truth_field`` is the
-    field used for synthesis (what the warp applied to ``fixed``).
+    ``amplitude`` is the max displacement in voxels and ``field_sigma`` the
+    field's smoothing scale; both must be finite and >= 0. ``truth_field`` is
+    the field used for synthesis (what the warp applied to ``fixed``).
     """
     if isinstance(shape, int):
         shape = (shape, shape, shape)
     shape = tuple(int(e) for e in shape)
     if len(shape) != 3 or any(e < 3 for e in shape):
         raise ConfigError(f"synth_pair needs a 3-D shape with extents >= 3, got {shape}")
-    if amplitude < 0:
-        raise ConfigError(f"amplitude must be >= 0, got {amplitude}")
+    for name, value in (("amplitude", amplitude), ("field_sigma", field_sigma)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5AB1E]))

@@ -4,13 +4,14 @@ Every function here is a literal transcription of the defining equation,
 written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
 
-The last four sections are the exception. Full-volume formulations of
+The last five sections are the exception. Full-volume formulations of
 metric steps that the engine now runs on less data are fast enough for 64^3
 inputs and are compared with ``==`` or a stated float64 bound. Earlier
 formulations of restructured kernels run in the input's dtype, so that
 float32 results can be compared bit for bit or to the ulp. Compositions
-of taped engine primitives, which the engine now runs as one op or in
-another order, run in the input's dtype on the engine's own primitives.
+of taped engine primitives, which the engine now runs as one op, in
+another order or in another layout, run in the input's dtype on the
+engine's own primitives.
 Sequential compositions of engine calls that the engine now overlaps on two
 threads call the engine itself, one step after another.
 """
@@ -147,42 +148,60 @@ def upsample_trilinear_ref(x, factors):
 
 
 def efficient_attention_ref(x, wq, wk, wv, wo, heads):
-    """Quadratic-form expansion: out_i = sum_j (rho_q(q_i) . rho_k(k)_j) v_j per head."""
-    n, dm = x.shape
+    """Quadratic-form expansion on x [d_model, N] with [out, in] projections:
+    out_i = sum_j (rho_q(q_i) . rho_k(k)_j) v_j per head, out [d_model, N]."""
+    dm, n = x.shape
     dh = dm // heads
-    q = x @ wq
-    k = x @ wk
-    v = x @ wv
-    merged = np.zeros((n, dm))
+    q = wq @ x
+    k = wk @ x
+    v = wv @ x
+    merged = np.zeros((dm, n))
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-        rq = np.stack([sp_softmax(qh[i]) for i in range(n)])          # rows
-        rk = np.stack([sp_softmax(kh[:, d]) for d in range(dh)], axis=1)  # columns
+        qh, kh, vh = q[sl], k[sl], v[sl]
+        rq = np.stack([sp_softmax(qh[:, i]) for i in range(n)], axis=1)  # each position
+        rk = np.stack([sp_softmax(kh[d]) for d in range(dh)])            # each channel
         for i in range(n):
             acc = np.zeros(dh)
             for j in range(n):
-                acc += float(rq[i] @ rk[j]) * vh[j]
-            merged[i, sl] = acc
-    return merged @ wo
+                acc += float(rq[:, i] @ rk[:, j]) * vh[:, j]
+            merged[sl, i] = acc
+    return wo @ merged
+
+
+def efficient_attention_quadratic_ref(x, wq, wk, wv, wo, heads):
+    """Efficient attention on x [d_model, N] with the N x N association
+    V (rho_k(K)^T rho_q(Q)) per head, vectorized."""
+    dm = x.shape[0]
+    dh = dm // heads
+    q, k, v = wq @ x, wk @ x, wv @ x
+    rows = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        rq = sp_softmax(q[sl], axis=0)
+        rk = sp_softmax(k[sl], axis=1)
+        rows.append(v[sl] @ (rk.T @ rq))
+    return wo @ np.concatenate(rows, axis=0)
 
 
 def channel_attention_ref(x, wq, wk, wv, wo, heads, log_tau):
-    n, dm = x.shape
+    """Per head, channel d of the output mixes the value channels e by
+    softmax_e(q_d . k_e / tau); x [d_model, N], [out, in] projections."""
+    dm, n = x.shape
     dh = dm // heads
-    q = x @ wq
-    k = x @ wk
-    v = x @ wv
-    merged = np.zeros((n, dm))
+    q = wq @ x
+    k = wk @ x
+    v = wv @ x
+    merged = np.zeros((dm, n))
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
+        qh, kh, vh = q[sl], k[sl], v[sl]
         scores = np.zeros((dh, dh))
         for d, e in product(range(dh), range(dh)):
-            scores[d, e] = float(kh[:, d] @ qh[:, e]) / np.exp(log_tau[h])
-        mix = np.stack([sp_softmax(scores[:, e]) for e in range(dh)], axis=1)
-        merged[:, sl] = vh @ mix
-    return merged @ wo
+            scores[d, e] = float(qh[d] @ kh[e]) / np.exp(log_tau[h])
+        mix = np.stack([sp_softmax(scores[d]) for d in range(dh)])
+        merged[sl] = mix @ vh
+    return wo @ merged
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +232,8 @@ def fusion_ref(x1, x2, p):
 
     avg = x2.mean(axis=(1, 2, 3))
     mx = x2.max(axis=(1, 2, 3))
-    ge = (avg @ d["g_w"] + d["g_b"]) + (mx @ d["g_w"] + d["g_b"])
+    g_w = d["g_w"][:, :, 0, 0, 0]
+    ge = (g_w @ avg + d["g_b"]) + (g_w @ mx + d["g_b"])
     u = fe + ge[:, None, None, None]
     u = layernorm_ref(u, d["norm_gamma"], d["norm_beta"], axis=0)
 
@@ -830,9 +850,7 @@ def decoder_head_last_ref(pyramid, cfg, stages, head):
     x = pyramid[n - 1]
     for i, sp in enumerate(stages):
         if isinstance(sp.block, DualBlockParams):
-            spatial = x.shape[-3:]
-            tokens = dec.dual_attention_block(dec.volume_to_tokens(x), spatial, sp.block)
-            x = dec.tokens_to_volume(tokens, spatial)
+            x = dec.dual_attention_block(x, sp.block)
         else:
             x = dec.lka_block(x, sp.block)
         stage_idx = n - 1 - i
@@ -841,6 +859,165 @@ def decoder_head_last_ref(pyramid, cfg, stages, head):
             x = conv3d(x, sp.proj_w, sp.proj_b)
             x = dec.nested_attention_fusion(x, pyramid[stage_idx - 1], sp.fusion)
     return conv3d(x, head.w, head.b)
+
+
+# ---------------------------------------------------------------------------
+# The token layout (references for the channel-first attention blocks)
+# ---------------------------------------------------------------------------
+#
+# The attention blocks, the encoder and the decoder as they ran on tokens
+# [..., N, C] with projections [in, out] multiplying from the right, with
+# their conversions to and from volumes [..., C, D, H, W]. ``token_params``
+# maps a block's channel-first parameters to that orientation with taped
+# transposes, so the gradients reach the engine's own parameter leaves.
+
+
+def volume_to_tokens(v):
+    """[..., C, d, h, w] -> [..., N, C] with row-major (z, y, x) token order."""
+    from nestreg.tensor import reshape, transpose
+
+    k = v.ndim - 4
+    lead = tuple(range(k))
+    return reshape(transpose(v, lead + (k + 1, k + 2, k + 3, k)), v.shape[:k] + (-1, v.shape[k]))
+
+
+def tokens_to_volume(t, spatial):
+    """[..., N, C] -> [..., C, d, h, w]."""
+    from nestreg.tensor import reshape, transpose
+
+    d, h, w = spatial
+    k = t.ndim - 2
+    lead = tuple(range(k))
+    return transpose(reshape(t, t.shape[:k] + (d, h, w, t.shape[-1])), lead + (k + 3, k, k + 1, k + 2))
+
+
+def _swap_last(t):
+    from nestreg.tensor import transpose
+
+    k = t.ndim - 2
+    return transpose(t, tuple(range(k)) + (k + 1, k))
+
+
+def _split_heads(t, heads):
+    """[..., N, H*dh] -> [..., H, N, dh]."""
+    from nestreg.tensor import reshape, transpose
+
+    k = t.ndim - 2
+    n, dm = t.shape[-2:]
+    t = reshape(t, t.shape[:k] + (n, heads, dm // heads))
+    return transpose(t, tuple(range(k)) + (k + 1, k, k + 2))
+
+
+def _merge_heads(t):
+    """[..., H, N, dh] -> [..., N, H*dh]."""
+    from nestreg.tensor import reshape, transpose
+
+    k = t.ndim - 3
+    heads, n, dh = t.shape[-3:]
+    t = transpose(t, tuple(range(k)) + (k + 1, k, k + 2))
+    return reshape(t, t.shape[:k] + (n, heads * dh))
+
+
+def token_params(p):
+    """An AttentionParams, MixFfnParams or DualBlockParams (or None) with
+    every projection as the [in, out] matrix of the token layout: taped
+    transposes of the channel-first [out, in] weights."""
+    from dataclasses import replace
+
+    from nestreg.attention import AttentionParams, DualBlockParams, MixFfnParams
+    from nestreg.tensor import reshape
+
+    if p is None:
+        return None
+    if isinstance(p, AttentionParams):
+        return replace(p, **{f: _swap_last(getattr(p, f)) for f in ("wq", "wk", "wv", "wo")})
+    if isinstance(p, MixFfnParams):
+        return replace(p, **{f: _swap_last(reshape(getattr(p, f), getattr(p, f).shape[:2]))
+                             for f in ("w1", "w2")})
+    return replace(p, **{f: token_params(getattr(p, f)) for f in ("efficient", "channel", "ffn1", "ffn2")})
+
+
+def efficient_attention_tokens(x, p):
+    """rho_q(Q) @ (rho_k(K)^T @ V) per head on tokens x [..., N, C]."""
+    from nestreg.tensor import matmul, softmax
+
+    q, k, v = (_split_heads(matmul(x, w), p.heads) for w in (p.wq, p.wk, p.wv))
+    context = matmul(_swap_last(softmax(k, axis=-2)), v)
+    return matmul(_merge_heads(matmul(softmax(q, axis=-1), context)), p.wo)
+
+
+def channel_attention_tokens(x, p):
+    """V @ softmax_cols(K^T Q / tau) per head on tokens x [..., N, C]."""
+    from nestreg.tensor import exp, matmul, reshape, softmax
+
+    q, k, v = (_split_heads(matmul(x, w), p.heads) for w in (p.wq, p.wk, p.wv))
+    tau = reshape(exp(p.log_tau), (p.heads, 1, 1))
+    mix = softmax(matmul(_swap_last(k), q) / tau, axis=-2)
+    return matmul(_merge_heads(matmul(v, mix)), p.wo)
+
+
+def mix_ffn_tokens(x, spatial, p):
+    """FC -> depthwise conv on the token volume -> GELU -> FC."""
+    from nestreg.tensor import conv3d, gelu, matmul, same_padding
+
+    h = matmul(x, p.w1) + p.b1
+    pad = same_padding(p.dw_w.shape[-1])
+    vol = conv3d(tokens_to_volume(h, spatial), p.dw_w, p.dw_b, padding=(pad, pad, pad), groups=h.shape[-1])
+    return matmul(volume_to_tokens(gelu(vol)), p.w2) + p.b2
+
+
+def dual_attention_block_tokens(x, spatial, p):
+    """The dual block on tokens x [..., N, C]; ``p`` from ``token_params``."""
+    from nestreg.tensor import layernorm
+
+    ea_b = (efficient_attention_tokens(x, p.efficient) + x) if p.efficient is not None else x
+    y = ea_b + mix_ffn_tokens(layernorm(ea_b, p.ln1.gamma, p.ln1.beta, axis=-1), spatial, p.ffn1)
+    ca_b = (channel_attention_tokens(y, p.channel) + y) if p.channel is not None else y
+    return ca_b + mix_ffn_tokens(layernorm(ca_b, p.ln2.gamma, p.ln2.beta, axis=-1), spatial, p.ffn2)
+
+
+def encoder_forward_tokens(x, cfg, params):
+    """``encoder_forward`` with the token layout inside each stage: embed,
+    convert to tokens, layernorm, blocks, layernorm, convert back."""
+    from nestreg.tensor import conv3d, layernorm
+
+    pyramid = []
+    cur = x
+    for sp, stride, kernel in zip(params, cfg.strides, cfg.kernels):
+        v = conv3d(cur, sp.embed.w, sp.embed.b, stride=stride, padding=kernel // 2)
+        spatial = v.shape[-3:]
+        tokens = layernorm(volume_to_tokens(v), sp.embed.gamma, sp.embed.beta, axis=-1)
+        for bp in sp.blocks:
+            tokens = dual_attention_block_tokens(tokens, spatial, token_params(bp))
+        tokens = layernorm(tokens, sp.out_gamma, sp.out_beta, axis=-1)
+        cur = tokens_to_volume(tokens, spatial)
+        pyramid.append(cur)
+    return pyramid
+
+
+def decoder_forward_tokens(pyramid, cfg, stages, head):
+    """``decoder_forward`` with each dual-attention stage converted to tokens
+    and back; the large-kernel stages, the fusion and the head are the
+    engine's own."""
+    from nestreg import decoder as dec
+    from nestreg.attention import DualBlockParams
+    from nestreg.tensor import conv3d, upsample_trilinear
+
+    n = len(pyramid)
+    x = pyramid[n - 1]
+    for i, sp in enumerate(stages):
+        if isinstance(sp.block, DualBlockParams):
+            spatial = x.shape[-3:]
+            tokens = dual_attention_block_tokens(volume_to_tokens(x), spatial, token_params(sp.block))
+            x = tokens_to_volume(tokens, spatial)
+        else:
+            x = dec.lka_block(x, sp.block)
+        stage_idx = n - 1 - i
+        if stage_idx > 0:
+            x = upsample_trilinear(x, cfg.strides[stage_idx])
+            x = conv3d(x, sp.proj_w, sp.proj_b)
+            x = dec.nested_attention_fusion(x, pyramid[stage_idx - 1], sp.fusion)
+    return upsample_trilinear(conv3d(x, head.w, head.b), cfg.strides[0])
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from conftest import block
 from oracles import (
     channel_attention_ref,
     conv3d_ref,
+    efficient_attention_quadratic_ref,
     efficient_attention_ref,
     fusion_ref,
     hd95_ref,
@@ -90,26 +91,29 @@ def test_c1_gradient_integrity():
 # ---------------------------------------------------------------------------
 
 
-def _dev_efficient_attention(g: np.random.Generator) -> float:
+def _attention_input(g: np.random.Generator, with_tau: bool):
+    """A random head count, a volume [d_model, D, H, W] of 4-12 voxels and
+    attention parameters for it."""
     heads = int(g.choice([1, 2, 3]))
     dm = heads * int(g.integers(2, 5))
-    x = g.normal(size=(int(g.integers(4, 13)), dm))
-    p = block(g, "attention", dm, heads=heads, with_tau=False)
+    x = g.normal(size=(dm, int(g.integers(4, 13)), 1, 1))
+    return x, block(g, "attention", dm, heads=heads, with_tau=with_tau)
+
+
+def _dev_efficient_attention(g: np.random.Generator) -> float:
+    x, p = _attention_input(g, with_tau=False)
     got = nr.efficient_attention(Tensor(x), p).data
-    want = efficient_attention_ref(x, p.wq.data, p.wk.data, p.wv.data, p.wo.data, heads)
-    return float(np.max(np.abs(got - want)))
+    want = efficient_attention_ref(x.reshape(x.shape[0], -1), p.wq.data, p.wk.data, p.wv.data, p.wo.data, p.heads)
+    return float(np.max(np.abs(got - want.reshape(x.shape))))
 
 
 def _dev_channel_attention(g: np.random.Generator) -> float:
-    heads = int(g.choice([1, 2, 3]))
-    dm = heads * int(g.integers(2, 5))
-    x = g.normal(size=(int(g.integers(4, 13)), dm))
-    p = block(g, "attention", dm, heads=heads, with_tau=True)
+    x, p = _attention_input(g, with_tau=True)
     got = nr.channel_attention(Tensor(x), p).data
     want = channel_attention_ref(
-        x, p.wq.data, p.wk.data, p.wv.data, p.wo.data, heads, p.log_tau.data
+        x.reshape(x.shape[0], -1), p.wq.data, p.wk.data, p.wv.data, p.wo.data, p.heads, p.log_tau.data
     )
-    return float(np.max(np.abs(got - want)))
+    return float(np.max(np.abs(got - want.reshape(x.shape))))
 
 
 def _dev_fusion(g: np.random.Generator) -> float:
@@ -263,29 +267,18 @@ def test_c3_identity_fixed_points(rng):
 
 
 def test_c4_attention_parenthesizations_agree():
-    """rho_q(Q) @ (rho_k(K)^T V) versus (rho_q(Q) rho_k(K)^T) V over 100 seeds."""
+    """(V rho_k(K)^T) rho_q(Q) versus V (rho_k(K)^T rho_q(Q)) over 100 seeds."""
     worst = 0.0
     for seed in range(100):
         g = np.random.default_rng(seed)
         heads = int(g.choice([1, 2, 3]))
         dm = heads * int(g.integers(2, 5))
-        n = int(g.integers(4, 16))
-        x = g.normal(size=(n, dm)) * 2.0
+        x = g.normal(size=(dm, int(g.integers(4, 16)), 1, 1)) * 2.0
         p = block(g, "attention", dm, heads=heads, with_tau=False)
         fast = nr.efficient_attention(Tensor(x), p).data
-
-        dh = dm // heads
-        q, k, v = x @ p.wq.data, x @ p.wk.data, x @ p.wv.data
-        cols = []
-        for h in range(heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            e = np.exp(qh - qh.max(axis=1, keepdims=True))
-            rq = e / e.sum(axis=1, keepdims=True)
-            e = np.exp(kh - kh.max(axis=0, keepdims=True))
-            rk = e / e.sum(axis=0, keepdims=True)
-            cols.append((rq @ rk.T) @ vh)  # quadratic association
-        slow = np.concatenate(cols, axis=1) @ p.wo.data
+        slow = efficient_attention_quadratic_ref(
+            x.reshape(dm, -1), p.wq.data, p.wk.data, p.wv.data, p.wo.data, heads
+        ).reshape(x.shape)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     assert worst < 1e-6
     _verdict(4, "attention associativity", f"100 seeds, max gap {worst:.1e}")

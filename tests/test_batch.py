@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,20 @@ def test_batch_of_one_and_of_two_record_the_same_tape(rng):
         fld = model.forward(Tensor(m1), Tensor(f1))
         composite_loss(nr.Volume(Tensor(f1)), nr.Volume(Tensor(m1)), fld, model.config)
     assert one == two == len(tape) + 1  # the batch mean is one more record
+
+
+def test_default_step_records_at_most_430_entries_and_125_views(rng):
+    """A default 32^3 B=2 step records every op once per layer, not once per
+    sample. The features keep one layout, so the only reshapes and
+    transposes are attention's flattenings, head splits and merges and the
+    fusion's pooled descriptors (measured: 396 records, 96 of them views)."""
+    model = nr.build_model(nr.ModelConfig(), seed=0)
+    mv, fx = (nr.Volume(Tensor(rng.uniform(size=(2, 1, 32, 32, 32)).astype(np.float32))) for _ in range(2))
+    with GradTape() as tape:
+        nr.tmean(composite_loss(fx, mv, model.forward(mv, fx), model.config).total)
+    kinds = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in tape._records)
+    assert len(tape) <= 430
+    assert kinds["reshape"] + kinds["transpose"] <= 125
 
 
 def test_two_threads_on_one_model_each_get_their_pairs_gradients_bit_for_bit(rng):

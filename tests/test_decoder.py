@@ -63,7 +63,7 @@ def test_global_extract_of_constant_volume_doubles_the_projection(rng):
     c = 3
     p = block(rng, "fusion", c)
     p = dataclasses.replace(
-        p, g_w=Tensor(np.eye(c)), g_b=Tensor(np.zeros(c))
+        p, g_w=Tensor(np.eye(c).reshape(c, c, 1, 1, 1)), g_b=Tensor(np.zeros(c))
     )
     x = np.full((c, 2, 2, 2), 0.0)
     for ch in range(c):

@@ -24,24 +24,20 @@ def tiny_cfg(**kw) -> ModelConfig:
 def test_overlap_patch_embed_halves_extents_and_normalizes(rng):
     model = nr.build_model(tiny_cfg(), seed=1)
     x = rng.normal(size=(2, 6, 8, 4))
-    tokens, spatial = nr.overlap_patch_embed(
-        Tensor(x), model.enc_stages[0].embed, stride=2, kernel=3
-    )
-    assert spatial == (3, 4, 2)
-    assert tokens.shape == (24, 2)
-    # per-token layernorm leaves zero mean across channels (gamma=1, beta=0 at init)
-    npt.assert_allclose(tokens.data.mean(axis=1), 0.0, atol=1e-12)
+    v = nr.overlap_patch_embed(Tensor(x), model.enc_stages[0].embed, stride=2, kernel=3)
+    assert v.shape == (2, 3, 4, 2)
+    # per-voxel layernorm leaves zero mean across channels (gamma=1, beta=0 at init)
+    npt.assert_allclose(v.data.mean(axis=0), 0.0, atol=1e-12)
 
 
 def test_overlap_patch_embed_matches_conv_oracle(rng):
     model = nr.build_model(tiny_cfg(), seed=2)
     p = model.enc_stages[0].embed
     x = rng.normal(size=(2, 4, 4, 4))
-    tokens, spatial = nr.overlap_patch_embed(Tensor(x), p, stride=2, kernel=3)
-    v = conv3d_ref(x, p.w.data, p.b.data, stride=2, padding=1)
-    want = layernorm_ref(v.transpose(1, 2, 3, 0).reshape(-1, 2), p.gamma.data, p.beta.data, axis=1)
-    npt.assert_allclose(tokens.data, want, atol=1e-12)
-    assert spatial == (2, 2, 2)
+    v = nr.overlap_patch_embed(Tensor(x), p, stride=2, kernel=3)
+    want = layernorm_ref(conv3d_ref(x, p.w.data, p.b.data, stride=2, padding=1), p.gamma.data, p.beta.data, axis=0)
+    npt.assert_allclose(v.data, want, atol=1e-12)
+    assert v.shape == (2, 2, 2, 2)
 
 
 def test_overlap_patch_embed_rejects_indivisible_extent(rng):

@@ -444,21 +444,38 @@ def test_cli_volume_whose_element_count_overflows_int64_is_a_data_error(tmp_path
     assert err.startswith("data error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["train-config", "train-flag", "synth", "params"])
-def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("train-config", "seed must be >= 0"),
+        ("train-flag", "seed must be >= 0"),
+        ("synth", "seed must be >= 0"),
+        ("params", "seed must be >= 0"),
+        ("synth-amplitude-nan", "amplitude must be finite and >= 0"),
+        ("synth-amplitude-inf", "amplitude must be finite and >= 0"),
+        ("synth-sigma-nan", "field_sigma must be finite and >= 0"),
+        ("synth-sigma-negative", "field_sigma must be finite and >= 0"),
+    ],
+)
+def test_cli_out_of_range_value_is_a_config_error(tmp_path, capsys, command, message):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": -1}))
+    synth = ["synth", "--out", str(tmp_path / "pair"), "--shape", "8"]
     argv = {
         "train-config": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
                          "--config", str(cfg_file)],
         "train-flag": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
                        "--seed", "-1"],
-        "synth": ["synth", "--out", str(tmp_path / "pair"), "--shape", "8", "--seed", "-1"],
+        "synth": synth + ["--seed", "-1"],
         "params": ["params", "--config", str(cfg_file)],
+        "synth-amplitude-nan": synth + ["--amplitude", "nan"],
+        "synth-amplitude-inf": synth + ["--amplitude", "inf"],
+        "synth-sigma-nan": synth + ["--sigma", "nan"],
+        "synth-sigma-negative": synth + ["--sigma", "-1"],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "seed must be >= 0" in err and "Traceback" not in err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "run").exists() and not (tmp_path / "pair").exists()
 
 

@@ -375,17 +375,3 @@ def test_concat_and_slicing_roundtrip(rng):
     npt.assert_array_equal(cat.data, np.concatenate([a, b], axis=1))
     npt.assert_array_equal(cat[:, :2].data, a)
     npt.assert_array_equal(cat[:, 2:].data, b)
-
-
-def test_volume_token_roundtrip_orders_tokens_row_major(rng):
-    v = rng.normal(size=(3, 2, 2, 2))
-    tokens = nr.volume_to_tokens(Tensor(v))
-    assert tokens.shape == (8, 3)
-    npt.assert_array_equal(tokens.data[0], v[:, 0, 0, 0])
-    npt.assert_array_equal(tokens.data[1], v[:, 0, 0, 1])  # x fastest
-    npt.assert_array_equal(nr.tokens_to_volume(tokens, (2, 2, 2)).data, v)
-
-
-def test_tokens_to_volume_count_mismatch(rng):
-    with pytest.raises(ShapeError):
-        nr.tokens_to_volume(Tensor(rng.normal(size=(7, 3))), (2, 2, 2))
