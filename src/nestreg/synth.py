@@ -3,7 +3,8 @@ random displacement field, with a monotone intensity remap on the moving
 volume as a cross-modality surrogate.
 
 The displacement amplitude is capped: if the requested amplitude folds the
-field (nonpositive Jacobians), it is halved with a warning until fold-free.
+field (nonpositive or non-finite Jacobians), it is halved with a warning until
+fold-free.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError
+from .errors import ConfigError, UndefinedMetricError
 from .metrics import sdlogj
 from .tensor import DTYPES, Tensor
 from .warp import DeformationField, Volume, warp_trilinear
@@ -27,6 +28,11 @@ log = logging.getLogger(__name__)
 _REMAP_GAMMA = 0.85
 
 
+def _dot(w, coords) -> np.ndarray:
+    """sum_i w[i] coords[i] over broadcasting axes, rounded as by np.einsum."""
+    return w[0] * coords[0] + w[1] * coords[1] + w[2] * coords[2]
+
+
 def _phantom(rng: np.random.Generator, shape) -> np.ndarray:
     """Ellipsoids with linear intensity gradients, painter-composited.
 
@@ -37,10 +43,10 @@ def _phantom(rng: np.random.Generator, shape) -> np.ndarray:
     mask threshold.
     """
     axes = [np.linspace(-1.0, 1.0, ext) for ext in shape]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"))  # [3, D, H, W]
+    step = 2.0 / (np.asarray(shape) - 1)
     bdir = rng.normal(size=3)
     bdir /= np.linalg.norm(bdir)
-    vol = 0.03 + 0.015 * np.einsum("i,idhw->dhw", bdir, grid)
+    vol = 0.03 + 0.015 * _dot(bdir, np.ix_(*axes))
     n_ellipsoids = int(6 + rng.integers(0, 4))
     for _ in range(n_ellipsoids):
         center = rng.uniform(-0.55, 0.55, size=3)
@@ -50,15 +56,20 @@ def _phantom(rng: np.random.Generator, shape) -> np.ndarray:
         gdir = rng.normal(size=3)
         gdir /= np.linalg.norm(gdir)
         slope = rng.uniform(0.2, 0.5)
-        rel = grid - center[:, None, None, None]
-        rotated = np.einsum("ij,jdhw->idhw", rot, rel)
-        r2 = sum((rotated[i] / semi[i]) ** 2 for i in range(3))
-        shade = base * (1.0 + slope * np.einsum("i,idhw->dhw", gdir, rel))
-        vol = np.where(r2 <= 1.0, shade, vol)
+        # Only the axis-aligned bounding box, with a one-voxel margin: along
+        # grid axis a the ellipsoid reaches sqrt(sum_i (rot[i, a] semi[i])^2).
+        reach = np.sqrt(((rot * semi[:, None]) ** 2).sum(axis=0))
+        lo = np.maximum(np.floor((center - reach + 1.0) / step).astype(int) - 1, 0)
+        hi = np.minimum(np.ceil((center + reach + 1.0) / step).astype(int) + 2, shape)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        rel = np.ix_(*(ax[b] - c for ax, b, c in zip(axes, box, center)))
+        r2 = sum((_dot(rot[i], rel) / semi[i]) ** 2 for i in range(3))
+        shade = base * (1.0 + slope * _dot(gdir, rel))
+        np.copyto(vol[box], shade, where=r2 <= 1.0)
         if rng.random() < 0.7:
             core = r2 <= rng.uniform(0.3, 0.65) ** 2
-            vol = np.where(core, shade * rng.uniform(0.35, 0.6), vol)
-    vol = np.clip(vol, 0.0, None)
+            np.copyto(vol[box], shade * rng.uniform(0.35, 0.6), where=core)
+    np.clip(vol, 0.0, None, out=vol)
     peak = vol.max()
     if peak > 0:
         vol /= peak
@@ -88,6 +99,17 @@ def _smooth_field(rng, shape, amplitude: float, sigma: float) -> np.ndarray:
     else:
         u = np.zeros_like(u)
     return u
+
+
+def _folds(u) -> bool:
+    """Whether det(I + grad u) is nonpositive or not finite at some voxel:
+    an overflowing field counts as folded, so that it too is halved."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            stats = sdlogj(u)
+        except UndefinedMetricError:
+            return True
+    return stats.folding_fraction > 0.0 or not math.isfinite(stats.sdlogj)
 
 
 def synth_pair(
@@ -120,7 +142,7 @@ def synth_pair(
 
     if amplitude > 0:
         for _ in range(40):
-            if sdlogj(u).folding_fraction == 0.0:
+            if not _folds(u):
                 break
             amplitude *= 0.5
             u *= 0.5

@@ -5,12 +5,12 @@ written with explicit loops and none of the code under test.  They are slow
 on purpose; call them only on tiny inputs.  All work happens in float64.
 
 The last five sections are the exception. Full-volume formulations of
-metric steps that the engine now runs on less data are fast enough for 64^3
-inputs and are compared with ``==`` or a stated float64 bound. Earlier
-formulations of restructured kernels run in the input's dtype, so that
-float32 results can be compared bit for bit or to the ulp. Compositions
-of taped engine primitives, which the engine now runs as one op, in
-another order or in another layout, run in the input's dtype on the
+metric steps and of the phantom, which the engine now runs on less data, are
+fast enough for 64^3 inputs and are compared with ``==`` or a stated float64
+bound. Earlier formulations of restructured kernels run in the input's
+dtype, so that float32 results can be compared bit for bit or to the ulp.
+Compositions of taped engine primitives, which the engine now runs as one
+op, in another order or in another layout, run in the input's dtype on the
 engine's own primitives.
 Sequential compositions of engine calls that the engine now overlaps on two
 threads call the engine itself, one step after another.
@@ -403,7 +403,7 @@ def sdlogj_ref(u):
 
 
 # ---------------------------------------------------------------------------
-# Full-volume metric formulations (exact references for cropped fast paths)
+# Full-volume formulations (exact references for cropped fast paths)
 # ---------------------------------------------------------------------------
 
 
@@ -455,6 +455,39 @@ def sdlogj_whole_volume_ref(u):
     if not positive.any():
         raise UndefinedMetricError("sdlogj undefined: no voxel has positive Jacobian")
     return float(np.std(np.log(det[positive]))), frac_bad
+
+
+def phantom_dense_ref(rng, shape):
+    """``synth._phantom`` with every ellipsoid computed over the whole volume
+    from a dense [3, D, H, W] coordinate grid: the formulation that the
+    engine's bounding boxes replaced. Draws from ``rng`` in the same order."""
+    axes = [np.linspace(-1.0, 1.0, ext) for ext in shape]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))  # [3, D, H, W]
+    bdir = rng.normal(size=3)
+    bdir /= np.linalg.norm(bdir)
+    vol = 0.03 + 0.015 * np.einsum("i,idhw->dhw", bdir, grid)
+    n_ellipsoids = int(6 + rng.integers(0, 4))
+    for _ in range(n_ellipsoids):
+        center = rng.uniform(-0.55, 0.55, size=3)
+        semi = rng.uniform(0.10, 0.38, size=3)
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        base = rng.uniform(0.5, 0.95)
+        gdir = rng.normal(size=3)
+        gdir /= np.linalg.norm(gdir)
+        slope = rng.uniform(0.2, 0.5)
+        rel = grid - center[:, None, None, None]
+        rotated = np.einsum("ij,jdhw->idhw", rot, rel)
+        r2 = sum((rotated[i] / semi[i]) ** 2 for i in range(3))
+        shade = base * (1.0 + slope * np.einsum("i,idhw->dhw", gdir, rel))
+        vol = np.where(r2 <= 1.0, shade, vol)
+        if rng.random() < 0.7:
+            core = r2 <= rng.uniform(0.3, 0.65) ** 2
+            vol = np.where(core, shade * rng.uniform(0.35, 0.6), vol)
+    vol = np.clip(vol, 0.0, None)
+    peak = vol.max()
+    if peak > 0:
+        vol /= peak
+    return vol
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,22 @@ def test_cli_synth_writes_three_volumes(tmp_path, capsys):
     assert np.abs(truth).max() <= 1.5 + 1e-6
 
 
+def test_cli_synth_halves_an_overflowing_amplitude_to_the_zero_field(tmp_path, capsys, caplog):
+    # At 1e200 voxels the Jacobian's products overflow, so no determinant is
+    # positive and finite: the field counts as folded and is halved 40 times,
+    # then replaced by the zero field.
+    out = tmp_path / "pair"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with caplog.at_level(logging.WARNING, logger="nestreg.synth"):
+            rc = main(["synth", "--out", str(out), "--shape", "8", "--amplitude", "1e200"])
+    assert rc == 0, capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    halvings = [r.getMessage() for r in caplog.records if "halving amplitude" in r.getMessage()]
+    assert len(halvings) == 40
+    npt.assert_array_equal(nr.load_volume(out / "truth_field.nmv"), 0.0)
+
+
 def test_cli_synth_rejects_bad_shape_arity(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--shape", "8", "8"]) == 1
     assert "1 or 3 integers" in capsys.readouterr().err

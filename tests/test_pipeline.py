@@ -12,6 +12,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import astuple
@@ -23,8 +24,9 @@ from hypothesis import given, strategies as st
 
 import nestreg as nr
 from nestreg import ConfigError, ContractError, ModelConfig, Tensor
+from nestreg import synth
 from nestreg.train import CURVE_COLUMNS, _generator_at
-from oracles import register_ref
+from oracles import phantom_dense_ref, register_ref
 
 
 def small_cfg(**kw) -> ModelConfig:
@@ -343,6 +345,55 @@ def test_synth_pair_intensities_are_normalized():
         assert v.min() >= 0.0
         assert v.max() <= 1.0 + 1e-12
     assert fx.values.data.max() == 1.0  # phantom peak normalized
+
+
+PHANTOM_CASES = [((32, 32, 32), s) for s in range(300)] + [
+    (shape, s) for shape in [(64, 64, 64), (20, 33, 47), (3, 4, 5), (3, 3, 3)] for s in range(30)
+]
+
+
+def test_phantom_on_bounding_boxes_equals_the_dense_phantom_byte_for_byte():
+    # Each ellipsoid is drawn on its bounding box; the dense formulation
+    # draws it on the whole volume. Any difference in rounding, box extent
+    # or rng draws would change every synthetic pair silently.
+    for shape, seed in PHANTOM_CASES:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        vol, ref = synth._phantom(rng, shape), phantom_dense_ref(ref_rng, shape)
+        assert vol.dtype == ref.dtype and vol.shape == ref.shape, (shape, seed)
+        assert vol.tobytes() == ref.tobytes(), (shape, seed)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (shape, seed)
+
+
+def test_benchmark_pairs_are_those_of_the_dense_phantom(monkeypatch):
+    # The pair seeds of perfbench/workloads.py: pair_seed(tag, i) at extent
+    # 32 (tags 32 and 65) and 64 (tag 64).
+    cases = [(32, 32, i) for i in range(5)] + [(32, 65, i) for i in range(2)]
+    cases += [(64, 64, i) for i in range(2)]
+    for extent, tag, i in cases:
+        seed = int(np.random.SeedSequence([tag, i]).generate_state(1)[0])
+        pair = nr.synth_pair(extent, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_phantom", phantom_dense_ref)
+            ref = nr.synth_pair(extent, seed=seed)
+        for got, want in zip(
+            [pair[0].values, pair[1].values, pair[2].u], [ref[0].values, ref[1].values, ref[2].u]
+        ):
+            assert got.data.tobytes() == want.data.tobytes(), (extent, tag, i)
+
+
+def test_phantom_peak_memory_stays_under_four_volumes():
+    # The dense formulation peaked at ~15 float64 volumes (a [3, D, H, W]
+    # grid and its rotated copy); on bounding boxes it is ~1.3.
+    shape = (64, 64, 64)
+    volume_bytes = 8 * math.prod(shape)
+    for seed in range(3):
+        tracemalloc.start()
+        try:
+            synth._phantom(np.random.default_rng(seed), shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * volume_bytes, (seed, peak / volume_bytes)
 
 
 def test_synth_pair_rejects_bad_arguments():
