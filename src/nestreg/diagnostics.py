@@ -27,7 +27,6 @@ from .losses import composite_loss, ncc_loss, smoothness_loss
 from .model import _Builder, build_model
 from .tensor import (
     Tensor,
-    box_sum,
     concat,
     conv3d,
     gelu,
@@ -201,7 +200,6 @@ _ROWS = (
             conv3d(x, wp, b),
         ),
     ),
-    _Row("box_sum", 22, {"x": _n(2, 4, 5, 6)}, lambda x: box_sum(x, 3)),
     _Row("upsample_trilinear", 8, {"x": _n(2, 3, 4, 5)}, lambda x: upsample_trilinear(x, (2, 3, 1))),
     _Row(
         "global_pool", 9, {"x": _n(3, 3, 4, 2)},

@@ -12,10 +12,10 @@ volumes reach loss 0 only up to the floor.
 
 Each loss is one taped op with a closed-form vjp. A window sum is three
 float64 BLAS matrix products, one per axis, with a band of ones
-(``tensor._banded_passes``). ``ncc_loss`` takes Σw, Σw² and Σfw this way, and
-the fixed volume's Σf and var_f come from ``ncc_fixed_sums`` as taped
-``box_sum``s. Its vjp keeps only window-sized arrays from the forward and
-runs three adjoint sums, the same products with the bands transposed.
+(``tensor._banded_passes``). ``ncc_loss`` is an op of (warped, fixed) whose
+window sums are plain arrays, the fixed side's from ``ncc_fixed_sums``. The
+loss is symmetric in the two volumes, so its vjp forms either gradient by one
+closed form with the roles swapped, from adjoint sums (the bands transposed).
 ``composite_loss`` reads the window, the floor and the smoothness weight from
 the ``ModelConfig``.
 """
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ContractError, ShapeError
-from .tensor import Tensor, _active_tape, _band, _banded_passes, box_sum, make_op
+from .errors import ShapeError
+from .tensor import Tensor, _band, _banded_passes, make_op
 from .warp import DeformationField, Volume, warp_trilinear
 
 
@@ -52,22 +52,32 @@ class NccFixedSums:
 
     fixed: Volume
     window: int
-    sf: Tensor
-    var_f: Tensor
+    sf: np.ndarray
+    var_f: np.ndarray
+
+
+def _window_sums(x: np.ndarray, window: int) -> tuple:
+    """Σx and Σx² - (Σx)²/n over every valid window of side ``window`` (n
+    voxels), in x's dtype, and the window's ones bands."""
+    bands = tuple(_band(e, np.ones(window)) for e in x.shape[-3:])
+    s = _banded_passes(x, bands).astype(x.dtype, copy=False)
+    var = _banded_passes(x * x, bands).astype(x.dtype, copy=False)
+    var -= s * s * np.asarray(1.0 / float(window ** 3), dtype=x.dtype)
+    return s, var, bands
 
 
 def ncc_fixed_sums(fixed: Volume, window: int) -> NccFixedSums:
     """Σf and var_f = Σf² - (Σf)²/n over every valid window of side
-    ``window`` (n voxels), after ``ncc_loss``'s checks of the fixed volume."""
-    f = fixed.values
+    ``window`` (n voxels), as plain arrays, after ``ncc_loss``'s checks of
+    the fixed volume."""
+    f = fixed.values.data
     if f.shape[-4] != 1:
         raise ShapeError(f"ncc_loss expects single-channel volumes, got {f.shape}")
     if any(e < window for e in f.shape[-3:]):
         raise ShapeError(
             f"ncc_loss: extents {f.shape[-3:]} smaller than window {window}"
         )
-    sf = box_sum(f, window)
-    var_f = box_sum(f * f, window) - sf * sf * (1.0 / float(window ** 3))
+    sf, var_f, _ = _window_sums(f, window)
     return NccFixedSums(fixed=fixed, window=window, sf=sf, var_f=var_f)
 
 
@@ -77,8 +87,9 @@ def ncc_loss(fixed, warped: Volume, *, window: int = 5, eps: float = 1e-5) -> Te
 
     ``fixed`` is a Volume, or its ``NccFixedSums`` (rebuilt if they are for
     another window). Batched volumes [B, 1, ...] give one loss per pair, of
-    shape [B]. One taped op with inputs (warped, fixed, Σf, var_f); the fixed
-    volume's gradient flows back through the taped ``ncc_fixed_sums``.
+    shape [B]. One taped op of (warped, fixed): each volume that needs a
+    gradient gets it in closed form, through prebuilt sums as through the
+    volume.
     """
     sums = fixed if isinstance(fixed, NccFixedSums) else None
     fixed = sums.fixed if sums else fixed
@@ -88,63 +99,55 @@ def ncc_loss(fixed, warped: Volume, *, window: int = 5, eps: float = 1e-5) -> Te
         raise ShapeError(f"ncc_loss: volume shapes differ, {f.shape} vs {w.shape}")
     if sums is None or sums.window != window:
         sums = ncc_fixed_sums(fixed, window)
-    elif f.requires_grad and _active_tape() is not None and not sums.sf.requires_grad:
-        raise ContractError("ncc_loss: the fixed volume needs gradients, but its sums "
-                            "were built without a tape")
     if w.dtype != f.dtype:
         raise ShapeError(f"ncc_loss: dtype mismatch {f.dtype.name} vs {w.dtype.name}")
-    inputs = (w, f, sums.sf, sums.var_f)
-    wd, fd, sf, var_f = (t.data for t in inputs)
+    wd, fd, sf, var_f = w.data, f.data, sums.sf, sums.var_f
     dtype = wd.dtype
     inv_n = np.asarray(1.0 / float(window ** 3), dtype=dtype)
     eps = np.asarray(eps, dtype=dtype)
-    bands = tuple(_band(e, np.ones(window)) for e in wd.shape[-3:])
+    sw, var_w, bands = _window_sums(wd, window)
     adjoint = tuple(b.T for b in bands)
 
     def box(x, b=bands):
         return _banded_passes(x, b).astype(dtype, copy=False)
 
-    # cross = Σfw - Σf·Σw/n and var_w = Σw² - (Σw)²/n, in place.
-    sw = box(wd)
-    var_w = box(wd * wd)
-    var_w -= sw * sw * inv_n
+    # cross = Σfw - Σf·Σw/n, in place.
     cross = box(fd * wd)
     cross -= sf * sw * inv_n
     cc = (cross * cross) / (var_f * var_w + eps)
     out = np.asarray(1.0, dtype=dtype) - cc.mean(axis=_PER_PAIR)
 
     def vjp(g):
-        need_w, need_f, need_sf, need_varf = (t.requires_grad for t in inputs)
         gcc = np.reshape(-g / (cross.size // np.size(g)), np.shape(g) + (1,) * 4)
         q = cross / (var_f * var_w + eps)
         g_cross = q * (2 * gcc)
         g_den = q
         g_den *= q
         g_den *= -gcc
-        g_varw = g_den * var_f
-        g_sf = g_cross * sw * -inv_n if need_sf else None
-        g_varf = g_den * var_w if need_varf else None
-        del g_den
-        gw = gf = None
-        if need_w or need_f:
-            bt_cross = box(g_cross, adjoint)
-            if need_f:
-                gf = wd * bt_cross
-            if need_w:
-                g_sw = g_cross * sf
-                g_sw += 2 * g_varw * sw
-                g_sw *= -inv_n
-                gw = box(g_sw, adjoint)
-                del g_sw
-                t = box(g_varw, adjoint)
-                t *= wd
-                t *= 2
-                gw += t
-                bt_cross *= fd
-                gw += bt_cross
-        return gw, gf, g_sf, g_varf
+        bt_cross = box(g_cross, adjoint)
 
-    return make_op(out, inputs, vjp)
+        def grad(x, sx, sy, var_y, y_bt_cross):
+            # x's gradient against y, the loss being symmetric; y_bt_cross = y·Bᵀg_cross.
+            g_var = g_den * var_y
+            g_s = g_cross * sy
+            g_s += 2 * g_var * sx
+            g_s *= -inv_n
+            gx = box(g_s, adjoint)
+            del g_s
+            t = box(g_var, adjoint)
+            t *= x
+            t *= 2
+            gx += t
+            gx += y_bt_cross
+            return gx
+
+        gf = grad(fd, sf, sw, var_w, bt_cross * wd) if f.requires_grad else None
+        if not w.requires_grad:
+            return None, gf
+        bt_cross *= fd
+        return grad(wd, sw, sf, var_f, bt_cross), gf
+
+    return make_op(out, (w, f), vjp)
 
 
 def smoothness_loss(field: DeformationField) -> Tensor:

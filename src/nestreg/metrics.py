@@ -44,7 +44,7 @@ def _gaussian_window(extent: int, sigma: float) -> np.ndarray:
 def _windowed_mean(a: np.ndarray, kern1d: np.ndarray) -> np.ndarray:
     """Separable Gaussian-weighted mean of a float64 volume over valid window
     positions only: a product with a band of the taps along each axis
-    (``tensor._banded_passes``), the box sums' kernel.
+    (``tensor._banded_passes``), the kernel of NCC's window sums.
 
     BLAS sums each window in its own order, so the result differs from
     scipy's ``correlate1d`` passes by a few float64 roundings of the
@@ -67,8 +67,7 @@ class _SsimSide:
         self.array = y
         self.lo, self.hi = y.min(), y.max()
         self.mu = _windowed_mean(y, _SSIM_KERN)
-        self.mu_sq = self.mu * self.mu
-        self.var = _windowed_mean(y * y, _SSIM_KERN) - self.mu_sq
+        self.var = _windowed_mean(y * y, _SSIM_KERN) - self.mu * self.mu
 
 
 def ssim(a, b) -> float:
@@ -81,23 +80,19 @@ def ssim(a, b) -> float:
     the same as of its volume.
     """
     x = _as_array(a)
-    side = b.ssim_side if isinstance(b, FixedReference) else None
-    y = side.array if side else _as_array(b)
+    ys = b.ssim_side if isinstance(b, FixedReference) else None
+    y = ys.array if ys else _as_array(b)
     if x.shape != y.shape:
         raise ShapeError(f"ssim: shapes differ, {x.shape} vs {y.shape}")
-    if side is None:
-        side = _SsimSide(y)
-    span = np.maximum(x.max(), side.hi) - np.minimum(x.min(), side.lo)  # NaN in, NaN out
+    xs, ys = _SsimSide(x), ys or _SsimSide(y)
+    span = np.maximum(xs.hi, ys.hi) - np.minimum(xs.lo, ys.lo)  # NaN in, NaN out
     if span == 0.0:
         return 1.0
     c1 = (0.01 * span) ** 2
     c2 = (0.03 * span) ** 2
-    mu_x = _windowed_mean(x, _SSIM_KERN)
-    mu_y = side.mu
-    var_x = _windowed_mean(x * x, _SSIM_KERN) - mu_x * mu_x
-    cov = _windowed_mean(x * y, _SSIM_KERN) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + side.mu_sq + c1) * (var_x + side.var + c2)
+    cov = _windowed_mean(x * y, _SSIM_KERN) - xs.mu * ys.mu
+    num = (2.0 * xs.mu * ys.mu + c1) * (2.0 * cov + c2)
+    den = (xs.mu * xs.mu + ys.mu * ys.mu + c1) * (xs.var + ys.var + c2)
     return float(np.mean(num / den))
 
 

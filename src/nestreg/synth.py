@@ -4,7 +4,7 @@ volume as a cross-modality surrogate.
 
 The displacement amplitude is capped: if the requested amplitude folds the
 field (nonpositive or non-finite Jacobians), it is halved with a warning until
-fold-free.
+fold-free, at most 40 times, and then replaced by the zero field with a warning.
 """
 
 from __future__ import annotations
@@ -151,6 +151,7 @@ def synth_pair(
             )
         else:
             u[:] = 0.0
+            log.warning("synth_pair: displacement still folds after 40 halvings; using the zero field")
 
     fixed_vol = Volume(values=Tensor(fixed[None].copy()))
     field = DeformationField(u=Tensor(u))

@@ -829,35 +829,6 @@ def _banded_passes(x: np.ndarray, bands) -> np.ndarray:
     return a.reshape(lead + (bz.shape[1], by.shape[1], bx.shape[1]))
 
 
-def box_sum(a: Tensor, k: int) -> Tensor:
-    """Sum of every valid k x k x k window of [C, D, H, W] or [B, C, D, H, W],
-    per channel.
-
-    Equal to ``conv3d`` with a ones kernel applied to each channel alone, as
-    three BLAS matrix products with a band of ones (``_band``), one per
-    axis. Output extent per axis: ext - k + 1. Sums accumulate in float64
-    and are cast back to the input dtype. A window's sum adds only its own
-    values (the band's zeros add exact zeros), so its error stays within a
-    few float64 roundings of the window's absolute sum. A non-finite input
-    value makes every sum of its channel non-finite, not only its windows'
-    (0 * inf is NaN).
-    """
-    if a.ndim not in (4, 5):
-        raise ShapeError(f"box_sum expects [C,D,H,W] or [B,C,D,H,W], got {a.data.shape}")
-    if k < 1:
-        raise ConfigError(f"box_sum window must be >= 1, got {k}")
-    if any(e < k for e in a.data.shape[-3:]):
-        raise ShapeError(f"box_sum: extents {a.data.shape[-3:]} smaller than window {k}")
-
-    bands = tuple(_band(e, np.ones(k)) for e in a.data.shape[-3:])
-
-    def vjp(g):
-        # The adjoint of a valid box sum: the same products, bands transposed.
-        return (_banded_passes(g, tuple(b.T for b in bands)).astype(g.dtype, copy=False),)
-
-    return make_op(_banded_passes(a.data, bands).astype(a.data.dtype, copy=False), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # Pooling and resampling
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def load_volume(path) -> np.ndarray:
     if code not in _DTYPE_OF:
         raise UnknownDtypeError(f"{path}: unknown dtype code {code}")
     if rank not in (3, 4):
-        raise TruncatedFileError(f"{path}: unsupported rank {rank}")
+        raise VolumeFormatError(f"{path}: unsupported rank {rank}")
     need = 6 + 4 * rank
     if len(blob) < need:
         raise TruncatedFileError(f"{path}: header truncated")

@@ -831,25 +831,41 @@ def warp_whole_volume_ref(m, u):
 # ---------------------------------------------------------------------------
 
 
+def box_sum_taped(a, k):
+    """Valid k-cube window sums of a Tensor [..., D, H, W] as one taped op:
+    three float64 band products with ones, the same products with the bands
+    transposed as its vjp, each cast back to the dtype. The engine's
+    window-sum primitive before ``ncc_loss`` took its sums as plain
+    arrays."""
+    from nestreg.tensor import _band, _banded_passes, make_op
+
+    bands = tuple(_band(e, np.ones(k)) for e in a.data.shape[-3:])
+
+    def vjp(g):
+        return (_banded_passes(g, tuple(b.T for b in bands)).astype(g.dtype, copy=False),)
+
+    return make_op(_banded_passes(a.data, bands).astype(a.data.dtype, copy=False), (a,), vjp)
+
+
 def ncc_loss_composed(fixed, warped, *, window=5, eps=1e-5):
     """``ncc_loss`` as a chain of taped engine primitives (box sums, products,
     sums and a mean), each with its own vjp: the loss that the engine's one
-    op replaced. ``fixed`` is a Volume or its ``NccFixedSums``."""
-    from nestreg.losses import NccFixedSums, ncc_fixed_sums
-    from nestreg.tensor import box_sum, tmean
+    op replaced. ``fixed`` is a Volume or its ``NccFixedSums``, whose volume
+    the chain sums again on the tape."""
+    from nestreg.losses import NccFixedSums
+    from nestreg.tensor import tmean
 
-    sums = fixed if isinstance(fixed, NccFixedSums) else None
-    if sums is None or sums.window != window:
-        sums = ncc_fixed_sums(sums.fixed if sums else fixed, window)
-    f = sums.fixed.values
+    f = (fixed.fixed if isinstance(fixed, NccFixedSums) else fixed).values
     w = warped.values
     n = float(window ** 3)
-    sw = box_sum(w, window)
-    sww = box_sum(w * w, window)
-    sfw = box_sum(f * w, window)
-    cross = sfw - sums.sf * sw * (1.0 / n)
+    sf = box_sum_taped(f, window)
+    var_f = box_sum_taped(f * f, window) - sf * sf * (1.0 / n)
+    sw = box_sum_taped(w, window)
+    sww = box_sum_taped(w * w, window)
+    sfw = box_sum_taped(f * w, window)
+    cross = sfw - sf * sw * (1.0 / n)
     var_w = sww - sw * sw * (1.0 / n)
-    cc = (cross * cross) / (sums.var_f * var_w + eps)
+    cc = (cross * cross) / (var_f * var_w + eps)
     return 1.0 - tmean(cc, axis=(-4, -3, -2, -1))
 
 

@@ -74,6 +74,30 @@ def test_efficient_attention_parenthesizations_agree(seed):
     npt.assert_allclose(fast, _ref(efficient_attention_quadratic_ref, x, p), atol=1e-6)
 
 
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_efficient_attention_on_one_voxel_is_the_value_path(rng, batch):
+    """At one voxel rho_k(K) is a softmax over one value, exactly 1, and each
+    column of rho_q(Q) sums to 1, so the block returns wo @ wv @ x whatever Q
+    and K are (the default model's deepest stage at 32^3). Other keys change
+    no bit of it and wk gets an exact zero gradient; the queries change only
+    its rounding, and wq's gradient is rounding too."""
+    dm = 8
+    x = rng.normal(size=batch + (dm, 1, 1, 1))
+    p = block(rng, "attention", dm, heads=2, with_tau=False)
+    got = nr.efficient_attention(Tensor(x), p).data
+    value = (p.wo.data @ (p.wv.data @ x.reshape(batch + (dm, 1)))).reshape(got.shape)
+    assert np.abs(got - value).max() <= 1e-14 * np.abs(value).max()
+    other_keys = replace(p, wk=Tensor(rng.normal(size=(dm, dm))))
+    assert nr.efficient_attention(Tensor(x), other_keys).data.tobytes() == got.tobytes()
+
+    leaves = {name: Tensor(getattr(p, name).data, requires_grad=True) for name in ("wq", "wk", "wv")}
+    with GradTape() as tape:
+        out = nr.efficient_attention(Tensor(x), replace(p, **leaves))
+        grads = tape.backward(nr.tsum(out * Tensor(rng.normal(size=out.shape))))
+    assert not grads[leaves["wk"]].any()
+    assert np.abs(grads[leaves["wq"]]).max() <= 1e-14 * np.abs(grads[leaves["wv"]]).max()
+
+
 @pytest.mark.parametrize("kind", ["efficient", "channel"])
 def test_attention_is_voxel_permutation_equivariant(rng, kind):
     dm, heads, spatial = 6, 2, (2, 7, 1)

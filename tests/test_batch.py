@@ -66,13 +66,12 @@ def test_conv3d_on_a_batch_equals_stacked_per_sample_calls(rng, case):
 
 # The gradcheck rows whose leaves all take a leading batch axis, by case id:
 # (row, which output to compare or None for all of them concatenated, and
-# whether the batched forward is bitwise equal to the per-sample calls). The
+# whether the batched forward is bitwise equal to the per-sample calls). NCC's
 # window sums, the resampling, the pooling and the warp treat each sample
 # alone with the same operations.
 BATCHABLE = {
     "matmul": ("matmul", None, False),
     "activations": ("activations", None, False),
-    "box_sum": ("box_sum", None, True),
     "upsample": ("upsample_trilinear", None, True),
     "global_pool_avg": ("global_pool", 0, True),
     "global_pool_max": ("global_pool", 1, True),
@@ -83,7 +82,7 @@ BATCHABLE = {
     "lka_block": ("lka_block", None, False),
     "nested_attention_fusion": ("nested_attention_fusion", None, False),
     "warp": ("warp_trilinear", None, True),
-    "ncc": ("ncc_loss", None, False),
+    "ncc": ("ncc_loss", None, True),
     "smoothness": ("smoothness_loss", None, False),
     "composite": ("composite_loss", None, False),
 }

@@ -72,7 +72,7 @@ def test_save_volume_accepts_wrapped_types_and_casts_ints(tmp_path):
         nr.save_volume(tmp_path / "bad.nmv", np.ones((2, 2)))
 
 
-def test_load_volume_rejects_corrupt_files(tmp_path, rng):
+def test_load_volume_rejects_corrupt_files(tmp_path, rng, capsys):
     path = tmp_path / "v.nmv"
     nr.save_volume(path, rng.normal(size=(3, 3, 3)))
     blob = bytearray(path.read_bytes())
@@ -99,6 +99,16 @@ def test_load_volume_rejects_corrupt_files(tmp_path, rng):
     bad.write_bytes(b"NMV")
     with pytest.raises(TruncatedFileError):
         nr.load_volume(bad)
+
+    # A complete file of an unsupported rank is a format error, not a
+    # truncated file, and a data error (exit 2) on the command line.
+    for rank in (2, 5):
+        bad.write_bytes(_nmv_header(2, (3,) * rank) + np.zeros(3 ** rank).tobytes())
+        with pytest.raises(VolumeFormatError, match=f"unsupported rank {rank}$") as err:
+            nr.load_volume(bad)
+        assert not isinstance(err.value, TruncatedFileError)
+        assert main(["metrics", "--a", str(bad), "--b", str(bad)]) == 2
+        assert f"unsupported rank {rank}" in capsys.readouterr().err
 
     # every format error is a VolumeFormatError for coarse handling
     assert issubclass(BadMagicError, VolumeFormatError)
@@ -266,7 +276,7 @@ def test_cli_synth_writes_three_volumes(tmp_path, capsys):
 def test_cli_synth_halves_an_overflowing_amplitude_to_the_zero_field(tmp_path, capsys, caplog):
     # At 1e200 voxels the Jacobian's products overflow, so no determinant is
     # positive and finite: the field counts as folded and is halved 40 times,
-    # then replaced by the zero field.
+    # then replaced by the zero field, with one warning that says so.
     out = tmp_path / "pair"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -276,6 +286,8 @@ def test_cli_synth_halves_an_overflowing_amplitude_to_the_zero_field(tmp_path, c
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     halvings = [r.getMessage() for r in caplog.records if "halving amplitude" in r.getMessage()]
     assert len(halvings) == 40
+    dropped = [r for r in caplog.records if "zero field" in r.getMessage()]
+    assert [r.levelno for r in dropped] == [logging.WARNING]
     npt.assert_array_equal(nr.load_volume(out / "truth_field.nmv"), 0.0)
 
 

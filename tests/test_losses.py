@@ -50,17 +50,35 @@ def test_ncc_with_prebuilt_fixed_sums_equals_ncc_of_the_volume(rng, bits, shape)
     assert loss_and_grad(nr.ncc_fixed_sums(f, 5)) == want
 
 
-def test_ncc_with_sums_built_off_the_tape_refuses_a_fixed_volume_that_needs_gradients(rng):
-    f = Volume(values=Tensor(rng.uniform(size=(1, 6, 6, 6)), requires_grad=True))
-    w = vol(rng.uniform(size=(1, 6, 6, 6)))
-    sums = nr.ncc_fixed_sums(f, 3)
-    nr.ncc_loss(sums, w, window=3)  # no tape: nothing to detach
-    with nr.GradTape(), pytest.raises(nr.ContractError):
-        nr.ncc_loss(sums, w, window=3)
-    with nr.GradTape() as tape:
-        grad = tape.backward(nr.ncc_loss(nr.ncc_fixed_sums(f, 3), w, window=3))[f.values]
-    with nr.GradTape() as tape:
-        assert grad.tobytes() == tape.backward(nr.ncc_loss(f, w, window=3))[f.values].tobytes()
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("sums", ["volume", "given", "rebuilt"])
+@pytest.mark.parametrize("fixed_grad", [False, True])
+def test_ncc_records_one_entry_and_gives_the_fixed_gradient_through_its_sums(rng, bits, sums, fixed_grad):
+    """``ncc_loss`` records one tape entry whether the fixed side comes as the
+    volume, as its sums for this window or as sums for another window, and
+    with or without a fixed gradient. The sums are plain arrays, so they add
+    no entry, and a fixed gradient through them equals the one through the
+    volume bit for bit."""
+    dtype = np.float32 if bits == 32 else np.float64
+    f = Tensor(rng.uniform(size=(2, 1, 7, 8, 9)).astype(dtype), requires_grad=fixed_grad)
+    w = Tensor(rng.uniform(size=(2, 1, 7, 8, 9)).astype(dtype), requires_grad=True)
+
+    def run(fixed):
+        with nr.GradTape() as tape:
+            loss = nr.ncc_loss(fixed, Volume(values=w), window=3)
+            records = len(tape)
+            grads = tape.backward(nr.tsum(loss))
+        gf = grads.get(f)
+        return records, loss.data.tobytes(), grads[w].tobytes(), None if gf is None else gf.tobytes()
+
+    fixed = Volume(values=f)
+    if sums != "volume":
+        fixed = nr.ncc_fixed_sums(fixed, 3 if sums == "given" else 5)
+        assert all(isinstance(a, np.ndarray) for a in (fixed.sf, fixed.var_f))
+    records, *got = run(fixed)
+    assert records == 1
+    assert got == list(run(Volume(values=f))[1:])
+    assert (got[-1] is not None) == fixed_grad
 
 
 def test_ncc_identical_volumes_reach_the_eps_floor(rng):
@@ -189,8 +207,8 @@ def _assert_grads_close(got, want, bits):
 def _ncc_loss_and_grads(loss_fn, f_data, w_data, window, sums, fixed_grad):
     """The loss of (f, w) by ``loss_fn``, the tape's record count and the
     gradients of w and f (None for f without a gradient). ``sums`` is how the
-    fixed side reaches the loss: the volume itself, its sums for this window
-    (built on the tape), or sums for another window, which the loss rebuilds."""
+    fixed side reaches the loss: the volume itself, its sums for this window,
+    or sums for another window, which the loss rebuilds."""
     f = Tensor(f_data, requires_grad=fixed_grad)
     w = Tensor(w_data, requires_grad=True)
     with nr.GradTape() as tape:
@@ -214,19 +232,19 @@ def test_ncc_op_equals_its_composition_of_taped_primitives(rng, bits, shape, win
     """``ncc_loss`` is one taped op. Its forward equals the composed loss's
     bit for bit, and its gradients of both volumes stay within
     COMPOSED_BOUNDS of the composed ones; a fixed volume without a gradient
-    gets none."""
+    gets none. The op records one entry in every case."""
     dtype = np.float32 if bits == 32 else np.float64
     f = rng.uniform(size=shape).astype(dtype)
     w = rng.uniform(size=shape).astype(dtype)
     loss, records, gw, gf = _ncc_loss_and_grads(nr.ncc_loss, f, w, window, sums, fixed_grad)
     want, _, gw_want, gf_want = _ncc_loss_and_grads(ncc_loss_composed, f, w, window, sums, fixed_grad)
     assert loss == want
+    assert records == 1
     _assert_grads_close(gw, gw_want, bits)
     if fixed_grad:
         _assert_grads_close(gf, gf_want, bits)
     else:
         assert gf is None and gf_want is None
-        assert records == 1
 
 
 @pytest.mark.parametrize("bits", [32, 64])

@@ -10,6 +10,7 @@ from scipy.special import softmax as sp_softmax
 
 import nestreg as nr
 from nestreg import ConfigError, ShapeError, Tensor
+from nestreg.tensor import _band, _banded_passes
 from oracles import (
     box_sum_adjoint_pad_ref,
     box_sum_prefix_ref,
@@ -211,35 +212,50 @@ def test_conv3d_bad_groups_and_kernel_overrun(rng):
         nr.conv3d(x, Tensor(rng.normal(size=(2, 2, 3, 3, 3))))  # wrong channels/group
 
 
+def _window_sum(x, k):
+    """Valid k-wide window sums of x over its last three axes: the band
+    products with ones that ``ncc_loss`` and ``ncc_fixed_sums`` run, cast
+    back to x's dtype."""
+    bands = tuple(_band(e, np.ones(k)) for e in x.shape[-3:])
+    return _banded_passes(x, bands).astype(x.dtype, copy=False)
+
+
+def _window_sum_adjoint(g, k):
+    """The adjoint of ``_window_sum`` for an output gradient g: the same
+    products with the bands transposed, as ``ncc_loss``'s vjp runs them."""
+    bands = tuple(_band(e + k - 1, np.ones(k)).T for e in g.shape[-3:])
+    return _banded_passes(g, bands).astype(g.dtype, copy=False)
+
+
 @pytest.mark.parametrize("shape,k", [((2, 4, 5, 6), 3), ((1, 9, 7, 8), 5), ((1, 3, 3, 3), 3)])
-def test_box_sum_matches_loop_oracle(rng, shape, k):
+def test_band_window_sum_matches_loop_oracle(rng, shape, k):
     x = rng.normal(size=shape)
-    npt.assert_allclose(nr.box_sum(Tensor(x), k).data, box_sum_ref(x, k), rtol=1e-6, atol=1e-12)
+    npt.assert_allclose(_window_sum(x, k), box_sum_ref(x, k), rtol=1e-6, atol=1e-12)
 
 
-def test_box_sum_float32_within_one_ulp_of_float64_at_full_window(rng):
+def test_band_window_sum_float32_within_one_ulp_of_float64_at_full_window(rng):
     """Float64 accumulation leaves float32 64^3 k9 sums one cast from exact:
     relative error under float32 epsilon (2^-23)."""
     x = rng.uniform(size=(1, 64, 64, 64)).astype(np.float32)
-    got = nr.box_sum(Tensor(x), 9).data
-    want = nr.box_sum(Tensor(x.astype(np.float64)), 9).data
+    got = _window_sum(x, 9)
+    want = _window_sum(x.astype(np.float64), 9)
     assert got.dtype == np.float32
     assert np.max(np.abs(got - want) / np.abs(want)) < np.finfo(np.float32).eps
 
 
-def test_box_sum_float32_within_one_ulp_of_the_prefix_sum_kernel(rng):
+def test_band_window_sum_float32_within_one_ulp_of_the_prefix_sum_kernel(rng):
     """Both kernels sum in float64 and cast once, so their float32 results
     differ by at most one float32 ulp. On heavy-tailed volumes like these
     (64^3 k9 and 32^3 B=2 k5, five seeds) no voxel differed at all."""
     for shape, k in [((1, 64, 64, 64), 9), ((2, 1, 32, 32, 32), 5)]:
         x = (rng.normal(size=shape) * np.exp(rng.normal(size=shape))).astype(np.float32)
-        got = nr.box_sum(Tensor(x), k).data
+        got = _window_sum(x, k)
         want = box_sum_prefix_ref(x, k)
         assert got.dtype == want.dtype == np.float32
         assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
 
 
-def test_box_sum_adjoint_float32_within_one_ulp_of_the_padded_kernel(rng):
+def test_band_window_sum_adjoint_float32_within_one_ulp_of_the_padded_kernel(rng):
     """The transposed band products and the zero-padded window sums both sum
     in float64 and cast once: at most one float32 ulp apart. On heavy-tailed
     gradients like these (64^3 k9 and 32^3 B=2 k5) no voxel differed."""
@@ -247,17 +263,11 @@ def test_box_sum_adjoint_float32_within_one_ulp_of_the_padded_kernel(rng):
         x = rng.normal(size=shape).astype(np.float32)
         out_shape = shape[:-3] + tuple(e - k + 1 for e in shape[-3:])
         g = (rng.normal(size=out_shape) * np.exp(rng.normal(size=out_shape))).astype(np.float32)
-        got = _box_sum_adjoint(x, k, g)
+        got = _window_sum_adjoint(g, k)
         want = box_sum_adjoint_pad_ref(g, k)
+        assert got.shape == x.shape
         assert got.dtype == want.dtype == np.float32
         assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
-
-
-def _box_sum_adjoint(x, k, g):
-    """The gradient that ``box_sum``'s vjp hands to x for output gradient g."""
-    xt = Tensor(x, requires_grad=True)
-    with nr.GradTape() as tape:
-        return tape.backward(nr.tsum(nr.box_sum(xt, k) * Tensor(g)))[xt]
 
 
 def _band_edge_volumes(rng, k, batch):
@@ -270,14 +280,14 @@ def _band_edge_volumes(rng, k, batch):
 
 @pytest.mark.parametrize("k", [1, 3, 5, 9])
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_box_sum_adjoint_matches_the_padded_oracle_and_the_inner_product(rng, k, batch):
-    """At float64, the vjp is within 1e-12 of the zero-padded window sums'
-    absolute sum, and <box_sum(x), g> = <x, vjp(g)> within 1e-12 of
-    <|x|, vjp(|g|)>."""
+def test_band_window_sum_adjoint_matches_the_padded_oracle_and_the_inner_product(rng, k, batch):
+    """At float64, the adjoint is within 1e-12 of the zero-padded window
+    sums' absolute sum, and <sum(x), g> = <x, adjoint(g)> within 1e-12 of
+    <|x|, adjoint(|g|)>."""
     for x in _band_edge_volumes(rng, k, batch):
-        y = nr.box_sum(Tensor(x), k).data
+        y = _window_sum(x, k)
         g = rng.normal(size=y.shape)
-        got = _box_sum_adjoint(x, k, g)
+        got = _window_sum_adjoint(g, k)
         assert got.shape == x.shape
         scale = box_sum_adjoint_pad_ref(np.abs(g), k)
         assert (np.abs(got - box_sum_adjoint_pad_ref(g, k)) <= 1e-12 * scale).all()
@@ -287,8 +297,8 @@ def test_box_sum_adjoint_matches_the_padded_oracle_and_the_inner_product(rng, k,
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 @pytest.mark.parametrize("split", ["one_plane", "uneven", "single"])
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_box_sum_of_z_chunks_stitched_matches_the_loop_oracle(rng, k, split, batch):
-    """Box sums taken z-chunk by z-chunk and stitched at the chunk edges:
+def test_band_window_sum_of_z_chunks_stitched_matches_the_loop_oracle(rng, k, split, batch):
+    """Window sums taken z-chunk by z-chunk and stitched at the chunk edges:
     chunks of 1 output plane, of 2 (an uneven last chunk where the output
     extent is odd) or one chunk, on the band's edge volumes. Each chunk's
     band spans only the chunk, so this checks that an output reads its own window and
@@ -298,21 +308,11 @@ def test_box_sum_of_z_chunks_stitched_matches_the_loop_oracle(rng, k, split, bat
         nz = x.shape[-3] - k + 1
         step = {"one_plane": 1, "uneven": 2, "single": nz}[split]
         chunks = [x[..., z0:z0 + step + k - 1, :, :] for z0 in range(0, nz, step)]
-        got = np.concatenate([nr.box_sum(Tensor(c), k).data for c in chunks], axis=-3)
+        got = np.concatenate([_window_sum(c, k) for c in chunks], axis=-3)
         for b in np.ndindex(batch):
             want = box_sum_ref(x[b], k)
             assert got[b].shape == want.shape
             assert (np.abs(got[b] - want) <= 1e-12 * box_sum_ref(np.abs(x[b]), k)).all()
-
-
-def test_box_sum_rejects_bad_shapes_and_windows(rng):
-    x = Tensor(rng.normal(size=(1, 4, 5, 6)))
-    with pytest.raises(ShapeError):
-        nr.box_sum(x, 5)
-    with pytest.raises(ShapeError):
-        nr.box_sum(Tensor(rng.normal(size=(4, 5, 6))), 3)
-    with pytest.raises(ConfigError):
-        nr.box_sum(x, 0)
 
 
 def test_global_pool_matches_numpy(rng):
