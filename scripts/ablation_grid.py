@@ -33,11 +33,11 @@ ROWS = [
     ("layers 8", dict(blocks_per_stage=2)),
     ("EA only", dict(use_channel=False)),
     ("CA only", dict(use_efficient=False)),
-    ("DAE/LKA 0/4", dict(dae_blocks=0, lka_blocks=4)),
-    ("DAE/LKA 1/3", dict(dae_blocks=1, lka_blocks=3)),
-    ("DAE/LKA 2/2", dict(dae_blocks=2, lka_blocks=2)),
-    ("DAE/LKA 3/1", dict(dae_blocks=3, lka_blocks=1)),
-    ("DAE/LKA 4/0", dict(dae_blocks=4, lka_blocks=0)),
+    ("DAE/LKA 0/4", dict(dae_blocks=0)),
+    ("DAE/LKA 1/3", dict(dae_blocks=1)),
+    ("DAE/LKA 2/2", dict(dae_blocks=2)),
+    ("DAE/LKA 3/1", dict(dae_blocks=3)),
+    ("DAE/LKA 4/0", dict(dae_blocks=4)),
 ]
 
 
@@ -54,8 +54,8 @@ def main(argv=None) -> int:
     ]
     print(f"{'row':<14} {'params':>10} {'train loss':>11} {'val loss':>9} {'time':>6}")
     for label, overrides in ROWS:
-        cfg = nr.ModelConfig(**BASE, epochs=args.epochs, **overrides)
-        model = nr.build_model(cfg, seed=args.seed)
+        cfg = nr.ModelConfig(**BASE, epochs=args.epochs, seed=args.seed, **overrides)
+        model = nr.build_model(cfg)
         t0 = time.perf_counter()
         result = nr.train(model, pairs, pairs[:1])
         dt = time.perf_counter() - t0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
+from typing import ClassVar
 
 from .errors import ConfigError
 from .tensor import DTYPES
@@ -16,8 +17,6 @@ _SEQUENCES = ("channels", "strides", "kernels")
 
 # (field, requirement, test) for the fields bounded on their own.
 _BOUNDS = (
-    # The forward concatenates the moving and the fixed volume, one channel each.
-    ("in_channels", "2", lambda v: v == 2),
     ("blocks_per_stage", ">= 1", lambda v: v >= 1),
     ("patch_kernel", ">= 1", lambda v: v >= 1),
     ("ncc_eps", "positive", lambda v: v > 0),
@@ -48,7 +47,9 @@ def _kind(default) -> tuple[str, object]:
 
 @dataclass
 class ModelConfig:
-    """Everything needed to rebuild a model and its training run."""
+    """Everything needed to rebuild a model and its training run. The decoder
+    has one stage per encoder stage: the deepest ``dae_blocks`` run dual
+    attention, the rest large-kernel attention."""
 
     # architecture
     channels: tuple = (8, 16, 32, 64)
@@ -60,8 +61,8 @@ class ModelConfig:
     use_efficient: bool = True
     use_channel: bool = True
     dae_blocks: int = 2
-    lka_blocks: int = 2
-    in_channels: int = 2
+    # Not a field: the forward concatenates the moving and the fixed volume.
+    in_channels: ClassVar[int] = 2
     # loss
     ncc_window: int = 5
     ncc_eps: float = 1e-5
@@ -102,17 +103,11 @@ class ModelConfig:
             self.use_efficient or self.use_channel
         ):
             problems.append("at least one of use_efficient/use_channel must be on")
-        if checkable("dae_blocks", "lka_blocks"):
-            if self.dae_blocks < 0 or self.lka_blocks < 0:
-                problems.append(
-                    f"block counts must be >= 0, got dae={self.dae_blocks} lka={self.lka_blocks}"
-                )
-            stages = self.dae_blocks + self.lka_blocks
-            if checkable("channels") and stages != len(self.channels):
-                problems.append(
-                    f"dae_blocks + lka_blocks = {stages} must equal the "
-                    f"{len(self.channels)} encoder stages"
-                )
+        if checkable("dae_blocks", "channels") and not 0 <= self.dae_blocks <= len(self.channels):
+            problems.append(
+                f"dae_blocks must be in 0..{len(self.channels)} (the encoder stages), "
+                f"got {self.dae_blocks}"
+            )
         if checkable("ncc_window") and (self.ncc_window < 3 or self.ncc_window % 2 == 0):
             problems.append(f"ncc_window must be odd and >= 3, got {self.ncc_window}")
         if checkable("precision") and self.precision not in DTYPES:

@@ -7,11 +7,11 @@ than the shallowest stage's width: both are linear and the upsample's weights
 sum to 1, so the order changes the field only by rounding, and a zero head
 still emits exact zeros.
 
-The deepest ``dae_blocks`` stages of the ``ModelConfig`` reuse the
-dual-attention block; the remaining ``lka_blocks`` stages use large-kernel
-attention (gated depthwise / dilated-depthwise / pointwise convolution).  A
-stage runs the kind of block its parameters hold, and convolution kernels
-take their extent from the weights.
+There is one decoder stage per encoder stage. The deepest ``dae_blocks``
+stages of the ``ModelConfig`` reuse the dual-attention block; the rest use
+large-kernel attention (gated depthwise / dilated-depthwise / pointwise
+convolution).  A stage runs the kind of block its parameters hold, and
+convolution kernels take their extent from the weights.
 """
 
 from __future__ import annotations
@@ -143,11 +143,8 @@ def decoder_forward(
     """Consume the encoder's stage outputs deep-to-shallow and emit the
     [3, D, H, W] field ([B, 3, D, H, W] for a batched pyramid)."""
     n = len(pyramid)
-    if cfg.dae_blocks + cfg.lka_blocks != n:
-        raise ConfigError(
-            f"decoder has {cfg.dae_blocks} + {cfg.lka_blocks} attention stages "
-            f"but the pyramid has {n}"
-        )
+    if len(cfg.channels) != n:
+        raise ConfigError(f"decoder has {len(cfg.channels)} stages but the pyramid has {n}")
     if len(stages) != n:
         raise ConfigError(f"decoder got {len(stages)} parameter sets for {n} stages")
     x = pyramid[n - 1]

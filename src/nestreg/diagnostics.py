@@ -266,7 +266,6 @@ def _tiny_model(seed):
         blocks_per_stage=1,
         heads=2,
         dae_blocks=2,
-        lka_blocks=2,
         precision=64,
         seed=seed,
         init_std=0.2,

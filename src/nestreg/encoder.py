@@ -4,8 +4,8 @@ Each stage embeds the incoming volume with an overlapping strided conv
 (kernel > stride, padding kernel//2), layer-normalizes it over channels,
 runs the stage's dual-attention blocks, and re-normalizes.  The stage
 outputs, channel-first volumes in a list shallow to deep, form the feature
-pyramid consumed by the decoder.  Input channels, strides and patch kernels
-come from the ``ModelConfig``; widths, heads and attention branches from the
+pyramid consumed by the decoder.  Input channels and strides come from the
+``ModelConfig``; widths, patch kernels, heads and attention branches from the
 parameters.
 """
 
@@ -35,16 +35,16 @@ class EncoderStageParams:
     out_beta: Tensor
 
 
-def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int, kernel: int) -> Tensor:
-    """Strided conv (padding kernel//2) + layernorm over the channel axis;
-    returns the embedded volume [..., C_out, d, h, w]."""
+def overlap_patch_embed(x: Tensor, p: PatchEmbedParams, stride: int) -> Tensor:
+    """Strided conv (padding kernel//2, the kernel read from the weight) +
+    layernorm over the channel axis; returns the embedded volume
+    [..., C_out, d, h, w]."""
     for ax, ext in enumerate(x.shape[-3:]):
         if ext % stride:
             raise ShapeError(
                 f"overlap_patch_embed: axis {ax} extent {ext} not divisible by stride {stride}"
             )
-    pad = kernel // 2
-    v = conv3d(x, p.w, p.b, stride=stride, padding=pad)
+    v = conv3d(x, p.w, p.b, stride=stride, padding=p.w.shape[-1] // 2)
     return layernorm(v, p.gamma, p.beta, axis=-4)
 
 
@@ -65,8 +65,8 @@ def encoder_forward(x: Tensor, cfg: ModelConfig, params: list) -> list:
         )
     pyramid = []
     cur = x
-    for sp, stride, kernel in zip(params, cfg.strides, cfg.kernels):
-        cur = overlap_patch_embed(cur, sp.embed, stride, kernel)
+    for sp, stride in zip(params, cfg.strides):
+        cur = overlap_patch_embed(cur, sp.embed, stride)
         for bp in sp.blocks:
             cur = dual_attention_block(cur, bp)
         cur = layernorm(cur, sp.out_gamma, sp.out_beta, axis=-4)

@@ -199,18 +199,13 @@ def _build(cfg: ModelConfig, rng: np.random.Generator | None):
         prev = c
 
     dec_stages = []
-    dae_seen = lka_seen = 0
-    for i in range(cfg.dae_blocks + cfg.lka_blocks):
+    for i in range(n):
         stage_idx = n - 1 - i           # encoder stage the block runs on
         width = channels[stage_idx]
         if i < cfg.dae_blocks:
-            dae_seen += 1
-            prefix = f"decoder.dae{dae_seen}"
-            block = b.dual_block(prefix, width)
+            block = b.dual_block(f"decoder.dae{i + 1}", width)
         else:
-            lka_seen += 1
-            prefix = f"decoder.lka{lka_seen}"
-            block = b.lka(prefix, width)
+            block = b.lka(f"decoder.lka{i - cfg.dae_blocks + 1}", width)
         sp = DecoderStageParams(block=block)
         if stage_idx > 0:
             target = channels[stage_idx - 1]
@@ -295,11 +290,11 @@ class RegistrationModel:
             p.data = np.array(arr, dtype=self.dtype, order="C")  # a copy: sgd_step updates in place
 
 
-def build_model(cfg: ModelConfig, seed: int | None = None) -> RegistrationModel:
-    """Deterministically initialize a model (truncated-normal weights, zero
-    biases, zero deformation head, log-tau at log sqrt(d_head))."""
+def build_model(cfg: ModelConfig) -> RegistrationModel:
+    """Deterministically initialize a model from ``cfg.seed``, its only seed
+    (truncated-normal weights, zero biases, zero head, log-tau at log sqrt(d_head))."""
     cfg.validated()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed if seed is None else seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     return RegistrationModel(cfg, *_build(cfg, rng))
 
 

@@ -14,6 +14,9 @@ op, in another order or in another layout, run in the input's dtype on the
 engine's own primitives.
 Sequential compositions of engine calls that the engine now overlaps on two
 threads call the engine itself, one step after another.
+Each of these references ends its docstring with what its tests assert that
+a loop oracle cannot: bit identity of which outputs, a float32 bound, or an
+order.
 """
 
 from __future__ import annotations
@@ -409,7 +412,11 @@ def sdlogj_ref(u):
 
 def windowed_mean_full_ref(a, kern1d):
     """Separable windowed mean: filter the whole volume along each axis, then
-    crop the invalid border once at the end."""
+    crop the invalid border once at the end: the formulation that SSIM's
+    shrinking passes replaced.
+
+    Tested: the engine's windowed mean within 8 float64 ulps of it, and SSIM
+    within 1e-12 with it swapped in, on 64^3 pairs too large for a loop."""
     r = (kern1d.size - 1) // 2
     out = a
     for axis in range(3):
@@ -419,7 +426,11 @@ def windowed_mean_full_ref(a, kern1d):
 
 def hd95_edt_ref(mask_a, mask_b):
     """HD95 from exact Euclidean distance transforms of the whole volume;
-    surfaces by 6-neighbor erosion with the border counted as background."""
+    surfaces by 6-neighbor erosion with the border counted as background:
+    the formulation that the lattice-shell search replaced.
+
+    Tested: ``hd95`` equals it with ``==`` on 64^3 pairs and on any masks,
+    beyond the all-pairs oracle's reach."""
     surf_a = surface_erosion_ref(mask_a)
     surf_b = surface_erosion_ref(mask_b)
     dist_to_b = ndimage.distance_transform_edt(~surf_b)
@@ -433,7 +444,10 @@ def sdlogj_whole_volume_ref(u):
     Jacobian [3, 3, D-2, H-2, W-2] and its determinant held for the whole
     interior at once: the formulation that the engine's z-slabs replaced.
     Returns (sdlogj, folding_fraction); raises UndefinedMetricError when no
-    determinant is positive."""
+    determinant is positive.
+
+    Tested: the slab walk's (sdlogj, folding_fraction) equal it with ``==``,
+    the same reduction order, which ``np.linalg.det`` per voxel does not keep."""
     from nestreg import UndefinedMetricError
 
     jac = np.empty((3, 3) + tuple(e - 2 for e in u.shape[1:]), dtype=np.float64)
@@ -460,7 +474,10 @@ def sdlogj_whole_volume_ref(u):
 def phantom_dense_ref(rng, shape):
     """``synth._phantom`` with every ellipsoid computed over the whole volume
     from a dense [3, D, H, W] coordinate grid: the formulation that the
-    engine's bounding boxes replaced. Draws from ``rng`` in the same order."""
+    engine's bounding boxes replaced. Draws from ``rng`` in the same order.
+
+    Tested: the phantom byte for byte with the same rng state after it, and
+    every benchmark pair byte for byte."""
     axes = [np.linspace(-1.0, 1.0, ext) for ext in shape]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"))  # [3, D, H, W]
     bdir = rng.normal(size=3)
@@ -497,7 +514,10 @@ def phantom_dense_ref(rng, shape):
 
 def surface_erosion_ref(mask):
     """6-neighbor surface as the mask minus its binary erosion, the border
-    counted as background: the formulation the engine's slicing replaced."""
+    counted as background: the formulation the engine's slicing replaced.
+
+    Tested: ``surface_voxels`` equal to it, dtype included, on thin masks and
+    masks on the border."""
     mask = np.asarray(mask, dtype=bool)
     six = ndimage.generate_binary_structure(3, 1)
     return mask & ~ndimage.binary_erosion(mask, structure=six, border_value=0)
@@ -506,7 +526,10 @@ def surface_erosion_ref(mask):
 def windowed_mean_correlate_ref(a, kern1d):
     """Separable windowed mean with ``correlate1d`` along all three axes, each
     pass cropped to its valid range before the next: the formulation the
-    engine's band products replaced."""
+    engine's band products replaced.
+
+    Tested: the band products within 8 float64 ulps of it, on z-chunks
+    stitched at their edges and on transposed views."""
     r = (kern1d.size - 1) // 2
     out = a
     for axis in range(3):
@@ -519,7 +542,10 @@ def windowed_mean_correlate_ref(a, kern1d):
 def ssim_pair_ref(a, b, window=7, sigma=1.5):
     """SSIM of one pair of float64 [D,H,W] volumes with every windowed mean
     (both volumes' included) taken per call, in the order the metric used
-    before a batch shared the fixed volume's terms."""
+    before a batch shared the fixed volume's terms.
+
+    Tested: SSIM against a shared fixed volume within 1e-12 of it on 64^3
+    pairs, too large for the window loop."""
     lo = min(a.min(), b.min())
     span = max(a.max(), b.max()) - lo
     if span == 0.0:
@@ -542,7 +568,9 @@ def ssim_pair_ref(a, b, window=7, sigma=1.5):
 def box_sum_prefix_ref(x, k):
     """Valid k-wide window sums over the last three axes by float64 prefix
     sums, one axis at a time, each differenced at distance k, cast back to
-    x's dtype: the kernel that the engine's log-step doubling replaced."""
+    x's dtype: the kernel that the engine's log-step doubling replaced.
+
+    Tested: the float32 band window sum within one float32 ulp of it."""
     def along(ax, sl):
         key = [slice(None)] * x.ndim
         key[ax] = sl
@@ -562,7 +590,10 @@ def box_sum_adjoint_pad_ref(g, k):
     """The adjoint of a valid k-wide box sum over the last three axes: g
     zero-padded by k-1 on every side, then summed over every valid window,
     one axis at a time as k shifted slices, in float64, cast back to g's
-    dtype: the kernel that the engine's transposed band products replaced."""
+    dtype: the kernel that the engine's transposed band products replaced.
+
+    Tested: the float32 adjoint within one float32 ulp of it, and the float64
+    adjoint within 1e-12 of its sums of absolute values."""
     out = np.pad(g.astype(np.float64), ((0, 0),) * (g.ndim - 3) + ((k - 1, k - 1),) * 3)
     for ax in (-3, -2, -1):
         n = out.shape[ax] - k + 1
@@ -574,7 +605,10 @@ def depthwise_shift_ref(x, w, padding, dilation=1):
     """Depthwise stride-1 conv3d as a sum of shifted slices of the padded
     input, one slice per kernel offset in row-major offset order, in the
     input's dtype: the kernel that the engine's flat-buffer kernels replaced.
-    x [C,D,H,W], w [C,1,kd,kh,kw]; returns (out, vjp) with vjp(g) -> (gx, gw)."""
+    x [C,D,H,W], w [C,1,kd,kh,kw]; returns (out, vjp) with vjp(g) -> (gx, gw).
+
+    Tested: the column kernel's output and both gradients within 1e-12 at
+    float64 and 2e-6 at float32, with and without a batch."""
     pads = _pad_pairs(padding)
     dils = _triple(dilation)
     xp = np.pad(x, ((0, 0),) + pads)
@@ -603,7 +637,10 @@ def depthwise_shift_ref(x, w, padding, dilation=1):
 def depthwise_live_ref(kern, dils, pads, out_ext, spatial, py, px):
     """(flat kernel index, flat shift) of the depthwise offsets that read some
     input, by testing every offset on all three axes: the list the engine
-    built before it took the product of per-axis ranges."""
+    built before it took the product of per-axis ranges.
+
+    Tested: the product of per-axis ranges lists the same pairs in the same
+    order."""
     live = []
     for i, js in enumerate(product(*map(range, kern))):
         if all(
@@ -617,7 +654,10 @@ def depthwise_live_ref(kern, dils, pads, out_ext, spatial, py, px):
 def warp_gather_ref(m, u):
     """The trilinear warp's forward of m [C,D,H,W] by u [3,D,H,W] with the
     corners gathered by three-array fancy indexing, in the input's dtype:
-    the gather that the engine's flat-index ``np.take`` replaced."""
+    the gather that the engine's flat-index ``np.take`` replaced.
+
+    Tested: the flat-index forward equals it bit for bit in float32 and
+    float64, with and without a batch."""
     exts = m.shape[1:]
     pos = np.indices(exts, dtype=m.dtype) + u
     i0 = np.empty((3,) + exts, dtype=np.intp)
@@ -644,7 +684,10 @@ def dense_einsum_ref(x, w, stride=1, padding=0, dilation=1, groups=1):
     """Dense conv3d (no bias) of x [C,D,H,W] or [B,C,D,H,W] by w [O,I,kd,kh,kw]
     as einsum contractions over a sliding-window view of the padded input,
     in the input's dtype: the kernel that the engine's column-matrix GEMM
-    replaced. Returns (out, vjp) with vjp(g) -> (gx, gw)."""
+    replaced. Returns (out, vjp) with vjp(g) -> (gx, gw).
+
+    Tested: the GEMM's input and weight gradients bit for bit in float32, and
+    its output too except on the two shapes bounded at 1e-6."""
     pads = _pad_pairs(padding)
     strides, dils = _triple(stride), _triple(dilation)
     lead, cin, spatial = x.shape[:-4], x.shape[-4], x.shape[-3:]
@@ -688,7 +731,10 @@ def dense_einsum_ref(x, w, stride=1, padding=0, dilation=1, groups=1):
 def upsample_take_ref(x, factors):
     """Trilinear upsampling of x [..., D, H, W] one axis at a time, each a
     gather of both neighbors by ``np.take`` and a lerp, in the input's dtype:
-    the forward that the engine's interpolation-matrix product replaced."""
+    the forward that the engine's interpolation-matrix product replaced.
+
+    Tested: its float32 output, like the engine's, within 1e-6 of the float64
+    forward."""
     factors = (factors,) * 3 if np.isscalar(factors) else tuple(factors)
     scalar = x.dtype.type
     for ax, f in zip((-3, -2, -1), factors):
@@ -713,7 +759,10 @@ def warp_corner_index_ref(m, u):
     each corner's flat index summed from per-axis lower/upper index arrays
     and the clamp's derivative mask stored on the forward, in the input's
     dtype: the warp that the engine's one base index replaced. Returns
-    (out, vjp) with vjp(g) -> (gm, gu)."""
+    (out, vjp) with vjp(g) -> (gm, gu).
+
+    Tested: the base-index warp's output and both gradients bit for bit at
+    float32 and float64, on fields that clamp."""
     exts = m.shape[-3:]
     pos = np.moveaxis(np.indices(exts, dtype=m.dtype) + u, -4, 0)
     live = np.empty(pos.shape, dtype=bool)
@@ -776,7 +825,10 @@ def warp_whole_volume_ref(m, u):
     every temporary at full volume size (the position grid from
     ``np.indices``, ``frac`` promoted through float64 and rounded back), in
     the input's dtype: the warp that the engine's z-slabs replaced. Returns
-    (out, vjp) with vjp(g) -> (gm, gu)."""
+    (out, vjp) with vjp(g) -> (gm, gu).
+
+    Tested: the slab warp's output, taped and not, and both gradients bit for
+    bit over three or more z-slabs."""
     exts = m.shape[-3:]
     dtype = m.dtype
     pos = np.moveaxis(np.indices(exts, dtype=dtype) + u, -4, 0)
@@ -836,7 +888,9 @@ def box_sum_taped(a, k):
     three float64 band products with ones, the same products with the bands
     transposed as its vjp, each cast back to the dtype. The engine's
     window-sum primitive before ``ncc_loss`` took its sums as plain
-    arrays."""
+    arrays.
+
+    Used only as ``ncc_loss_composed``'s window sum."""
     from nestreg.tensor import _band, _banded_passes, make_op
 
     bands = tuple(_band(e, np.ones(k)) for e in a.data.shape[-3:])
@@ -851,7 +905,10 @@ def ncc_loss_composed(fixed, warped, *, window=5, eps=1e-5):
     """``ncc_loss`` as a chain of taped engine primitives (box sums, products,
     sums and a mean), each with its own vjp: the loss that the engine's one
     op replaced. ``fixed`` is a Volume or its ``NccFixedSums``, whose volume
-    the chain sums again on the tape."""
+    the chain sums again on the tape.
+
+    Tested: ``ncc_loss``'s value bit for bit and its gradients within 1e-12
+    (float64) and 2e-6 (float32), in one tape record."""
     from nestreg.losses import NccFixedSums
     from nestreg.tensor import tmean
 
@@ -871,7 +928,10 @@ def ncc_loss_composed(fixed, warped, *, window=5, eps=1e-5):
 
 def smoothness_loss_composed(field):
     """``smoothness_loss`` as taped slices, differences, products, means and
-    sums: the loss that the engine's one op replaced."""
+    sums: the loss that the engine's one op replaced.
+
+    Tested: ``smoothness_loss``'s value bit for bit and its gradient within
+    1e-12 (float64) and 2e-6 (float32), in one tape record."""
     from nestreg.tensor import tmean
 
     u = field.u
@@ -890,7 +950,10 @@ def smoothness_loss_composed(field):
 def decoder_head_last_ref(pyramid, cfg, stages, head):
     """``decoder_forward`` with the 1x1x1 head applied after the last
     upsample, at full resolution: the order that the engine's head-first
-    decoder replaced. Returns the field tensor."""
+    decoder replaced. Returns the field tensor.
+
+    Tested: the head-first field within 1e-12 (float64) and 1e-6 (float32)
+    of its largest value."""
     from nestreg import decoder as dec
     from nestreg.attention import DualBlockParams
     from nestreg.tensor import conv3d, upsample_trilinear
@@ -1027,7 +1090,10 @@ def dual_attention_block_tokens(x, spatial, p):
 
 def encoder_forward_tokens(x, cfg, params):
     """``encoder_forward`` with the token layout inside each stage: embed,
-    convert to tokens, layernorm, blocks, layernorm, convert back."""
+    convert to tokens, layernorm, blocks, layernorm, convert back.
+
+    Tested: the channel-first pyramid and field within 1e-12 at float64, and
+    within 1e-6 (values) and 2e-5 (gradients) at float32."""
     from nestreg.tensor import conv3d, layernorm
 
     pyramid = []
@@ -1047,7 +1113,9 @@ def encoder_forward_tokens(x, cfg, params):
 def decoder_forward_tokens(pyramid, cfg, stages, head):
     """``decoder_forward`` with each dual-attention stage converted to tokens
     and back; the large-kernel stages, the fusion and the head are the
-    engine's own."""
+    engine's own.
+
+    Tested with ``encoder_forward_tokens``."""
     from nestreg import decoder as dec
     from nestreg.attention import DualBlockParams
     from nestreg.tensor import conv3d, upsample_trilinear
@@ -1078,7 +1146,10 @@ def register_ref(model, moving, fixed):
     """``register`` of two Volumes one step after another on the calling
     thread: the forward, the composite loss, SDlogJ, then SSIM and HD95 of
     the moving volume, then of the warped volume, against the fixed one.
-    Returns (field, warped, report)."""
+    Returns (field, warped, report).
+
+    Tested: ``register``'s field, warped volume and report bit for bit, and
+    its errors in the same order."""
     from nestreg import metrics
     from nestreg.losses import composite_loss
 

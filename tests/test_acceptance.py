@@ -338,7 +338,7 @@ def _arch_signature(cfg: ModelConfig) -> tuple:
     return (
         cfg.channels, cfg.kernels, cfg.heads, cfg.patch_kernel,
         cfg.blocks_per_stage, cfg.use_efficient, cfg.use_channel,
-        cfg.dae_blocks, cfg.lka_blocks, cfg.in_channels,
+        cfg.dae_blocks,
     )
 
 
@@ -354,7 +354,7 @@ def test_c6_ablation_grid_liveness():
         total = nr.count_params(cfg).total
         sig = _arch_signature(cfg)
         assert totals_by_sig.setdefault(sig, total) == total
-        model = nr.build_model(cfg, seed=0)
+        model = nr.build_model(cfg)
         result = nr.train(model, pairs, pairs[:1])
         last = result.curve.rows[-1]
         assert math.isfinite(last.train_loss) and math.isfinite(last.val_loss), label
@@ -370,6 +370,27 @@ def test_c6_ablation_grid_liveness():
              "all totals distinct")
 
 
+def test_ablation_grid_seed_initializes_and_shuffles_from_each_rows_config(monkeypatch, capsys):
+    """``--seed`` goes into each row's config, so the recorded config both
+    shuffled the run and rebuilds its initial model."""
+    started = []
+    real_train = nr.train
+
+    def recording_train(model, *args, **kwargs):
+        started.append((model.config, model.state()))
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(nr, "train", recording_train)
+    assert _GRID.main(["--epochs", "1", "--pairs", "2", "--seed", "3"]) == 0
+    assert len(started) == len(_GRID.ROWS)
+    for (label, _), (cfg, state) in zip(_GRID.ROWS, started):
+        assert cfg.seed == 3, label
+        rebuilt = nr.build_model(cfg).state()
+        assert rebuilt.keys() == state.keys(), label
+        for name, arr in state.items():
+            npt.assert_array_equal(rebuilt[name], arr, err_msg=f"{label}: {name}")
+
+
 # ---------------------------------------------------------------------------
 # 7. Determinism & persistence
 # ---------------------------------------------------------------------------
@@ -378,7 +399,7 @@ def test_c6_ablation_grid_liveness():
 def test_c7_determinism_and_persistence(tmp_path):
     cfg = ModelConfig(
         channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
-        dae_blocks=1, lka_blocks=1, epochs=3, precision=64, seed=9,
+        dae_blocks=1, epochs=3, precision=64, seed=9,
     )
     pairs = [nr.synth_pair(12, seed=40 + i, amplitude=1.5, bits=64)[:2] for i in range(3)]
     tr, va = nr.split_pairs(pairs)
@@ -428,8 +449,7 @@ def test_c7_determinism_and_persistence(tmp_path):
 _COUNT_CASES = [
     (
         ModelConfig(
-            channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
-            dae_blocks=1, lka_blocks=1,
+            channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1, dae_blocks=1,
         ),
         {"Encoder": 2264, "DAE-Former 1": 1337, "LKA-Former 1": 118, "Other": 171},
     ),
@@ -445,7 +465,7 @@ _COUNT_CASES = [
     (
         ModelConfig(
             channels=(3, 6), strides=(2, 2), kernels=(3, 3), heads=3,
-            blocks_per_stage=2, use_channel=False, dae_blocks=0, lka_blocks=2,
+            blocks_per_stage=2, use_channel=False, dae_blocks=0,
         ),
         {"Encoder": 6777, "LKA-Former 1": 378, "LKA-Former 2": 180, "Other": 279},
     ),
@@ -464,6 +484,6 @@ def test_c8_parameter_accounting(cfg, frozen):
     table = nr.count_params(cfg)
     assert table.rows == list(frozen.items())  # Encoder, DAE i, LKA i, Other
     assert table.total == sum(frozen.values())
-    assert nr.build_model(cfg, seed=0).num_params == table.total
+    assert nr.build_model(cfg).num_params == table.total
     _verdict(8, "parameter accounting",
              f"{len(frozen)} rows exact, total {table.total:,}")

@@ -179,8 +179,8 @@ def test_volume_promotion_astype_and_3d_model_inputs_keep_the_gradient(rng):
     npt.assert_array_equal(grad, r32.data)
 
     cfg = nr.ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
-                         dae_blocks=1, lka_blocks=1, precision=64)
-    model = nr.build_model(cfg, seed=0)
+                         dae_blocks=1, precision=64)
+    model = nr.build_model(cfg)
     head = model.registry["head.w"]
     head.data = rng.normal(size=head.shape)  # the zero head would zero every input gradient
     loss = lambda m: nr.tsum(model.forward(m, r).u)

@@ -199,7 +199,7 @@ def test_default_step_records_at_most_430_entries_and_125_views(rng):
     sample. The features keep one layout, so the only reshapes and
     transposes are attention's flattenings, head splits and merges and the
     fusion's pooled descriptors (measured: 396 records, 96 of them views)."""
-    model = nr.build_model(nr.ModelConfig(), seed=0)
+    model = nr.build_model(nr.ModelConfig())
     mv, fx = (nr.Volume(Tensor(rng.uniform(size=(2, 1, 32, 32, 32)).astype(np.float32))) for _ in range(2))
     with GradTape() as tape:
         nr.tmean(composite_loss(fx, mv, model.forward(mv, fx), model.config).total)

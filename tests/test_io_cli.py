@@ -214,8 +214,7 @@ def make_report(rng):
     mv, fx, _ = nr.synth_pair(12, seed=2, amplitude=1.5, bits=64)
     model = nr.build_model(
         ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
-                    dae_blocks=1, lka_blocks=1, precision=64),
-        seed=0,
+                    dae_blocks=1, precision=64),
     )
     _, _, report = nr.register(model, mv, fx)
     return report, model.config
@@ -408,7 +407,7 @@ def test_cli_params_with_config_overrides(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "channels": [2, 4], "strides": [2, 2], "kernels": [3, 3],
-        "heads": 1, "dae_blocks": 1, "lka_blocks": 1,
+        "heads": 1, "dae_blocks": 1,
     }))
     assert main(["params", "--config", str(cfg_file), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -515,7 +514,7 @@ def test_cli_train_then_register_end_to_end(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "channels": [2, 4], "strides": [2, 2], "kernels": [3, 3],
-        "heads": 1, "dae_blocks": 1, "lka_blocks": 1,
+        "heads": 1, "dae_blocks": 1,
         "precision": 64, "batch_size": 1,
     }))
     capsys.readouterr()
@@ -551,11 +550,11 @@ def test_cli_train_then_register_end_to_end(tmp_path, capsys):
     assert report["metrics"]["ssim"] == payload["ssim"]
 
 
-def _write_parameterless_checkpoint(path, cfg):
-    """A checkpoint file that records ``cfg`` as it is. ``save_checkpoint``
+def _write_parameterless_checkpoint(path, config: dict):
+    """A checkpoint file that records ``config`` as it is. ``save_checkpoint``
     refuses an invalid config, so this writes the layout directly, as an
     edited or foreign file would arrive."""
-    meta = {"config": cfg.to_dict(), "epoch": 1, "rng_state": {}, "params": []}
+    meta = {"config": config, "epoch": 1, "rng_state": {}, "params": []}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              __params__=np.empty(0))
 
@@ -564,7 +563,7 @@ def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_pa
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     cfg = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=3)
     ckpt = tmp_path / "bad.npz"
-    _write_parameterless_checkpoint(ckpt, cfg)
+    _write_parameterless_checkpoint(ckpt, cfg.to_dict())
     assert nr.load_checkpoint(ckpt).config == cfg
     capsys.readouterr()
     rc = main([
@@ -576,6 +575,39 @@ def test_cli_register_with_an_invalid_checkpoint_config_is_a_config_error(tmp_pa
     err = capsys.readouterr().err
     assert "config error" in err and "not divisible by heads 3" in err
     assert not (tmp_path / "field.nmv").exists()
+
+
+@pytest.mark.parametrize("key", ["in_channels", "lka_blocks"])
+def test_cli_refuses_a_config_naming_a_removed_key(tmp_path, capsys, key):
+    """The design fixes ``in_channels`` at 2 and gives every encoder stage
+    past the ``dae_blocks`` deepest a large-kernel decoder stage, so neither
+    is a config key: a config, checkpoint or ``--config`` file naming one is
+    a config error naming the key, and the CLI exits 1 and writes nothing."""
+    main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
+    old = {**ModelConfig().to_dict(), key: 2}
+    refused = f"unknown config key '{key}'"
+    with pytest.raises(ConfigError, match=refused):
+        ModelConfig.from_dict(old)
+    ckpt = tmp_path / "old.npz"
+    _write_parameterless_checkpoint(ckpt, old)
+    with pytest.raises(ConfigError, match=refused):
+        nr.load_checkpoint(ckpt)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: 2}))
+    capsys.readouterr()
+    rc = main([
+        "register", "--checkpoint", str(ckpt),
+        "--moving", str(tmp_path / "moving.nmv"), "--fixed", str(tmp_path / "fixed.nmv"),
+        "--out-field", str(tmp_path / "field.nmv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {refused}\n"
+    assert not (tmp_path / "field.nmv").exists()
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+               "--config", str(cfg_file)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {refused}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("zero", ["moving", "fixed"])
@@ -597,7 +629,7 @@ def test_cli_register_of_an_all_zero_volume_is_a_data_error(tmp_path, capsys, ze
 
 
 TINY_CFG = ModelConfig(channels=(2, 4), strides=(2, 2), kernels=(3, 3), heads=1,
-                       dae_blocks=1, lka_blocks=1, precision=32)
+                       dae_blocks=1, precision=32)
 
 
 def _register(tmp_path, ckpt, out):
@@ -619,7 +651,7 @@ def test_cli_register_with_a_malformed_checkpoint_is_a_data_error(tmp_path, caps
     ckpt = tmp_path / "broken.npz"
     meta = {"config": TINY_CFG.to_dict(), "epoch": 1, "rng_state": {}}
     if layout == "per-name":
-        members = nr.build_model(TINY_CFG, seed=5).state()
+        members = nr.build_model(TINY_CFG).state()
     else:
         meta["params"] = [["w", [2, 3]]]
         members = {"__params__": np.zeros(5, dtype=np.float32)}
@@ -654,7 +686,7 @@ def test_cli_train_resume_with_a_different_config_is_a_data_error(tmp_path, caps
 
 
 def _truncated_checkpoint(path):
-    nr.save_checkpoint(path, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, {}))
+    nr.save_checkpoint(path, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG).state(), 1, {}))
     path.write_bytes(path.read_bytes()[:300])
 
 
@@ -733,7 +765,7 @@ def test_cli_train_resumed_into_a_new_directory_resumes_there_again(tmp_path, ca
 def test_cli_train_resume_from_a_checkpoint_without_a_generator_state_is_a_data_error(tmp_path, capsys):
     main(["synth", "--out", str(tmp_path), "--shape", "8", "--seed", "1"])
     ckpt = tmp_path / "ckpt.npz"
-    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, {}))
+    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG).state(), 1, {}))
     capsys.readouterr()
     assert _train_tiny(tmp_path, tmp_path, "run", "--epochs", "2", "--resume", str(ckpt)) == 2
     err = capsys.readouterr().err
@@ -746,7 +778,7 @@ def test_cli_train_resume_from_a_checkpoint_whose_generator_state_overflows_is_a
     state = np.random.default_rng(0).bit_generator.state
     state["state"]["state"] = 2**130
     ckpt = tmp_path / "ckpt.npz"
-    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG, seed=0).state(), 1, state))
+    nr.save_checkpoint(ckpt, nr.Checkpoint(TINY_CFG, nr.build_model(TINY_CFG).state(), 1, state))
     capsys.readouterr()
     assert _train_tiny(tmp_path, tmp_path, "run", "--epochs", "2", "--resume", str(ckpt)) == 2
     err = capsys.readouterr().err

@@ -15,7 +15,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import numpy.testing as npt
@@ -32,7 +32,7 @@ from oracles import phantom_dense_ref, register_ref
 def small_cfg(**kw) -> ModelConfig:
     base = dict(
         channels=(2, 4), strides=(2, 2), kernels=(3, 3),
-        heads=1, dae_blocks=1, lka_blocks=1,
+        heads=1, dae_blocks=1,
         epochs=2, batch_size=2, precision=64,
     )
     base.update(kw)
@@ -53,52 +53,59 @@ def small_pairs(n=3, shape=12, seed=0):
 
 
 def test_build_is_bit_deterministic_for_a_seed():
-    a = nr.build_model(small_cfg(), seed=11)
-    b = nr.build_model(small_cfg(), seed=11)
+    a = nr.build_model(small_cfg(seed=11))
+    b = nr.build_model(small_cfg(seed=11))
     assert a.state().keys() == b.state().keys()
     for name, arr in a.state().items():
         npt.assert_array_equal(arr, b.state()[name], err_msg=name)
 
 
-def test_build_seed_changes_weights_and_falls_back_to_config_seed():
-    a = nr.build_model(small_cfg(), seed=1)
-    b = nr.build_model(small_cfg(), seed=2)
+def test_build_seed_changes_weights_and_the_config_dict_rebuilds_them():
+    """The config's seed is the only one: a config read back from its dict,
+    as a checkpoint or report records it, rebuilds the initial parameters."""
+    a = nr.build_model(small_cfg(seed=1))
+    b = nr.build_model(small_cfg(seed=2))
     assert any(
         not np.array_equal(a.state()[k], b.state()[k]) for k in a.state()
     )
-    c = nr.build_model(small_cfg(seed=1))  # no explicit seed: cfg.seed applies
-    for name, arr in a.state().items():
-        npt.assert_array_equal(arr, c.state()[name], err_msg=name)
+    for cfg in (small_cfg(seed=3), ModelConfig(seed=3)):
+        want = nr.build_model(cfg).state()
+        got = nr.build_model(ModelConfig.from_dict(cfg.to_dict())).state()
+        assert got.keys() == want.keys()
+        for name, arr in want.items():
+            npt.assert_array_equal(got[name], arr, err_msg=name)
 
 
 def test_invalid_configs_are_rejected_with_all_problems():
     with pytest.raises(ConfigError):
-        nr.build_model(small_cfg(channels=(2, 4), strides=(2,)), seed=0)
+        nr.build_model(small_cfg(channels=(2, 4), strides=(2,)))
     with pytest.raises(ConfigError):
-        nr.build_model(small_cfg(kernels=(2, 2)), seed=0)  # kernel must exceed stride
+        nr.build_model(small_cfg(kernels=(2, 2)))  # kernel must exceed stride
     with pytest.raises(ConfigError):
-        nr.build_model(small_cfg(precision=16), seed=0)
+        nr.build_model(small_cfg(precision=16))
     with pytest.raises(ConfigError):
-        nr.build_model(small_cfg(dae_blocks=3), seed=0)  # 3+1 != 2 stages
+        nr.build_model(small_cfg(dae_blocks=3))  # 3 > 2 stages
 
 
-# One problem each: the stage-count fields follow the stage lists, so only
-# the named value is wrong.
-ONE_STAGE = dict(dae_blocks=1, lka_blocks=0)
-TWO_STAGES = dict(dae_blocks=1, lka_blocks=1)
+# One problem each: a one-stage config lowers dae_blocks to its stage count,
+# so only the named value is wrong.
+ONE_STAGE = dict(dae_blocks=1)
 
 
 @pytest.mark.parametrize("overrides, problem", [
     pytest.param(dict(channels=(8,), strides=(2,), kernels=(2,), **ONE_STAGE),
                  "patch kernel 2 must exceed stride 2", id="kernel-not-above-stride"),
-    pytest.param(dict(channels=(7, 14), strides=(2, 2), kernels=(3, 3), heads=2, **TWO_STAGES),
+    pytest.param(dict(channels=(7, 14), strides=(2, 2), kernels=(3, 3), heads=2),
                  "channels 7 not divisible by heads 2", id="channels-not-divisible-by-heads"),
-    pytest.param(dict(channels=(8, 16), strides=(2,), kernels=(3, 3), **TWO_STAGES),
+    pytest.param(dict(channels=(8, 16), strides=(2,), kernels=(3, 3)),
                  "lengths differ: 2/1/2", id="stage-lists-differ"),
     pytest.param(dict(use_efficient=False, use_channel=False),
                  "at least one of use_efficient/use_channel", id="no-attention-branch"),
     pytest.param(dict(blocks_per_stage=0), "blocks_per_stage must be >= 1", id="no-blocks"),
-    pytest.param(dict(in_channels=3), "in_channels must be 2, got 3", id="three-input-channels"),
+    pytest.param(dict(dae_blocks=5), "dae_blocks must be in 0..4 (the encoder stages), got 5",
+                 id="dae-blocks-above-stages"),
+    pytest.param(dict(dae_blocks=-1), "dae_blocks must be in 0..4 (the encoder stages), got -1",
+                 id="negative-dae-blocks"),
     pytest.param(dict(ncc_window=4), "ncc_window must be odd", id="even-ncc-window"),
     pytest.param(dict(ncc_eps=0.0), "ncc_eps must be positive", id="zero-ncc-eps"),
     pytest.param(dict(smooth_weight=-1.0), "smooth_weight must be >= 0",
@@ -120,6 +127,32 @@ def test_defaults_and_values_of_the_right_kind_pass_validation():
     assert ModelConfig().validate() == []
     cfg = ModelConfig(channels=[8, 16, 32, 64], lr=1, seed=np.int64(3), init_std=np.float32(0.1))
     assert cfg.validate() == []
+
+
+def test_the_design_fixes_input_channels_and_the_decoder_stage_count():
+    names = [f.name for f in fields(ModelConfig)]
+    assert len(names) == 19 and "in_channels" not in names and "lka_blocks" not in names
+    assert ModelConfig.in_channels == 2
+    assert {"in_channels", "lka_blocks"}.isdisjoint(ModelConfig().to_dict())
+
+
+@pytest.mark.parametrize("channels, strides, kernels, dae, kinds", [
+    ((8, 16, 32), (4, 2, 2), (7, 3, 3), None, ["dae", "dae", "lka"]),
+    ((8, 16), (2, 2), (3, 3), None, ["dae", "dae"]),
+    ((8,), (2,), (3,), 1, ["dae"]),
+    ((8,), (2,), (3,), 0, ["lka"]),
+])
+def test_a_config_with_fewer_stages_needs_only_its_stage_lists(channels, strides, kernels, dae, kinds):
+    """Each encoder stage gets one decoder stage; ``dae_blocks`` is named only
+    where its default 2 exceeds the stage count."""
+    extra = {} if dae is None else {"dae_blocks": dae}
+    cfg = ModelConfig(channels=channels, strides=strides, kernels=kernels, **extra)
+    assert cfg.validate() == []
+    model = nr.build_model(cfg)
+    got = ["dae" if isinstance(sp.block, nr.DualBlockParams) else "lka" for sp in model.dec_stages]
+    assert got == kinds
+    pair = np.zeros((2, 1, 16, 16, 16), np.float32)
+    assert model.forward(*pair).u.shape == (3, 16, 16, 16)
 
 
 def test_config_dict_roundtrip_and_unknown_keys():
@@ -186,7 +219,7 @@ def embed_count(c, prev, kernel):
     return c * prev * kernel**3 + 3 * c
 
 
-def expected_table(channels, kernels, heads, blocks, dae, lka, ea=True, ca=True, in_ch=2):
+def expected_table(channels, kernels, heads, blocks, dae, ea=True, ca=True, in_ch=2):
     rows = {}
     enc = 0
     prev = in_ch
@@ -196,7 +229,7 @@ def expected_table(channels, kernels, heads, blocks, dae, lka, ea=True, ca=True,
     rows["Encoder"] = enc
     other = 3 * channels[0] + 3  # zero-initialized head
     n = len(channels)
-    for i in range(dae + lka):
+    for i in range(n):
         s = n - 1 - i
         width = channels[s]
         if i < dae:
@@ -228,7 +261,7 @@ COUNT_CASES = [
     (
         ModelConfig(
             channels=(3, 6), strides=(2, 2), kernels=(3, 3), heads=3,
-            blocks_per_stage=2, use_channel=False, dae_blocks=0, lka_blocks=2,
+            blocks_per_stage=2, use_channel=False, dae_blocks=0,
         ),
         {"Encoder": 6777, "LKA-Former 1": 378, "LKA-Former 2": 180, "Other": 279},
     ),
@@ -242,14 +275,14 @@ def test_count_params_matches_hand_computed_rows(cfg, frozen):
     assert table.total == sum(frozen.values())
     derived = expected_table(
         cfg.channels, cfg.kernels, cfg.heads, cfg.blocks_per_stage,
-        cfg.dae_blocks, cfg.lka_blocks, cfg.use_efficient, cfg.use_channel,
+        cfg.dae_blocks, cfg.use_efficient, cfg.use_channel,
     )
     assert dict(table.rows) == derived  # closed form and frozen literals agree
 
 
 @pytest.mark.parametrize("cfg,frozen", COUNT_CASES)
 def test_count_params_matches_the_built_model(cfg, frozen):
-    model = nr.build_model(cfg, seed=0)
+    model = nr.build_model(cfg)
     assert model.num_params == nr.count_params(cfg).total
 
 
@@ -339,6 +372,39 @@ def test_synth_pair_amplitude_zero_reduces_to_intensity_remap():
     npt.assert_allclose(mv.values.data, np.clip(fx.values.data, 0, 1) ** 0.85, rtol=1e-12)
 
 
+TRUTH_CASES = [(16, 1, 3.0), ((12, 20, 16), 2, 2.0), (32, 7, 3.0)]
+
+
+def _remapped_warp(fixed, u):
+    warped = nr.warp_trilinear(fixed, nr.DeformationField(u=Tensor(u)))
+    return np.clip(warped.values.data, 0.0, 1.0) ** 0.85
+
+
+@pytest.mark.parametrize("shape, seed, amplitude", TRUTH_CASES)
+def test_synth_truth_field_warps_fixed_onto_moving(shape, seed, amplitude):
+    """The truth field is the one the warp applied to ``fixed``: warping
+    ``fixed`` by it and remapping gives ``moving`` bit for bit at float64.
+    The field of opposite sign does not."""
+    mv, fx, truth = nr.synth_pair(shape, seed=seed, amplitude=amplitude, bits=64)
+    assert np.abs(truth.u.data).max() > 0
+    npt.assert_array_equal(_remapped_warp(fx, truth.u.data), mv.values.data)
+    assert np.abs(_remapped_warp(fx, -truth.u.data) - mv.values.data).max() > 0.5
+
+
+@pytest.mark.parametrize("shape, seed, amplitude", TRUTH_CASES)
+def test_synth_files_keep_the_truth_field_convention(tmp_path, shape, seed, amplitude):
+    from nestreg.cli import main
+
+    extents = [str(e) for e in ((shape,) if isinstance(shape, int) else shape)]
+    assert main(["synth", "--out", str(tmp_path), "--shape", *extents, "--seed", str(seed),
+                 "--amplitude", str(amplitude), "--bits", "64"]) == 0
+    mv = nr.volume_from_file(tmp_path / "moving.nmv")
+    fx = nr.volume_from_file(tmp_path / "fixed.nmv")
+    truth = nr.field_from_file(tmp_path / "truth_field.nmv")
+    assert mv.values.dtype == np.float64 and truth.u.dtype == np.float64
+    npt.assert_array_equal(_remapped_warp(fx, truth.u.data), mv.values.data)
+
+
 def test_synth_pair_intensities_are_normalized():
     mv, fx, _ = nr.synth_pair(12, seed=9, amplitude=1.0, bits=64)
     for v in (mv.values.data, fx.values.data):
@@ -421,7 +487,7 @@ def test_split_pairs_conventions():
 
 
 def test_train_produces_contiguous_finite_curve(tmp_path):
-    model = nr.build_model(small_cfg(epochs=3), seed=0)
+    model = nr.build_model(small_cfg(epochs=3))
     pairs = small_pairs(3)
     tr, va = nr.split_pairs(pairs)
     result = nr.train(model, tr, va, out_dir=tmp_path)
@@ -466,7 +532,7 @@ def test_train_frees_each_steps_gradients_before_the_next_backward(monkeypatch):
     monkeypatch.setattr(nr.GradTape, "backward", spy_backward)
     monkeypatch.setattr(module, "sgd_step", spy_step)
     tr, va = nr.split_pairs(small_pairs(4))  # 3 train pairs: two steps per epoch
-    nr.train(nr.build_model(small_cfg(epochs=2), seed=0), tr, va)
+    nr.train(nr.build_model(small_cfg(epochs=2)), tr, va)
     assert held and alive == [0, 0, 0, 0]
 
 
@@ -566,8 +632,8 @@ def test_resume_with_a_config_that_differs_beyond_epochs_is_rejected():
     """A resumed run continues the checkpoint's objective and numerics; only
     epochs may change, and the error names each other differing field."""
     tr, va = nr.split_pairs(small_pairs(2))
-    part = nr.train(nr.build_model(small_cfg(epochs=1, ncc_window=3), seed=0), tr, va)
-    changed = nr.build_model(small_cfg(epochs=3, precision=32), seed=0)
+    part = nr.train(nr.build_model(small_cfg(epochs=1, ncc_window=3)), tr, va)
+    changed = nr.build_model(small_cfg(epochs=3, precision=32))
     before = changed.state()
     with pytest.raises(ContractError) as err:
         nr.train(changed, tr, va, resume=part.last)
@@ -601,7 +667,7 @@ def test_checkpoint_roundtrip_preserves_forward_bit_for_bit(tmp_path, rng):
 
 @pytest.mark.parametrize("precision", [32, 64])
 def test_checkpoint_is_one_indexed_buffer_that_round_trips_bit_for_bit(tmp_path, precision):
-    model = nr.build_model(small_cfg(precision=precision), seed=2)
+    model = nr.build_model(small_cfg(precision=precision, seed=2))
     state = model.state()
     path = tmp_path / "ckpt.npz"
     nr.save_checkpoint(path, nr.Checkpoint(model.config, state, 3, {}))
@@ -667,7 +733,7 @@ def test_resume_from_an_rng_state_holding_an_encoded_array_raises_contract_error
     """Checkpoints hold PCG64 states, a string and ints, as plain JSON: an
     entry in the layout of an encoded array loads as the dict it is, and a
     resumed run refuses it."""
-    model = nr.build_model(small_cfg(), seed=1)
+    model = nr.build_model(small_cfg(seed=1))
     state = {**np.random.default_rng(0).bit_generator.state, "uinteger": uinteger}
     path = tmp_path / "ckpt.npz"
     nr.save_checkpoint(path, nr.Checkpoint(model.config, model.state(), 1, state))
@@ -759,7 +825,7 @@ def test_load_checkpoint_of_any_metadata_loads_or_raises_a_documented_error(meta
 
 
 def test_save_checkpoint_rejects_mixed_parameter_dtypes(tmp_path):
-    state = nr.build_model(small_cfg(), seed=1).state()
+    state = nr.build_model(small_cfg(seed=1)).state()
     first = next(iter(state))
     state[first] = state[first].astype(np.float32)
     path = tmp_path / "ckpt.npz"
@@ -780,7 +846,7 @@ def test_save_checkpoint_refuses_an_invalid_config_naming_its_problems(tmp_path,
 
 
 def test_checkpoint_whose_index_does_not_match_its_buffer_is_rejected(tmp_path):
-    state = nr.build_model(small_cfg(), seed=1).state()
+    state = nr.build_model(small_cfg(seed=1)).state()
     index = [[name, list(arr.shape)] for name, arr in state.items()]
     flat = np.concatenate([arr.ravel() for arr in state.values()])
     repeated = [index[0], [index[0][0], index[1][1]]] + index[2:]  # sizes still sum up
@@ -800,7 +866,7 @@ def test_checkpoint_whose_index_does_not_match_its_buffer_is_rejected(tmp_path):
 
 
 def test_load_state_rejects_mismatched_checkpoints():
-    model = nr.build_model(small_cfg(), seed=0)
+    model = nr.build_model(small_cfg())
     state = model.state()
     state.pop(next(iter(state)))
     with pytest.raises(ContractError):
@@ -873,7 +939,7 @@ def test_read_curve_csv_of_any_text_loads_or_raises_contract_error(tmp_path_fact
 
 
 def test_model_forward_enforces_precision_contract(rng):
-    model = nr.build_model(small_cfg(precision=32), seed=0)
+    model = nr.build_model(small_cfg(precision=32))
     x64 = nr.Volume(values=Tensor(rng.uniform(size=(1, 8, 8, 8))))
     with pytest.raises(nr.ShapeError):
         model.forward(x64, x64)
@@ -884,7 +950,7 @@ def test_model_forward_enforces_precision_contract(rng):
 
 def test_register_reports_identity_for_an_untrained_model():
     mv, fx, _ = nr.synth_pair(12, seed=3, amplitude=1.5, bits=64)
-    model = nr.build_model(small_cfg(), seed=0)
+    model = nr.build_model(small_cfg())
     field, warped, report = nr.register(model, mv, fx)
     npt.assert_array_equal(field.u.data, 0.0)
     npt.assert_array_equal(warped.values.data, mv.values.data)
@@ -908,7 +974,7 @@ def _noised_head(model, seed=9, scale=0.1):
 def test_register_report_equals_the_single_metric_calls(shape):
     """The report's SSIM and HD95 equal one call per pair, exactly."""
     mv, fx, _ = nr.synth_pair(shape, seed=4, amplitude=1.5)
-    model = _noised_head(nr.build_model(small_cfg(precision=32), seed=0), scale=0.5)
+    model = _noised_head(nr.build_model(small_cfg(precision=32)), scale=0.5)
     field, warped, report = nr.register(model, mv, fx)
     assert np.abs(field.u.data).max() > 0.1
     assert report.ssim_initial == nr.ssim(mv, fx)
@@ -923,7 +989,7 @@ def test_register_report_equals_the_single_metric_calls(shape):
 def test_register_equals_its_sequential_oracle_bit_for_bit(shape, seed):
     """The metrics overlapped on a worker thread give the field, warped
     volume and every report value of the one-thread composition."""
-    model = _noised_head(nr.build_model(ModelConfig(), seed=0))
+    model = _noised_head(nr.build_model(ModelConfig()))
     mv, fx, _ = nr.synth_pair(shape, seed=seed)
     field, warped, report = nr.register(model, mv, fx)
     want_field, want_warped, want_report = register_ref(model, mv, fx)
@@ -954,7 +1020,7 @@ def _register_with_failing_steps(monkeypatch, failing):
     it raised, or None when it returned. The step "ncc_sums" is the worker's
     NCC window sums of the fixed volume, which the loss rebuilds when they
     fail."""
-    model = _noised_head(nr.build_model(small_cfg(precision=32), seed=0), scale=0.5)
+    model = _noised_head(nr.build_model(small_cfg(precision=32)), scale=0.5)
     mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
     _, warped, _ = register_ref(model, mv, fx)
     moving_mask = nr.mask_from_volume(mv)
@@ -1029,7 +1095,7 @@ def test_register_raises_the_error_of_the_one_thread_order_on_real_inputs(case, 
     fails SDlogJ before the reference, and the loss's warp and window checks
     come before anything the sums found. Neither thread warns."""
     cfg = small_cfg(precision=32, ncc_window=5 if case == "batched pair" else 9)
-    model = nr.build_model(cfg, seed=0)
+    model = nr.build_model(cfg)
     if case == "batched pair":
         pair = nr.synth_pair(32, seed=4)[:2]
         mv, fx = (nr.Volume(values=Tensor(np.stack([v.values.data] * 2))) for v in pair)
@@ -1049,7 +1115,7 @@ def test_register_raises_the_error_of_the_one_thread_order_on_real_inputs(case, 
 
 def test_register_after_a_failed_register_succeeds(monkeypatch):
     mv, fx, _ = nr.synth_pair(16, seed=4, amplitude=1.5)
-    model = nr.build_model(small_cfg(precision=32), seed=0)
+    model = nr.build_model(small_cfg(precision=32))
     before = threading.active_count()
     assert _register_with_failing_steps(monkeypatch, {"ssim_final", "hd95_initial"}) == "hd95_initial"
     monkeypatch.undo()
